@@ -11,8 +11,8 @@ import (
 // order of their ALAP lists: each node's own ALAP time followed by the
 // ALAP times of all its descendants, sorted ascending. This is the
 // static scheduling order of MCP (Wu & Gajski 1990) — critical-path
-// nodes have the smallest ALAP times and come first — shared by the MCP
-// kernel and the parameterized component schedulers.
+// nodes have the smallest ALAP times and come first — used by MCP
+// and the other alap combos of the parameterized component schedulers.
 func ALAPListOrder(g *dag.Graph) []dag.NodeID {
 	n := g.NumNodes()
 	lv := dag.ComputeLevels(g)
@@ -50,7 +50,7 @@ func ALAPListOrder(g *dag.Graph) []dag.NodeID {
 	// parent's list always precedes its child's, so the pass reproduces
 	// plain lexicographic order; with zero-weight nodes it still yields a
 	// valid scheduling order.
-	rank := make([]int, n)
+	prio := make([]int64, n)
 	byList := make([]dag.NodeID, n)
 	for v := range byList {
 		byList[v] = dag.NodeID(v)
@@ -68,13 +68,12 @@ func ALAPListOrder(g *dag.Graph) []dag.NodeID {
 		return byList[i] < byList[j]
 	})
 	for i, v := range byList {
-		rank[v] = i
+		prio[v] = -int64(i) // smallest rank pops first; ranks are unique
 	}
-	ready := NewReadySet(g)
+	ready := NewReadyHeap(g, prio)
 	order := make([]dag.NodeID, 0, n)
 	for !ready.Empty() {
-		next := MinBy(ready.Ready(), func(n dag.NodeID) int64 { return int64(rank[n]) })
-		ready.Pop(next)
+		next := ready.PopMax()
 		ready.MarkScheduled(g, next)
 		order = append(order, next)
 	}

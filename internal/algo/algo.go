@@ -71,7 +71,7 @@ func (r *ReadySet) Release() { readyPool.Put(r) }
 // Ready returns the current ready nodes. The slice is shared with the
 // set; callers must not modify it and must not hold it across Pop or
 // MarkScheduled calls. The order is unspecified: Pop swap-removes, so
-// callers must select by a total order (MaxBy/MinBy), never by index.
+// callers must select by a total order (such as MaxBy), never by index.
 func (r *ReadySet) Ready() []dag.NodeID { return r.ready }
 
 // Empty reports whether no node is ready.
@@ -118,20 +118,6 @@ func MaxBy(ready []dag.NodeID, priority func(dag.NodeID) int64) dag.NodeID {
 	for _, n := range ready[1:] {
 		p := priority(n)
 		if p > bestP || (p == bestP && n < best) {
-			best, bestP = n, p
-		}
-	}
-	return best
-}
-
-// MinBy returns the element of ready that minimizes priority, breaking
-// ties toward the smaller node ID. It panics on an empty slice.
-func MinBy(ready []dag.NodeID, priority func(dag.NodeID) int64) dag.NodeID {
-	best := ready[0]
-	bestP := priority(best)
-	for _, n := range ready[1:] {
-		p := priority(n)
-		if p < bestP || (p == bestP && n < best) {
 			best, bestP = n, p
 		}
 	}

@@ -7,13 +7,7 @@ import (
 	"repro/internal/algo"
 	"repro/internal/dag"
 	"repro/internal/gen"
-	"repro/internal/sched"
 )
-
-// Allocation-count assertions for the steady-state scheduling inner
-// loops. The loops are measured on preallocated scratch — exactly the
-// state a warm pool hands out — so the assertion is deterministic:
-// zero allocations, not "few".
 
 func allocTestGraph(tb testing.TB) *dag.Graph {
 	tb.Helper()
@@ -24,55 +18,42 @@ func allocTestGraph(tb testing.TB) *dag.Graph {
 	return g
 }
 
-func TestETFInnerLoopAllocs(t *testing.T) {
-	g := allocTestGraph(t)
+// Allocation-count assertions for the steady-state scheduling inner
+// loops. A warm pool hands out fully sized state, so the assertions are
+// deterministic: zero allocations, not "few".
+
+// assertSteadyAllocs runs alg once to warm the pools, then requires a
+// warm alg call plus Release to allocate exactly want objects.
+func assertSteadyAllocs(t *testing.T, name string, alg Scheduler, g *dag.Graph, want float64) {
+	t.Helper()
 	const procs = 8
-	s := sched.New(g, procs)
-	ready := algo.NewReadySet(g)
-	sc := &scratch{}
 	run := func() {
-		s.Reset(g, procs)
-		ready.Reset(g)
-		sc.grow(g)
-		etf(g, s, ready, sc)
+		s, err := alg(g, procs)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s.Release()
 	}
-	run() // warm capacities
-	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-		t.Errorf("steady-state ETF allocates %.1f objects per run, want 0", allocs)
+	run() // warm the pools
+	if allocs := testing.AllocsPerRun(20, run); allocs != want {
+		t.Errorf("steady-state %s allocates %.1f objects per run, want %.1f", name, allocs, want)
 	}
+}
+
+func TestETFInnerLoopAllocs(t *testing.T) {
+	assertSteadyAllocs(t, "ETF", ETF, allocTestGraph(t), 0)
 }
 
 func TestDLSInnerLoopAllocs(t *testing.T) {
-	g := allocTestGraph(t)
-	const procs = 8
-	s := sched.New(g, procs)
-	ready := algo.NewReadySet(g)
-	sc := &scratch{}
-	run := func() {
-		s.Reset(g, procs)
-		ready.Reset(g)
-		sc.grow(g)
-		dls(g, s, ready, sc)
-	}
-	run()
-	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-		t.Errorf("steady-state DLS allocates %.1f objects per run, want 0", allocs)
-	}
+	assertSteadyAllocs(t, "DLS", DLS, allocTestGraph(t), 0)
 }
 
+// TestMCPInnerLoopAllocs pins MCP's placement loop allocation-free: a
+// warm MCP allocates exactly what its per-graph ALAP-list order does.
 func TestMCPInnerLoopAllocs(t *testing.T) {
 	g := allocTestGraph(t)
-	const procs = 8
-	order := algo.ALAPListOrder(g) // priority computation is per-graph, not per-run
-	s := sched.New(g, procs)
-	run := func() {
-		s.Reset(g, procs)
-		mcpPlace(order, s)
-	}
-	run()
-	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-		t.Errorf("steady-state MCP placement allocates %.1f objects per run, want 0", allocs)
-	}
+	order := testing.AllocsPerRun(20, func() { algo.ALAPListOrder(g) })
+	assertSteadyAllocs(t, "MCP", MCP, g, order)
 }
 
 // TestPooledSchedulersStayCorrect runs the pooled public entry points

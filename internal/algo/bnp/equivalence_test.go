@@ -10,12 +10,12 @@ import (
 	"repro/internal/sched"
 )
 
-// This file pins the optimized kernels to the pre-refactor reference
-// implementations. The references reproduce the original algorithms
-// verbatim — exhaustive ready×processor pair scans with an O(indegree)
-// predecessor scan per EST query — written against the public Schedule
-// accessors only, so they share none of the incremental caching under
-// test. Every registered generator family, across seeds, CCRs, and
+// This file pins HLFET, MCP, ETF and DLS — combos of the param engine —
+// to the pre-refactor reference implementations. The references
+// reproduce the original algorithms verbatim — exhaustive
+// ready×processor pair scans with an O(indegree) predecessor scan per
+// EST query — written against the public Schedule accessors only, so
+// they share none of the incremental caching under test. Every registered generator family, across seeds, CCRs, and
 // processor counts, must yield byte-identical schedules.
 
 // refDataReady is the original DataReadyTime: a full predecessor scan.
@@ -143,6 +143,19 @@ func refDLS(g *dag.Graph, numProcs int) *sched.Schedule {
 		ready.MarkScheduled(g, bestNode)
 	}
 	return s
+}
+
+// betterETFTie reports whether candidate (n,p) wins the tie against the
+// incumbent (bn,bp) at equal EST: higher static level, then smaller node
+// ID, then lower processor index.
+func betterETFTie(sl []int64, n dag.NodeID, p int, bn dag.NodeID, bp int) bool {
+	if sl[n] != sl[bn] {
+		return sl[n] > sl[bn]
+	}
+	if n != bn {
+		return n < bn
+	}
+	return p < bp
 }
 
 // refHLFET is the original HLFET list scheduler (non-insertion BestEST).

@@ -1,8 +1,10 @@
 package param
 
 // The classic BNP algorithms that are pure points of the component
-// space, registered under their paper names. Equivalence tests pin each
-// one byte-identical to its optimized kernel in internal/algo/bnp.
+// space, registered under their paper names. These registrations are
+// their only implementation: internal/algo/bnp's HLFET, MCP, ETF and
+// DLS entry points run them, and its equivalence tests pin each one
+// byte-identical to a reference pair-scan kernel.
 func init() {
 	MustRegister("HLFET", Combo{MetricSL, RuleEST, SlotNonInsertion, RegimeStatic},
 		"Adam/Chandy/Dickson 1974: static levels, earliest start, no insertion")

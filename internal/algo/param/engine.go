@@ -1,7 +1,6 @@
 package param
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/algo"
@@ -10,15 +9,16 @@ import (
 )
 
 // engine is the pooled per-run state of the generic component
-// scheduler: level attributes, the static priority ranks, the median
-// execution times (RuleDL only), and the per-ready-node cache of the
-// best placement under the combo's rule.
+// scheduler: level attributes, the static priority key, the median
+// execution times (RuleDL only), and — in the dynamic regime — the
+// per-ready-node cache of the best placement under the combo's rule.
+// Arrays a combo never reads are not sized for it.
 type engine struct {
 	lv       dag.Levels
-	rank     []int32
+	prio     []int64 // per-node key, higher first; aliases lv.Static for sl/dl
+	key      []int64 // owned backing of prio for the other metrics
 	med      []int64
 	execBuf  []int64
-	nodes    []dag.NodeID
 	bestProc []int32
 	bestEST  []int64
 	bestObj  []int64
@@ -29,45 +29,42 @@ var enginePool = sync.Pool{New: func() any { return new(engine) }}
 func acquireEngine(g *dag.Graph) *engine {
 	e := enginePool.Get().(*engine)
 	e.lv.Compute(g)
-	n := g.NumNodes()
-	if cap(e.rank) >= n {
-		e.rank = e.rank[:n]
-		e.med = e.med[:n]
-		e.bestProc = e.bestProc[:n]
-		e.bestEST = e.bestEST[:n]
-		e.bestObj = e.bestObj[:n]
-	} else {
-		e.rank = make([]int32, n)
-		e.med = make([]int64, n)
-		e.bestProc = make([]int32, n)
-		e.bestEST = make([]int64, n)
-		e.bestObj = make([]int64, n)
-	}
 	return e
 }
 
-func (e *engine) release() { enginePool.Put(e) }
+func (e *engine) release() {
+	e.prio = nil
+	enginePool.Put(e)
+}
+
+// resize returns buf with length n, reusing its backing array when it
+// is large enough.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
 
 // run executes the combo on a prepared (possibly heterogeneous)
 // schedule.
 func run(c Combo, g *dag.Graph, s *sched.Schedule) {
 	e := acquireEngine(g)
 	defer e.release()
-	e.computeRanks(c.Metric, g)
+	e.computePrio(c.Metric, g)
 	if c.Rule == RuleDL {
 		e.computeMedians(g, s)
 	}
-	ready := algo.AcquireReadySet(g)
-	defer ready.Release()
 
 	if c.Regime == RegimeStatic {
-		// Fixed priority list: pop by static rank, place by rule+slot.
+		// Fixed priority list: pop by the static key, place by rule+slot.
+		ready := algo.AcquireReadyHeap(g, e.prio)
+		defer ready.Release()
 		for !ready.Empty() {
-			n := algo.MinBy(ready.Ready(), func(m dag.NodeID) int64 { return int64(e.rank[m]) })
-			ready.Pop(n)
-			e.eval(c, s, n)
-			tracePriority(n, int64(e.rank[n]))
-			s.MustPlace(n, int(e.bestProc[n]), e.bestEST[n])
+			n := ready.PopMax()
+			p, est, _ := e.eval(c, s, n)
+			tracePriority(n, e.prio[n])
+			s.MustPlace(n, int(p), est)
 			ready.MarkScheduled(g, n)
 		}
 		return
@@ -76,64 +73,71 @@ func run(c Combo, g *dag.Graph, s *sched.Schedule) {
 	// Dynamic regime: every ready node caches its best placement under
 	// the rule; each step schedules the globally best (node, processor)
 	// pair and re-evaluates only the nodes whose cached processor just
-	// changed, plus the newly released ones. The incremental argument is
-	// the one proved for the ETF kernel (internal/algo/bnp): a
-	// placement only affects the receiving processor, and only for the
-	// worse — under either slot policy, adding a slot can never open an
-	// earlier fit on it — so a cached best on another processor stays
-	// optimal.
+	// changed, plus the newly released ones. A ready node's parents are
+	// all placed, so its data arrivals are fixed; a placement affects
+	// only the receiving processor, and only for the worse — under
+	// either slot policy, adding a slot can never open an earlier fit on
+	// it — so a cached best on another processor stays optimal.
+	n := g.NumNodes()
+	e.bestProc = resize(e.bestProc, n)
+	e.bestEST = resize(e.bestEST, n)
+	e.bestObj = resize(e.bestObj, n)
+	cache := func(m dag.NodeID) {
+		e.bestProc[m], e.bestEST[m], e.bestObj[m] = e.eval(c, s, m)
+	}
+	ready := algo.AcquireReadySet(g)
+	defer ready.Release()
 	for _, m := range ready.Ready() {
-		e.eval(c, s, m)
+		cache(m)
 	}
 	for !ready.Empty() {
 		bestNode := dag.None
+		var bestVal int64
 		if c.Metric == MetricDL {
 			// Maximize the dynamic level SL − objective, ties toward the
 			// smaller node ID (Sih & Lee).
-			var bestDL int64
 			for _, m := range ready.Ready() {
 				dl := e.lv.Static[m] - e.bestObj[m]
-				if bestNode == dag.None || dl > bestDL || (dl == bestDL && m < bestNode) {
-					bestNode, bestDL = m, dl
+				if bestNode == dag.None || dl > bestVal || (dl == bestVal && m < bestNode) {
+					bestNode, bestVal = m, dl
 				}
 			}
 		} else {
-			// Minimize the objective, ties by static rank (for MetricSL
-			// this is ETF's higher-static-level-then-smaller-ID chain).
-			var bestObj int64
+			// Minimize the objective, ties by the static key (for
+			// MetricSL this is ETF's higher-static-level-then-smaller-ID
+			// chain).
 			for _, m := range ready.Ready() {
 				obj := e.bestObj[m]
-				if bestNode == dag.None || obj < bestObj ||
-					(obj == bestObj && e.rank[m] < e.rank[bestNode]) {
-					bestNode, bestObj = m, obj
+				if bestNode == dag.None || obj < bestVal || (obj == bestVal &&
+					(e.prio[m] > e.prio[bestNode] || (e.prio[m] == e.prio[bestNode] && m < bestNode))) {
+					bestNode, bestVal = m, obj
 				}
 			}
 		}
 		placed := e.bestProc[bestNode]
 		ready.Pop(bestNode)
-		tracePriority(bestNode, e.bestObj[bestNode])
+		tracePriority(bestNode, bestVal)
 		s.MustPlace(bestNode, int(placed), e.bestEST[bestNode])
 		for _, m := range ready.Ready() {
 			if e.bestProc[m] == placed {
-				e.eval(c, s, m)
+				cache(m)
 			}
 		}
 		for _, m := range ready.MarkScheduled(g, bestNode) {
-			e.eval(c, s, m)
+			cache(m)
 		}
 	}
 }
 
-// eval caches the best placement of ready node n under the combo's rule
-// and slot policy: the processor minimizing the rule's objective, ties
-// toward lower indices, with the EST at that processor.
-func (e *engine) eval(c Combo, s *sched.Schedule, n dag.NodeID) {
+// eval returns the best placement of ready node n under the combo's
+// rule and slot policy: the processor minimizing the rule's objective,
+// ties toward lower indices, its EST there, and the objective value.
+func (e *engine) eval(c Combo, s *sched.Schedule, n dag.NodeID) (proc int32, est, obj int64) {
 	insertion := c.Slot == SlotInsertion
 	if c.Rule == RuleEST {
 		var (
-			p   int
-			est int64
-			ok  bool
+			p  int
+			ok bool
 		)
 		if insertion {
 			p, est, ok = s.BestEST(n, true)
@@ -143,77 +147,66 @@ func (e *engine) eval(c Combo, s *sched.Schedule, n dag.NodeID) {
 		if !ok {
 			panic("param: ready node has unscheduled parent")
 		}
-		e.bestProc[n], e.bestEST[n], e.bestObj[n] = int32(p), est, est
-		return
+		return int32(p), est, est
 	}
 	best := -1
-	var bestEST, bestObj int64
 	for p := 0; p < s.NumProcs(); p++ {
-		est, ok := s.ESTOn(n, p, insertion)
+		pest, ok := s.ESTOn(n, p, insertion)
 		if !ok {
 			panic("param: ready node has unscheduled parent")
 		}
-		obj := est + s.ExecTime(n, p)
-		if best == -1 || obj < bestObj {
-			best, bestEST, bestObj = p, est, obj
+		pobj := pest + s.ExecTime(n, p)
+		if best == -1 || pobj < obj {
+			best, est, obj = p, pest, pobj
 		}
 	}
 	if c.Rule == RuleDL {
 		// The median is a per-node constant: it cannot change the argmin
 		// over processors, only the objective value carried into dynamic
 		// node selection.
-		bestObj -= e.med[n]
+		obj -= e.med[n]
 	}
-	e.bestProc[n], e.bestEST[n], e.bestObj[n] = int32(best), bestEST, bestObj
+	return int32(best), est, obj
 }
 
-// computeRanks fills e.rank with the metric's static total order:
-// rank 0 is scheduled first. Every order ties toward the smaller node
-// ID, so ranks are a permutation.
-func (e *engine) computeRanks(m Metric, g *dag.Graph) {
+// computePrio sets e.prio to the metric's static key: higher keys are
+// scheduled first and equal keys go to the smaller node ID, so the
+// key is a total order for algo.ReadyHeap.
+func (e *engine) computePrio(m Metric, g *dag.Graph) {
 	n := g.NumNodes()
-	if m == MetricALAP {
-		for i, nd := range algo.ALAPListOrder(g) {
-			e.rank[nd] = int32(i)
-		}
+	if m == MetricSL || m == MetricDL {
+		// Descending static level; MetricDL's static part is the static
+		// level, so the two share a key.
+		e.prio = e.lv.Static
 		return
 	}
-	nodes := e.nodes[:0]
-	for v := 0; v < n; v++ {
-		nodes = append(nodes, dag.NodeID(v))
-	}
-	e.nodes = nodes
-	var key func(dag.NodeID) int64
+	e.key = resize(e.key, n)
 	switch m {
-	case MetricSL, MetricDL:
-		// Descending static level; MetricDL's static part is the static
-		// level, so the two share a rank order.
-		key = func(v dag.NodeID) int64 { return -e.lv.Static[v] }
 	case MetricTL:
 		// Ascending t-level: earliest possible start first.
-		key = func(v dag.NodeID) int64 { return e.lv.T[v] }
+		for v := range e.key {
+			e.key[v] = -e.lv.T[v]
+		}
 	case MetricBT:
 		// Descending t-level + b-level: critical-path nodes first.
-		key = func(v dag.NodeID) int64 { return -(e.lv.T[v] + e.lv.B[v]) }
+		for v := range e.key {
+			e.key[v] = e.lv.T[v] + e.lv.B[v]
+		}
+	case MetricALAP:
+		for i, nd := range algo.ALAPListOrder(g) {
+			e.key[nd] = -int64(i)
+		}
 	default:
 		panic("param: unknown metric")
 	}
-	sort.Slice(nodes, func(i, j int) bool {
-		ki, kj := key(nodes[i]), key(nodes[j])
-		if ki != kj {
-			return ki < kj
-		}
-		return nodes[i] < nodes[j]
-	})
-	for i, nd := range nodes {
-		e.rank[nd] = int32(i)
-	}
+	e.prio = e.key
 }
 
 // computeMedians fills e.med with each node's lower median execution
 // time across processors, the reference point of RuleDL's objective. On
 // a homogeneous schedule this is simply the node weight.
 func (e *engine) computeMedians(g *dag.Graph, s *sched.Schedule) {
+	e.med = resize(e.med, g.NumNodes())
 	if s.Speeds() == nil {
 		for v := 0; v < g.NumNodes(); v++ {
 			e.med[v] = g.Weight(dag.NodeID(v))

@@ -26,10 +26,14 @@
 //     against the partial schedule at each step and the best
 //     (node, processor) pair wins (dy).
 //
-// Four classic BNP algorithms are registered combinations, byte-
-// identical to the optimized kernels in internal/algo/bnp (pinned by
-// equivalence tests): HLFET = sl/est/ni/st, MCP = alap/est/ins/st,
-// ETF = sl/est/ni/dy, DLS = dl/est/ni/dy.
+// Four classic BNP algorithms are registered combinations and run only
+// through this engine (internal/algo/bnp's entry points look them up):
+// HLFET = sl/est/ni/st, MCP = alap/est/ins/st, ETF = sl/est/ni/dy,
+// DLS = dl/est/ni/dy.
+//
+// The static regime pops nodes from an algo.ReadyHeap keyed by a
+// per-node priority (higher first, ties toward the smaller node ID);
+// the dynamic regime breaks objective ties on the same key.
 //
 // Degeneracies worth knowing about, all deliberate consequences of the
 // published component definitions rather than implementation accidents:

@@ -102,7 +102,7 @@ func TestReadySetDrainAllocs(t *testing.T) {
 	run := func() {
 		rs.Reset(g)
 		for !rs.Empty() {
-			n := MinBy(rs.Ready(), func(m dag.NodeID) int64 { return int64(m) })
+			n := MaxBy(rs.Ready(), func(m dag.NodeID) int64 { return -int64(m) })
 			rs.Pop(n)
 			rs.MarkScheduled(g, n)
 		}

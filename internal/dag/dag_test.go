@@ -1,6 +1,9 @@
 package dag
 
 import (
+	"bytes"
+	"encoding/binary"
+	"os"
 	"strings"
 	"testing"
 )
@@ -246,5 +249,49 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 	if err := g.Validate(); err == nil {
 		t.Error("Validate accepted corrupted graph")
+	}
+}
+
+// TestBuildRejectsWeightOverflow pins the total-weight bound: the
+// weight-overflow fixture is rejected by both readers, and Build
+// accepts a graph whose weights sum to exactly maxTotalWeight but not
+// one past it, counting edge weights too.
+func TestBuildRejectsWeightOverflow(t *testing.T) {
+	f, err := os.Open("testdata/weight-overflow.tg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := ReadText(f); err == nil || !strings.Contains(err.Error(), "total node and edge weight") {
+		t.Errorf("ReadText of the overflow fixture: err = %v, want total-weight error", err)
+	}
+	// The same graph in the binary format: 2 nodes, 1 edge, no metadata.
+	bin := []byte(BinaryMagic)
+	for _, u := range []uint64{2, 1, 0, 9223372036854775000, 0, 9223372036854775000, 0, 1} {
+		bin = binary.AppendUvarint(bin, u)
+	}
+	bin = binary.AppendVarint(bin, 1) // arc 0 -> 1
+	bin = binary.AppendUvarint(bin, 5)
+	bin = binary.AppendUvarint(bin, 0) // node 1 has no successors
+	if _, err := ReadBinary(bytes.NewReader(bin)); err == nil || !strings.Contains(err.Error(), "total node and edge weight") {
+		t.Errorf("ReadBinary of the overflow fixture: err = %v, want total-weight error", err)
+	}
+
+	build := func(w0, w1, e int64) error {
+		b := NewBuilder()
+		b.AddNode(w0)
+		b.AddNode(w1)
+		b.AddEdge(0, 1, e)
+		_, err := b.Build()
+		return err
+	}
+	if err := build(maxTotalWeight/2, maxTotalWeight/2-3, 3); err != nil {
+		t.Errorf("total weight exactly at the bound rejected: %v", err)
+	}
+	if err := build(maxTotalWeight/2, maxTotalWeight/2-3, 4); err == nil {
+		t.Error("total weight one past the bound accepted (edge weight counted)")
+	}
+	if err := build(maxTotalWeight, 1, 0); err == nil {
+		t.Error("total weight one past the bound accepted (node weights)")
 	}
 }

@@ -644,7 +644,8 @@ func (s *Schedule) BestESTNonInsertion(n dag.NodeID) (proc int, est int64, ok bo
 // Validate checks that the partial or complete schedule is consistent:
 // every placed node's parents are placed, precedence plus communication
 // delays are respected under the clique model, timelines are sorted and
-// non-overlapping, and slot durations equal node weights.
+// non-overlapping, no node finishes before it starts, and slot durations
+// equal node weights.
 func (s *Schedule) Validate() error {
 	for p := range s.procs {
 		if err := s.procs[p].Validate(); err != nil {
@@ -669,6 +670,9 @@ func (s *Schedule) Validate() error {
 			continue
 		}
 		count++
+		if s.finish[n] < s.start[n] {
+			return fmt.Errorf("sched: node %d finishes at %d before it starts at %d", n, s.finish[n], s.start[n])
+		}
 		for _, pr := range s.g.Preds(n) {
 			if s.proc[pr.To] < 0 {
 				return fmt.Errorf("sched: node %d scheduled before parent %d", n, pr.To)

@@ -312,3 +312,20 @@ func randomGraph(rng *rand.Rand, n int) *dag.Graph {
 	}
 	return b.MustBuild()
 }
+
+// TestValidateRejectsFinishBeforeStart pins the wrap-around guard: a
+// placement whose finish time overflowed int64 has its slot duration
+// intact modulo 2⁶⁴, so only the finish < start check catches it.
+func TestValidateRejectsFinishBeforeStart(t *testing.T) {
+	b := dag.NewBuilder()
+	n := b.AddNode(1 << 62)
+	g := b.MustBuild()
+	s := New(g, 1)
+	s.MustPlace(n, 0, 1<<62)
+	if s.FinishOf(n) >= s.StartOf(n) {
+		t.Fatalf("finish %d did not wrap below start %d", s.FinishOf(n), s.StartOf(n))
+	}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "before it starts") {
+		t.Errorf("Validate of a wrapped finish: err = %v, want finish-before-start error", err)
+	}
+}
