@@ -2,139 +2,26 @@ package ft
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
-	"repro/internal/dag"
 	"repro/internal/machine"
-	"repro/internal/pq"
 	"repro/internal/sim"
 )
 
-// ajob is one unit of APN work: a task execution on a processor, or a
-// message transfer on a directed link channel.
-type ajob struct {
-	base  int64  // unperturbed duration
-	floor int64  // static start (the timetable release floor)
-	ent   uint64 // perturbation entity key
-	proc  int32  // processor of a task job, -1 for message transfers
-	ch    int32  // channel index of a message job, -1 for tasks
-}
-
-// apnExec is the immutable compilation of an APN schedule for
-// fault-injected replay: sim.CompileAPN's job DAG (tasks, per-hop
-// message transfers, processor chains, route chains, per-channel
-// contention chains), plus the channel endpoint table the link-outage
-// model draws its windows for. All arcs are lag-free — APN
-// communication is explicit message jobs, never an arc lag.
-type apnExec struct {
-	tasks    int
-	numProcs int
-	static   int64
-	jobs     []ajob
-	arcs     []int32
-	arcOff   []int32
-	indeg    []int32
-	channels [][2]int // directed channel endpoints, indexed by ajob.ch
-}
-
 // CompileAPN translates a complete APN schedule into a fault-capable
-// Exec. The job DAG mirrors sim.CompileAPN exactly — same jobs, same
-// chains, same entity keys — so the zero-fault replay is byte-identical
-// to the fault-free simulator; channels are additionally enumerated (in
-// deterministic endpoint order, via machine.Schedule.Channels) so
-// outage windows can be drawn per directed link.
+// Exec. The APN engine replays sim.CompileAPN's plan itself — its
+// tasks, per-hop message transfers, processor chains, route chains and
+// per-channel contention chains — so the zero-fault replay is
+// byte-identical to the fault-free simulator.
 func CompileAPN(s *machine.Schedule) (*Exec, error) {
 	if !s.Complete() {
 		return nil, fmt.Errorf("ft: cannot compile a partial APN schedule (%d of %d tasks placed)",
 			s.Placed(), s.Graph().NumNodes())
 	}
-	g := s.Graph()
-	n := g.NumNodes()
-	x := &apnExec{
-		tasks:    n,
-		numProcs: s.NumProcs(),
-		static:   s.Makespan(),
-		channels: s.Channels(),
+	plan, err := sim.CompileAPN(s)
+	if err != nil {
+		return nil, err
 	}
-	chanIndex := make(map[[2]int]int32, len(x.channels))
-	for i, ch := range x.channels {
-		chanIndex[ch] = int32(i)
-	}
-	for v := 0; v < n; v++ {
-		node := dag.NodeID(v)
-		x.jobs = append(x.jobs, ajob{
-			base:  s.FinishOf(node) - s.StartOf(node),
-			floor: s.StartOf(node),
-			ent:   sim.TaskEntity(node),
-			proc:  int32(s.ProcOf(node)),
-			ch:    -1,
-		})
-	}
-	var from, to []int32
-	addArc := func(u, v int32) { from = append(from, u); to = append(to, v) }
-	for p := 0; p < s.NumProcs(); p++ {
-		slots := s.Slots(p)
-		for i := 1; i < len(slots); i++ {
-			addArc(int32(slots[i-1].Node), int32(slots[i].Node))
-		}
-	}
-	type chanHop struct {
-		job   int32
-		start int64
-	}
-	chanHops := make([][]chanHop, len(x.channels))
-	for v := 0; v < n; v++ {
-		child := dag.NodeID(v)
-		for _, pr := range g.Preds(child) {
-			parent := pr.To
-			prev := int32(parent)
-			s.EachMessageHop(parent, child, func(h machine.LinkHop) {
-				ci := chanIndex[[2]int{h.From, h.To}]
-				job := int32(len(x.jobs))
-				x.jobs = append(x.jobs, ajob{
-					base:  h.Finish - h.Start,
-					floor: h.Start,
-					ent:   sim.CommEntity(parent, child),
-					proc:  -1,
-					ch:    ci,
-				})
-				addArc(prev, job)
-				chanHops[ci] = append(chanHops[ci], chanHop{job: job, start: h.Start})
-				prev = job
-			})
-			addArc(prev, int32(child))
-		}
-	}
-	// Contention queues: chain each channel's transfers in static start
-	// order (starts are distinct: committed reservations on one channel
-	// never overlap and have positive duration).
-	for _, hops := range chanHops {
-		sort.Slice(hops, func(i, j int) bool { return hops[i].start < hops[j].start })
-		for i := 1; i < len(hops); i++ {
-			addArc(hops[i-1].job, hops[i].job)
-		}
-	}
-	// CSR layout.
-	m := len(x.jobs)
-	x.arcOff = make([]int32, m+1)
-	for _, u := range from {
-		x.arcOff[u+1]++
-	}
-	for i := 1; i <= m; i++ {
-		x.arcOff[i] += x.arcOff[i-1]
-	}
-	x.arcs = make([]int32, len(to))
-	next := make([]int32, m)
-	for i, u := range from {
-		x.arcs[x.arcOff[u]+next[u]] = to[i]
-		next[u]++
-	}
-	x.indeg = make([]int32, m)
-	for _, v := range x.arcs {
-		x.indeg[v]++
-	}
-	return &Exec{apn: x, numProcs: x.numProcs, static: x.static}, nil
+	return &Exec{apn: plan, numProcs: plan.NumProcs(), static: plan.Static()}, nil
 }
 
 // outGen lazily materializes the outage-window sequence of one directed
@@ -148,12 +35,11 @@ type outGen struct {
 }
 
 // apnRuntime is the mutable state of one fault-injected APN execution:
-// sim's arc-based event loop plus processor fail-stop state and
-// per-channel outage generators.
+// sim's arc-based event loop over the compiled plan plus the shared
+// processor fault clock and per-channel outage generators.
 type apnRuntime struct {
-	x     *apnExec
-	opts  *Options
-	trial uint64
+	procClock
+	plan *sim.Plan
 
 	deps     []int32
 	ready    []int64
@@ -164,115 +50,75 @@ type apnRuntime struct {
 	alive    []bool // per task; false once its processor crashed
 
 	gens []outGen
-
-	downAt   []int64
-	repairAt []int64
-	faultK   []int
-
-	busy, down []int64
-	crashes    int
-
-	heap      *pq.Heap[event]
-	pending   int
-	remaining int
-	now       int64
-	horizon   int64
-	makespan  int64
 }
 
-// run executes the compiled APN schedule once under faults. Only the
+// runAPN executes the compiled APN plan once under faults. Only the
 // None recovery policy applies (rerouting messages around failures is
 // out of scope): crashes permanently kill the unfinished tasks of the
 // processor, and link outages delay the start of message transfers on
 // the affected channel while in-flight transfers complete.
-func (x *apnExec) run(opts *Options, trial int) Result {
-	m := len(x.jobs)
+func runAPN(plan *sim.Plan, opts *Options, trial int) Result {
+	m := plan.Jobs()
+	tasks := plan.Tasks()
 	rt := &apnRuntime{
-		x:     x,
-		opts:  opts,
-		trial: sim.TrialSeed(opts.Sim.Seed, trial),
-
-		deps:     make([]int32, m),
+		plan:     plan,
+		deps:     append([]int32(nil), plan.InDegrees()...),
 		ready:    make([]int64, m),
 		startAt:  make([]int64, m),
 		epoch:    make([]int32, m),
 		released: make([]bool, m),
-		finished: make([]bool, x.tasks),
-		alive:    make([]bool, x.tasks),
-		gens:     make([]outGen, len(x.channels)),
-
-		downAt:   make([]int64, x.numProcs),
-		repairAt: make([]int64, x.numProcs),
-		faultK:   make([]int, x.numProcs),
-
-		busy: make([]int64, x.numProcs),
-		down: make([]int64, x.numProcs),
-
-		heap:      pq.New[event](eventLess),
-		remaining: x.tasks,
+		finished: make([]bool, tasks),
+		alive:    make([]bool, tasks),
+		gens:     make([]outGen, len(plan.Channels())),
 	}
-	copy(rt.deps, x.indeg)
-	timetable := opts.Sim.Policy == sim.PolicyTimetable
-	for j := range rt.ready {
-		if timetable {
-			rt.ready[j] = x.jobs[j].floor
+	rt.start(opts, trial, plan.Static(), plan.NumProcs(), tasks)
+	if opts.Sim.Policy == sim.PolicyTimetable {
+		for j := range rt.ready {
+			rt.ready[j] = plan.Job(int32(j)).Planned
 		}
 	}
 	for v := range rt.alive {
 		rt.alive[v] = true
 	}
-	for p := 0; p < x.numProcs; p++ {
-		rt.downAt[p] = -1
-		rt.repairAt[p] = never
-	}
-	if opts.Faults.MTBF > 0 {
-		for p := 0; p < x.numProcs; p++ {
-			up := sim.ExpDuration(opts.Faults.MTBF, rt.trial, sim.ProcFaultEntity(p, rt.faultK[p]))
-			rt.faultK[p]++
-			rt.heap.Push(event{t: up, kind: evCrash, id: int32(p)})
-		}
-	}
-	for j := 0; j < m; j++ {
+	for j := int32(0); j < int32(m); j++ {
 		if rt.deps[j] == 0 {
-			rt.release(int32(j))
+			rt.release(j)
 		}
 	}
 	for rt.remaining > 0 && rt.pending > 0 {
-		ev := rt.heap.Pop()
-		rt.now = ev.t
-		if ev.t > rt.horizon {
-			rt.horizon = ev.t
-		}
-		switch ev.kind {
+		switch ev := rt.next(); ev.kind {
 		case evComplete:
 			rt.complete(ev)
 		case evCrash:
 			rt.crash(int(ev.id))
 		case evRepair:
-			rt.repairProc(int(ev.id))
+			// Under the None policy no new work is placed on a repaired
+			// processor — its tasks died with the crash — but downtime
+			// accounting needs the boundary.
+			rt.repair(int(ev.id))
 		}
 	}
-	return rt.result()
+	return rt.result(false)
 }
 
 // release starts job j at its accumulated ready time — pushed past any
 // outage window for a message transfer — and schedules its completion.
 // A task whose processor already crashed is dead and never starts.
 func (rt *apnRuntime) release(j int32) {
-	jb := &rt.x.jobs[j]
-	if jb.proc >= 0 && !rt.alive[j] {
+	jb := rt.plan.Job(j)
+	if jb.Proc >= 0 && !rt.alive[j] {
 		return
 	}
-	dur := jb.base
+	dur := jb.Base
 	if rt.opts.Sim.Perturb.Dist != sim.DistNone {
-		dur = sim.ScaleDur(dur, rt.opts.Sim.Perturb.Multiplier(rt.trial, jb.ent))
+		dur = sim.ScaleDur(dur, rt.opts.Sim.Perturb.Multiplier(rt.trial, jb.Ent))
 	}
-	if rt.opts.Sim.Speed != nil && jb.proc >= 0 {
-		dur = sim.ScaleDur(dur, rt.opts.Sim.Speed[jb.proc])
+	if rt.opts.Sim.Speed != nil && jb.Proc >= 0 {
+		dur = sim.ScaleDur(dur, rt.opts.Sim.Speed[jb.Proc])
 	}
 	start := rt.ready[j]
-	if jb.ch >= 0 && rt.opts.Faults.LinkMTBF > 0 {
-		start = rt.pushPastOutages(int(jb.ch), start)
+	if jb.Chan >= 0 && rt.opts.Faults.LinkMTBF > 0 {
+		start = rt.pushPastOutages(int(jb.Chan), start)
 	}
 	rt.startAt[j] = start
 	rt.released[j] = true
@@ -282,9 +128,12 @@ func (rt *apnRuntime) release(j int32) {
 
 // pushPastOutages returns the earliest time at or after r not covered
 // by an outage window of channel ch, generating windows on demand.
+// Windows are drawn per channel endpoint pair, so they do not depend
+// on the plan's channel numbering.
 func (rt *apnRuntime) pushPastOutages(ch int, r int64) int64 {
 	g := &rt.gens[ch]
-	u, v := rt.x.channels[ch][0], rt.x.channels[ch][1]
+	ends := rt.plan.Channels()[ch]
+	u, v := ends[0], ends[1]
 	for {
 		for g.t <= r {
 			up := sim.ExpDuration(rt.opts.Faults.LinkMTBF, rt.trial, sim.LinkFaultEntity(u, v, g.k))
@@ -318,21 +167,20 @@ func (rt *apnRuntime) complete(ev event) {
 	rt.pending--
 	rt.released[j] = false
 	t := ev.t
-	jb := &rt.x.jobs[j]
-	if jb.proc >= 0 {
-		rt.busy[jb.proc] += t - rt.startAt[j]
+	if p := rt.plan.Job(j).Proc; p >= 0 {
+		rt.busy[p] += t - rt.startAt[j]
 		rt.finished[j] = true
 		rt.remaining--
 		if t > rt.makespan {
 			rt.makespan = t
 		}
 	}
-	for _, to := range rt.x.arcs[rt.x.arcOff[j]:rt.x.arcOff[j+1]] {
-		if t > rt.ready[to] {
-			rt.ready[to] = t
+	for _, a := range rt.plan.Arcs(j) {
+		if t > rt.ready[a.To] {
+			rt.ready[a.To] = t
 		}
-		if rt.deps[to]--; rt.deps[to] == 0 {
-			rt.release(to)
+		if rt.deps[a.To]--; rt.deps[a.To] == 0 {
+			rt.release(a.To)
 		}
 	}
 }
@@ -343,22 +191,14 @@ func (rt *apnRuntime) complete(ev event) {
 // scheduled when the model allows one. Messages are unaffected:
 // store-and-forward transfers run on the links, not the processors.
 func (rt *apnRuntime) crash(p int) {
-	rt.crashes++
-	tc := rt.now
-	rt.downAt[p] = tc
-	if rt.opts.Faults.MeanRepair > 0 {
-		d := sim.ExpDuration(rt.opts.Faults.MeanRepair, rt.trial, sim.ProcFaultEntity(p, rt.faultK[p]))
-		rt.faultK[p]++
-		rt.repairAt[p] = tc + d
-		rt.heap.Push(event{t: tc + d, kind: evRepair, id: int32(p)})
-	}
-	for j := 0; j < rt.x.tasks; j++ {
-		if int(rt.x.jobs[j].proc) != p || rt.finished[j] || !rt.alive[j] {
+	rt.procClock.crash(p)
+	for j := int32(0); j < int32(len(rt.finished)); j++ {
+		if int(rt.plan.Job(j).Proc) != p || rt.finished[j] || !rt.alive[j] {
 			continue
 		}
 		if rt.released[j] {
-			if rt.startAt[j] <= tc {
-				rt.busy[p] += tc - rt.startAt[j]
+			if rt.startAt[j] <= rt.now {
+				rt.busy[p] += rt.now - rt.startAt[j]
 			}
 			rt.epoch[j]++
 			rt.released[j] = false
@@ -366,45 +206,4 @@ func (rt *apnRuntime) crash(p int) {
 		}
 		rt.alive[j] = false
 	}
-}
-
-// repairProc returns processor p to service and draws its next crash.
-// Under the None policy no new work is placed on it — its tasks died
-// with the crash — but downtime accounting needs the boundary.
-func (rt *apnRuntime) repairProc(p int) {
-	tr := rt.now
-	rt.down[p] += tr - rt.downAt[p]
-	rt.downAt[p] = -1
-	rt.repairAt[p] = never
-	up := sim.ExpDuration(rt.opts.Faults.MTBF, rt.trial, sim.ProcFaultEntity(p, rt.faultK[p]))
-	rt.faultK[p]++
-	rt.heap.Push(event{t: tr + up, kind: evCrash, id: int32(p)})
-}
-
-// result assembles the run's Result, clamping trailing downtime to the
-// horizon exactly as the clique engine does.
-func (rt *apnRuntime) result() Result {
-	res := Result{
-		Static:  rt.x.static,
-		Horizon: rt.horizon,
-		Crashes: rt.crashes,
-		Lost:    rt.remaining,
-		Busy:    rt.busy,
-		Down:    rt.down,
-		Idle:    make([]int64, rt.x.numProcs),
-	}
-	for p := 0; p < rt.x.numProcs; p++ {
-		if rt.downAt[p] >= 0 && rt.horizon > rt.downAt[p] {
-			res.Down[p] += rt.horizon - rt.downAt[p]
-		}
-		res.Idle[p] = rt.horizon - res.Busy[p] - res.Down[p]
-	}
-	if rt.remaining == 0 {
-		res.Finished = true
-		res.Makespan = rt.makespan
-		res.Ratio = ratio(rt.makespan, rt.x.static)
-	} else {
-		res.Ratio = math.Inf(1)
-	}
-	return res
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/dag"
-	"repro/internal/obs"
 	"repro/internal/pq"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -18,7 +17,7 @@ import (
 // just a job DAG), because recovery policies re-place work at runtime.
 type Exec struct {
 	clique *cliqueExec
-	apn    *apnExec
+	apn    *sim.Plan
 
 	numProcs int
 	static   int64
@@ -35,17 +34,32 @@ func (x *Exec) NumProcs() int { return x.numProcs }
 // number. Runs are deterministic in (Options, trial) and independent of
 // each other.
 func (x *Exec) Run(opts Options, trial int) (Result, error) {
-	if err := opts.validate(x.numProcs); err != nil {
+	pol, err := x.check(&opts)
+	if err != nil {
 		return Result{}, err
 	}
-	pol := opts.recovery()
-	if x.apn != nil {
-		if pol.Name() != "none" {
-			return Result{}, fmt.Errorf("ft: recovery policy %q is not supported on APN schedules", pol.Name())
-		}
-		return x.apn.run(&opts, trial), nil
+	return x.run(&opts, pol, trial), nil
+}
+
+// check validates opts against x and resolves the recovery policy; APN
+// executions support only None.
+func (x *Exec) check(opts *Options) (RecoveryPolicy, error) {
+	if err := opts.validate(x.numProcs); err != nil {
+		return nil, err
 	}
-	return x.clique.run(&opts, pol, trial), nil
+	pol := opts.recovery()
+	if x.apn != nil && pol.Name() != "none" {
+		return nil, fmt.Errorf("ft: recovery policy %q is not supported on APN schedules", pol.Name())
+	}
+	return pol, nil
+}
+
+// run executes one validated trial on the engine x was compiled for.
+func (x *Exec) run(opts *Options, pol RecoveryPolicy, trial int) Result {
+	if x.apn != nil {
+		return runAPN(x.apn, opts, trial)
+	}
+	return x.clique.run(opts, pol, trial)
 }
 
 // cliqueExec is the immutable compilation of a clique-model schedule:
@@ -113,35 +127,6 @@ func (c *cliqueExec) execTime(v int32, p int) int64 {
 	return int64(math.Ceil(float64(w) / c.speeds[p]))
 }
 
-// Event kinds, in tie-break order: completions before crashes before
-// repairs at the same instant, so a task finishing exactly when its
-// processor dies survives, and work never starts on a processor in the
-// instant before its crash is processed.
-const (
-	evComplete int8 = iota
-	evCrash
-	evRepair
-)
-
-// event is one entry on the simulation clock: a copy completion, a
-// processor crash, or a processor repair.
-type event struct {
-	t     int64
-	kind  int8
-	id    int32 // copy index for completions, processor for crash/repair
-	epoch int32 // completion validity stamp, see copyRec.epoch
-}
-
-func eventLess(a, b event) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	if a.kind != b.kind {
-		return a.kind < b.kind
-	}
-	return a.id < b.id
-}
-
 // copyRec is one scheduled execution attempt of a task: its primary
 // placement, or a replica added by the replicate policy, or its
 // re-placement after a repair pass. Copies are processor-specific
@@ -163,10 +148,9 @@ type copyRec struct {
 
 // runtime is the mutable state of one fault-injected clique execution.
 type runtime struct {
-	x     *cliqueExec
-	opts  *Options
-	pol   RecoveryPolicy
-	trial uint64
+	procClock
+	x   *cliqueExec
+	pol RecoveryPolicy
 
 	copies   []copyRec
 	copiesOf [][]int32 // task -> copy indices (usually exactly one)
@@ -182,21 +166,8 @@ type runtime struct {
 	runningOn []int32 // released copy occupying the processor, -1 if none
 	freeAt    []int64 // last realized completion per processor
 	upAt      []int64 // last repair time per processor
-	downAt    []int64 // crash time while down, -1 while up
-	repairAt  []int64 // scheduled repair while down, never otherwise
-	faultK    []int   // per-processor fault draw counter
 
-	busy, down []int64
-	crashes    int
-	lost       int
-
-	heap      *pq.Heap[event]
-	pending   int // completion events in flight
-	remaining int // tasks not yet finished
-	aborted   bool
-	now       int64
-	horizon   int64
-	makespan  int64
+	aborted bool
 }
 
 // run executes the compiled schedule once. The engine is a replay of
@@ -211,10 +182,8 @@ type runtime struct {
 func (c *cliqueExec) run(opts *Options, pol RecoveryPolicy, trial int) Result {
 	n := c.g.NumNodes()
 	rt := &runtime{
-		x:     c,
-		opts:  opts,
-		pol:   pol,
-		trial: sim.TrialSeed(opts.Sim.Seed, trial),
+		x:   c,
+		pol: pol,
 
 		copies:   make([]copyRec, n),
 		copiesOf: make([][]int32, n),
@@ -230,16 +199,8 @@ func (c *cliqueExec) run(opts *Options, pol RecoveryPolicy, trial int) Result {
 		runningOn: make([]int32, c.numProcs),
 		freeAt:    make([]int64, c.numProcs),
 		upAt:      make([]int64, c.numProcs),
-		downAt:    make([]int64, c.numProcs),
-		repairAt:  make([]int64, c.numProcs),
-		faultK:    make([]int, c.numProcs),
-
-		busy: make([]int64, c.numProcs),
-		down: make([]int64, c.numProcs),
-
-		heap:      pq.New[event](eventLess),
-		remaining: n,
 	}
+	rt.start(opts, trial, c.static, c.numProcs, n)
 	prim := make([]int32, n)
 	for v := 0; v < n; v++ {
 		rt.copies[v] = copyRec{task: int32(v), proc: c.proc[v], floor: c.floor[v]}
@@ -250,8 +211,6 @@ func (c *cliqueExec) run(opts *Options, pol RecoveryPolicy, trial int) Result {
 	for p := range rt.queue {
 		rt.queue[p] = append([]int32(nil), c.order[p]...)
 		rt.runningOn[p] = -1
-		rt.downAt[p] = -1
-		rt.repairAt[p] = never
 	}
 	pol.prepare(rt)
 	if opts.Sim.Policy == sim.PolicyEager {
@@ -262,17 +221,9 @@ func (c *cliqueExec) run(opts *Options, pol RecoveryPolicy, trial int) Result {
 	for i := range rt.copies {
 		rt.copies[i].ready = rt.copies[i].floor
 	}
-	if opts.Faults.MTBF > 0 {
-		for p := 0; p < c.numProcs; p++ {
-			up := sim.ExpDuration(opts.Faults.MTBF, rt.trial, sim.ProcFaultEntity(p, rt.faultK[p]))
-			rt.faultK[p]++
-			rt.heap.Push(event{t: up, kind: evCrash, id: int32(p)})
-		}
-	}
 	for p := range rt.queue {
 		rt.tryRelease(p)
 	}
-	var events int64
 	for !rt.aborted && rt.remaining > 0 {
 		if rt.pending == 0 && !rt.repairCanUnblock() {
 			break // lost tasks block all remaining work forever
@@ -280,13 +231,7 @@ func (c *cliqueExec) run(opts *Options, pol RecoveryPolicy, trial int) Result {
 		if rt.heap.Len() == 0 {
 			break
 		}
-		ev := rt.heap.Pop()
-		events++
-		rt.now = ev.t
-		if ev.t > rt.horizon {
-			rt.horizon = ev.t
-		}
-		switch ev.kind {
+		switch ev := rt.next(); ev.kind {
 		case evComplete:
 			rt.complete(ev)
 		case evCrash:
@@ -295,13 +240,7 @@ func (c *cliqueExec) run(opts *Options, pol RecoveryPolicy, trial int) Result {
 			rt.repairProc(int(ev.id))
 		}
 	}
-	if obs.MetricsEnabled() {
-		ftRuns.Inc()
-		ftEvents.Add(events)
-		ftCrashes.Add(int64(rt.crashes))
-		ftLost.Add(int64(rt.remaining))
-	}
-	return rt.result()
+	return rt.result(rt.aborted)
 }
 
 // execDur returns the realized duration of one execution attempt of
@@ -458,17 +397,8 @@ func (rt *runtime) complete(ev event) {
 // and every unstarted copy queued on p are killed, downtime begins, an
 // optional repair is scheduled, and the recovery policy reacts.
 func (rt *runtime) crash(p int) {
-	rt.crashes++
+	rt.procClock.crash(p)
 	tc := rt.now
-	rt.downAt[p] = tc
-	if rt.opts.Faults.MeanRepair > 0 {
-		d := sim.ExpDuration(rt.opts.Faults.MeanRepair, rt.trial, sim.ProcFaultEntity(p, rt.faultK[p]))
-		rt.faultK[p]++
-		rt.repairAt[p] = tc + d
-		rt.heap.Push(event{t: tc + d, kind: evRepair, id: int32(p)})
-	} else {
-		rt.repairAt[p] = never
-	}
 	// Kill the copy occupying the processor first: after a repair pass,
 	// running copies are no longer in the rebuilt queues, so the queue
 	// scan below would miss them.
@@ -506,14 +436,8 @@ func (rt *runtime) crash(p int) {
 // repairProc returns processor p to service: downtime is accounted, the
 // next crash is drawn, and queued work may start.
 func (rt *runtime) repairProc(p int) {
-	tr := rt.now
-	rt.down[p] += tr - rt.downAt[p]
-	rt.downAt[p] = -1
-	rt.repairAt[p] = never
-	rt.upAt[p] = tr
-	up := sim.ExpDuration(rt.opts.Faults.MTBF, rt.trial, sim.ProcFaultEntity(p, rt.faultK[p]))
-	rt.faultK[p]++
-	rt.heap.Push(event{t: tr + up, kind: evCrash, id: int32(p)})
+	rt.repair(p)
+	rt.upAt[p] = rt.now
 	rt.tryRelease(p)
 }
 
@@ -776,33 +700,4 @@ func max64i(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// result assembles the run's Result: trailing downtime is clamped to
-// the horizon so Busy + Idle + Down partitions each processor's share
-// of it exactly.
-func (rt *runtime) result() Result {
-	res := Result{
-		Static:  rt.x.static,
-		Horizon: rt.horizon,
-		Crashes: rt.crashes,
-		Lost:    rt.remaining,
-		Busy:    rt.busy,
-		Down:    rt.down,
-		Idle:    make([]int64, rt.x.numProcs),
-	}
-	for p := 0; p < rt.x.numProcs; p++ {
-		if rt.downAt[p] >= 0 && rt.horizon > rt.downAt[p] {
-			res.Down[p] += rt.horizon - rt.downAt[p]
-		}
-		res.Idle[p] = rt.horizon - res.Busy[p] - res.Down[p]
-	}
-	if rt.remaining == 0 && !rt.aborted {
-		res.Finished = true
-		res.Makespan = rt.makespan
-		res.Ratio = ratio(rt.makespan, rt.x.static)
-	} else {
-		res.Ratio = math.Inf(1)
-	}
-	return res
 }

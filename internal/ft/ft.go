@@ -4,12 +4,24 @@
 // link outages, and pluggable recovery policies that react to failures
 // at runtime.
 //
-// The paper's benchmark — and PR 4's simulator — assume every processor
-// survives the execution. This package closes that gap: a compiled
-// Exec replays a clique schedule (sched.Schedule) or an APN schedule
-// (machine.Schedule) under the fault model of sim.FaultModel, where a
-// crash kills the task running on the processor and all unstarted work
-// placed there, and a RecoveryPolicy decides what happens next.
+// The paper's benchmark — and the simulator of internal/sim — assume
+// every processor survives the execution. This package closes that
+// gap: a compiled Exec replays a clique schedule (sched.Schedule) or an
+// APN schedule (machine.Schedule) under the fault model of
+// sim.FaultModel, where a crash kills the task running on the
+// processor and all unstarted work placed there, and a RecoveryPolicy
+// decides what happens next.
+//
+// # Engines
+//
+// The APN engine walks the sim.Plan that sim.CompileAPN compiles, so
+// the fault-free simulator and the fault path share one job graph. The
+// clique engine replays per-processor task queues over the task graph,
+// because recovery policies re-place and replicate tasks at runtime;
+// only it still needs sim's exported entity helpers to derive its
+// durations and lags. Both embed one processor fault clock (procClock):
+// the event heap, crash and repair draws, utilization accounting,
+// Result assembly and the ft.* metrics.
 //
 // # Determinism contract
 //

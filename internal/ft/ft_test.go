@@ -1,6 +1,8 @@
 package ft_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"reflect"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/ft"
 	"repro/internal/gen"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -445,16 +448,17 @@ func TestReplicateSurvivesPrimaryCrash(t *testing.T) {
 	}
 }
 
-// TestAPNFaultRuns exercises the APN engine under processor crashes
-// and link outages: utilization must balance and recovery policies
-// other than none must be rejected.
-func TestAPNFaultRuns(t *testing.T) {
+// apnFaultExec builds the APN fault-injection instance: a layered
+// v=40, CCR 2 graph scheduled by MH on a 3-cube, with processor crashes
+// (and repairs) plus link outages at rates comparable to the static
+// makespan.
+func apnFaultExec(t *testing.T) (*ft.Exec, ft.Options) {
+	t.Helper()
 	g, err := gen.Generate("layered", 7, gen.Params{"v": "40", "ccr": "2"})
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	topo := machine.Hypercube(3)
-	s, err := apn.ScheduleHet("MH", g, topo, nil)
+	s, err := apn.ScheduleHet("MH", g, machine.Hypercube(3), nil)
 	if err != nil {
 		t.Fatalf("schedule: %v", err)
 	}
@@ -463,7 +467,7 @@ func TestAPNFaultRuns(t *testing.T) {
 		t.Fatalf("compile: %v", err)
 	}
 	static := x.Static()
-	opts := ft.Options{
+	return x, ft.Options{
 		Faults: sim.FaultModel{
 			MTBF:       max64(1, static),
 			MeanRepair: max64(1, static/10),
@@ -471,6 +475,13 @@ func TestAPNFaultRuns(t *testing.T) {
 			MeanOutage: max64(1, static/20),
 		},
 	}
+}
+
+// TestAPNFaultRuns exercises the APN engine under processor crashes
+// and link outages: utilization must balance and recovery policies
+// other than none must be rejected.
+func TestAPNFaultRuns(t *testing.T) {
+	x, opts := apnFaultExec(t)
 	var unfinished int
 	for trial := 0; trial < 20; trial++ {
 		res, err := x.Run(opts, trial)
@@ -500,11 +511,79 @@ func TestAPNFaultRuns(t *testing.T) {
 	}
 }
 
+// apnOutcomePin is the SHA-256 of the 20 per-trial outcomes of
+// apnFaultExec (see apnOutcomeDigest), captured at commit
+// c1ca7d34fa1bbda2eaec15cb07135cfde0e21c3e. It pins the exact crash,
+// repair and link-outage behaviour of the APN engine.
+const apnOutcomePin = "4b01e181601a2dcc6f99ea84174a1073818803e9b2b761e8acf5d5ed89bc338c"
+
+// apnOutcomeDigest hashes the Finished, Makespan, Horizon, Crashes,
+// Lost, Busy and Down fields of trials 0..19 of x under opts.
+func apnOutcomeDigest(t *testing.T, x *ft.Exec, opts ft.Options) string {
+	t.Helper()
+	h := sha256.New()
+	for trial := 0; trial < 20; trial++ {
+		res, err := x.Run(opts, trial)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		fmt.Fprintf(h, "%t %d %d %d %d %v %v\n", res.Finished, res.Makespan, res.Horizon,
+			res.Crashes, res.Lost, res.Busy, res.Down)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestAPNFaultOutcomesPinned requires the APN fault instance to
+// reproduce its recorded per-trial outcomes exactly.
+func TestAPNFaultOutcomesPinned(t *testing.T) {
+	x, opts := apnFaultExec(t)
+	if got := apnOutcomeDigest(t, x, opts); got != apnOutcomePin {
+		t.Fatalf("APN fault outcomes digest %s, want %s", got, apnOutcomePin)
+	}
+}
+
+// TestAPNRunPublishesMetrics requires an APN execution to fold into
+// the ft.* counters like a clique execution does.
+func TestAPNRunPublishesMetrics(t *testing.T) {
+	x, opts := apnFaultExec(t)
+	obs.ResetMetrics()
+	obs.EnableMetrics(true)
+	t.Cleanup(func() { obs.EnableMetrics(false); obs.ResetMetrics() })
+	if _, err := x.Run(opts, 0); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	got := map[string]int64{}
+	for _, s := range obs.SnapshotMetrics() {
+		got[s.Name] = s.Value
+	}
+	if got["ft.runs"] != 1 {
+		t.Fatalf("ft.runs = %d after one APN run, want 1", got["ft.runs"])
+	}
+	if got["ft.events"] <= 0 {
+		t.Fatalf("ft.events = %d after one APN run, want > 0", got["ft.events"])
+	}
+}
+
 // TestRunDeterminism requires repeat executions and repeat Monte-Carlo
 // studies to be byte-identical.
 func TestRunDeterminism(t *testing.T) {
 	x := faultyExec(t)
-	opts := faultyOptions(x, ft.Checkpoint(max64(1, x.Static()/16)))
+	apnX, apnOpts := apnFaultExec(t)
+	for _, in := range []struct {
+		x    *ft.Exec
+		opts ft.Options
+	}{
+		{x, faultyOptions(x, ft.Checkpoint(max64(1, x.Static()/16)))},
+		{apnX, apnOpts},
+	} {
+		checkRunDeterminism(t, in.x, in.opts)
+	}
+}
+
+// checkRunDeterminism runs trials 0..7 and a 25-trial Monte-Carlo study
+// twice each and requires identical results.
+func checkRunDeterminism(t *testing.T, x *ft.Exec, opts ft.Options) {
+	t.Helper()
 	for trial := 0; trial < 8; trial++ {
 		a, err := x.Run(opts, trial)
 		if err != nil {

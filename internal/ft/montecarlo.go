@@ -52,11 +52,9 @@ func MonteCarlo(x *Exec, opts Options, trials int) (Stats, error) {
 	if trials < 1 {
 		return Stats{}, fmt.Errorf("ft: MonteCarlo needs at least one trial, got %d", trials)
 	}
-	if err := opts.validate(x.numProcs); err != nil {
+	pol, err := x.check(&opts)
+	if err != nil {
 		return Stats{}, err
-	}
-	if x.apn != nil && opts.recovery().Name() != "none" {
-		return Stats{}, fmt.Errorf("ft: recovery policy %q is not supported on APN schedules", opts.recovery().Name())
 	}
 	st := Stats{
 		Static:    x.static,
@@ -67,12 +65,7 @@ func MonteCarlo(x *Exec, opts Options, trials int) (Stats, error) {
 	var sumRatio, sumBusy, sumIdle, sumDown float64
 	var sumCrashes int64
 	for t := 0; t < trials; t++ {
-		var res Result
-		if x.apn != nil {
-			res = x.apn.run(&opts, t)
-		} else {
-			res = x.clique.run(&opts, opts.recovery(), t)
-		}
+		res := x.run(&opts, pol, t)
 		st.Ratios[t] = res.Ratio
 		sumCrashes += int64(res.Crashes)
 		if res.Finished {

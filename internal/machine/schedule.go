@@ -178,27 +178,6 @@ func (s *Schedule) LinkSlots(u, v int) []sched.Slot {
 	return tl.Slots()
 }
 
-// Channels returns the directed link channels carrying at least one
-// committed message reservation, sorted by (from, to) endpoint pair.
-// The fault-capable replay engine uses it to enumerate a schedule's
-// contention queues deterministically — the backing map's iteration
-// order must never leak into an execution trace.
-func (s *Schedule) Channels() [][2]int {
-	out := make([][2]int, 0, len(s.links))
-	for k, tl := range s.links {
-		if tl.Len() > 0 {
-			out = append(out, [2]int{int(k.from), int(k.to)})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
 func (s *Schedule) linkTimeline(k linkKey) *sched.Timeline {
 	tl := s.links[k]
 	if tl == nil {

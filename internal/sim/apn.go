@@ -29,16 +29,17 @@ func CompileAPN(s *machine.Schedule) (*Plan, error) {
 	b.plan.tasks = n
 	b.plan.numProcs = s.NumProcs()
 	b.plan.static = s.Makespan()
-	b.plan.jobs = make([]planJob, 0, n)
+	b.plan.jobs = make([]Job, 0, n)
 	for v := 0; v < n; v++ {
 		node := dag.NodeID(v)
 		// As in Compile, the base duration comes from the schedule so
 		// heterogeneous execution times replay exactly.
-		b.addJob(planJob{
-			base:    s.FinishOf(node) - s.StartOf(node),
-			planned: s.StartOf(node),
-			ent:     taskEnt(node),
-			proc:    int32(s.ProcOf(node)),
+		b.addJob(Job{
+			Base:    s.FinishOf(node) - s.StartOf(node),
+			Planned: s.StartOf(node),
+			Ent:     taskEnt(node),
+			Proc:    int32(s.ProcOf(node)),
+			Chan:    -1,
 		})
 	}
 	for p := 0; p < s.NumProcs(); p++ {
@@ -50,12 +51,13 @@ func CompileAPN(s *machine.Schedule) (*Plan, error) {
 	// Message-hop jobs, one per committed link reservation, chained
 	// along the route, plus per-channel transfer lists for the
 	// contention queues. Channels are keyed by directed endpoint pair
-	// and discovered in deterministic edge order.
+	// and discovered in deterministic edge order; Plan.chans records
+	// their endpoints.
 	type chanHop struct {
 		job   int32
 		start int64 // static reservation start, the queue order key
 	}
-	chanIndex := map[[2]int]int{}
+	chanIndex := map[[2]int]int32{}
 	var chanHops [][]chanHop
 	for v := 0; v < n; v++ {
 		child := dag.NodeID(v)
@@ -63,20 +65,22 @@ func CompileAPN(s *machine.Schedule) (*Plan, error) {
 			parent := pr.To
 			prev := int32(parent) // previous job in the message chain
 			s.EachMessageHop(parent, child, func(h machine.LinkHop) {
-				job := b.addJob(planJob{
-					base:    h.Finish - h.Start,
-					planned: h.Start,
-					ent:     commEnt(parent, child),
-					proc:    -1,
-				})
-				b.addArc(prev, job, 0, 0)
 				key := [2]int{h.From, h.To}
 				ci, ok := chanIndex[key]
 				if !ok {
-					ci = len(chanHops)
+					ci = int32(len(chanHops))
 					chanIndex[key] = ci
 					chanHops = append(chanHops, nil)
+					b.plan.chans = append(b.plan.chans, key)
 				}
+				job := b.addJob(Job{
+					Base:    h.Finish - h.Start,
+					Planned: h.Start,
+					Ent:     commEnt(parent, child),
+					Proc:    -1,
+					Chan:    ci,
+				})
+				b.addArc(prev, job, 0, 0)
 				chanHops[ci] = append(chanHops[ci], chanHop{job: job, start: h.Start})
 				prev = job
 			})

@@ -24,18 +24,19 @@ func Compile(s *sched.Schedule) (*Plan, error) {
 	b.plan.tasks = n
 	b.plan.numProcs = s.NumProcs()
 	b.plan.static = s.Makespan()
-	b.plan.jobs = make([]planJob, 0, n)
+	b.plan.jobs = make([]Job, 0, n)
 	for v := 0; v < n; v++ {
 		node := dag.NodeID(v)
 		// The base duration is read off the schedule, not the graph, so
 		// a heterogeneous schedule (per-processor speeds) replays the
 		// execution times it actually committed; Options.Speed is a
 		// further runtime perturbation on top of these.
-		b.addJob(planJob{
-			base:    s.FinishOf(node) - s.StartOf(node),
-			planned: s.StartOf(node),
-			ent:     taskEnt(node),
-			proc:    int32(s.ProcOf(node)),
+		b.addJob(Job{
+			Base:    s.FinishOf(node) - s.StartOf(node),
+			Planned: s.StartOf(node),
+			Ent:     taskEnt(node),
+			Proc:    int32(s.ProcOf(node)),
+			Chan:    -1,
 		})
 	}
 	// Processor-exclusivity chains: each processor runs its tasks in

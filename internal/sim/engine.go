@@ -18,29 +18,32 @@ import (
 // A Plan is immutable after compilation and safe for concurrent Run
 // calls from multiple goroutines.
 type Plan struct {
-	jobs     []planJob
-	arcs     []planArc
+	jobs     []Job
+	arcs     []Arc
 	arcOff   []int32
 	indeg    []int32
-	tasks    int   // jobs[0:tasks] are task executions
-	numProcs int   // processor count, for Options.Speed validation
-	static   int64 // the schedule's planned makespan
+	chans    [][2]int // directed link channels of an APN plan, indexed by Job.Chan
+	tasks    int      // jobs[0:tasks] are task executions
+	numProcs int      // processor count, for Options.Speed validation
+	static   int64    // the schedule's planned makespan
 }
 
-// planJob is one unit of simulated work.
-type planJob struct {
-	base    int64  // unperturbed duration (task weight or message cost)
-	planned int64  // static start time (the timetable release floor)
-	ent     uint64 // perturbation entity key
-	proc    int32  // processor of a task job, -1 for message transfers
+// Job is one unit of simulated work: a task execution or an APN
+// message transfer on one directed link channel.
+type Job struct {
+	Base    int64  // unperturbed duration (task weight or message cost)
+	Planned int64  // static start time (the timetable release floor)
+	Ent     uint64 // perturbation entity key
+	Proc    int32  // processor of a task job, -1 for message transfers
+	Chan    int32  // channel of a message job (index into Channels), -1 for tasks
 }
 
-// planArc releases job to when the owning job finishes, after an
-// optional communication lag (clique cross-processor edges only).
-type planArc struct {
-	to   int32
-	base int64  // unperturbed lag
-	ent  uint64 // lag perturbation entity, 0 when base is 0
+// Arc releases job To when the owning job finishes, after an optional
+// communication lag (clique cross-processor edges only).
+type Arc struct {
+	To   int32
+	Base int64  // unperturbed lag
+	Ent  uint64 // lag perturbation entity, 0 when Base is 0
 }
 
 // Static returns the planned (unperturbed) makespan of the compiled
@@ -50,6 +53,30 @@ func (p *Plan) Static() int64 { return p.static }
 // Jobs returns the number of simulated jobs: one per task, plus one
 // per committed link transfer for APN schedules.
 func (p *Plan) Jobs() int { return len(p.jobs) }
+
+// The read-only plan view below lets other execution engines replay
+// the same compiled job graph. Returned slices alias the plan and must
+// not be modified.
+
+// Tasks returns the number of task jobs; they occupy job IDs
+// 0..Tasks()-1, job ID == NodeID.
+func (p *Plan) Tasks() int { return p.tasks }
+
+// NumProcs returns the processor count of the compiled schedule.
+func (p *Plan) NumProcs() int { return p.numProcs }
+
+// Job returns job j.
+func (p *Plan) Job(j int32) Job { return p.jobs[j] }
+
+// Arcs returns the release arcs out of job j.
+func (p *Plan) Arcs(j int32) []Arc { return p.arcs[p.arcOff[j]:p.arcOff[j+1]] }
+
+// InDegrees returns every job's number of incoming arcs.
+func (p *Plan) InDegrees() []int32 { return p.indeg }
+
+// Channels returns the directed link channels (from, to) of an APN
+// plan in discovery order, indexed by Job.Chan; nil for clique plans.
+func (p *Plan) Channels() [][2]int { return p.chans }
 
 // Run executes the plan once under the given options and trial number
 // and returns the realized makespan. Runs are deterministic in
@@ -95,12 +122,12 @@ var enginePool = sync.Pool{New: func() any {
 // completion event after the (possibly perturbed) duration.
 func (e *engine) release(j int32) {
 	jb := &e.plan.jobs[j]
-	dur := jb.base
+	dur := jb.Base
 	if e.perturb.Dist != DistNone {
-		dur = scaleDur(dur, e.perturb.multiplier(e.trial, jb.ent))
+		dur = scaleDur(dur, e.perturb.multiplier(e.trial, jb.Ent))
 	}
-	if e.speed != nil && jb.proc >= 0 {
-		dur = scaleDur(dur, e.speed[jb.proc])
+	if e.speed != nil && jb.Proc >= 0 {
+		dur = scaleDur(dur, e.speed[jb.Proc])
 	}
 	e.heap.Push(event{t: e.ready[j] + dur, j: j})
 }
@@ -115,7 +142,7 @@ func (p *Plan) run(opts *Options, trial uint64) int64 {
 	e.ready = resize(e.ready, n)
 	if opts.Policy == PolicyTimetable {
 		for j := range e.ready {
-			e.ready[j] = p.jobs[j].planned
+			e.ready[j] = p.jobs[j].Planned
 		}
 	} else {
 		for j := range e.ready {
@@ -136,18 +163,18 @@ func (p *Plan) run(opts *Options, trial uint64) int64 {
 		}
 		for _, a := range p.arcs[p.arcOff[ev.j]:p.arcOff[ev.j+1]] {
 			arr := ev.t
-			if a.base > 0 {
-				lag := a.base
+			if a.Base > 0 {
+				lag := a.Base
 				if e.perturb.Dist != DistNone {
-					lag = scaleDur(lag, e.perturb.multiplier(trial, a.ent))
+					lag = scaleDur(lag, e.perturb.multiplier(trial, a.Ent))
 				}
 				arr += lag
 			}
-			if arr > e.ready[a.to] {
-				e.ready[a.to] = arr
+			if arr > e.ready[a.To] {
+				e.ready[a.To] = arr
 			}
-			if e.deps[a.to]--; e.deps[a.to] == 0 {
-				e.release(a.to)
+			if e.deps[a.To]--; e.deps[a.To] == 0 {
+				e.release(a.To)
 			}
 		}
 	}
@@ -157,7 +184,7 @@ func (p *Plan) run(opts *Options, trial uint64) int64 {
 		// planned start floor.
 		var stalls int64
 		for j := range p.jobs {
-			if e.ready[j] > p.jobs[j].planned {
+			if e.ready[j] > p.jobs[j].Planned {
 				stalls++
 			}
 		}
@@ -188,7 +215,7 @@ type planBuilder struct {
 }
 
 // addJob appends a job and returns its ID.
-func (b *planBuilder) addJob(j planJob) int32 {
+func (b *planBuilder) addJob(j Job) int32 {
 	b.plan.jobs = append(b.plan.jobs, j)
 	return int32(len(b.plan.jobs) - 1)
 }
@@ -196,7 +223,7 @@ func (b *planBuilder) addJob(j planJob) int32 {
 // addArc records a release constraint from job u to job v.
 func (b *planBuilder) addArc(u, v int32, base int64, ent uint64) {
 	b.from = append(b.from, u)
-	b.plan.arcs = append(b.plan.arcs, planArc{to: v, base: base, ent: ent})
+	b.plan.arcs = append(b.plan.arcs, Arc{To: v, Base: base, Ent: ent})
 }
 
 // finalize sorts the arcs into CSR layout and computes in-degrees.
@@ -210,7 +237,7 @@ func (b *planBuilder) finalize() *Plan {
 	for i := 1; i <= n; i++ {
 		p.arcOff[i] += p.arcOff[i-1]
 	}
-	sorted := make([]planArc, len(p.arcs))
+	sorted := make([]Arc, len(p.arcs))
 	next := make([]int32, n)
 	for i, u := range b.from {
 		sorted[p.arcOff[u]+next[u]] = p.arcs[i]
@@ -219,7 +246,7 @@ func (b *planBuilder) finalize() *Plan {
 	p.arcs = sorted
 	p.indeg = make([]int32, n)
 	for _, a := range p.arcs {
-		p.indeg[a.to]++
+		p.indeg[a.To]++
 	}
 	return p
 }

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/algo/apn"
 	"repro/internal/algo/bnp"
@@ -131,5 +133,57 @@ func TestPerturbedExecutionStaysValidOrdered(t *testing.T) {
 			t.Errorf("mean ratio did not grow with spread: %.3f then %.3f", prev, st.MeanRatio)
 		}
 		prev = st.MeanRatio
+	}
+}
+
+// TestPlanView checks the read-only plan view an APN fault engine
+// replays: task jobs carry a processor and no channel, message jobs a
+// valid channel and no processor, channels are distinct endpoint
+// pairs, and the in-degrees count the arcs exactly. Job stays 32 bytes.
+func TestPlanView(t *testing.T) {
+	if size := unsafe.Sizeof(Job{}); size != 32 {
+		t.Fatalf("Job is %d bytes, want 32", size)
+	}
+	g, err := gen.Generate("layered", 7, gen.Params{"v": "40", "ccr": "2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := apn.ScheduleHet("MH", g, machine.Hypercube(3), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := CompileAPN(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Tasks() != g.NumNodes() || plan.NumProcs() != 8 {
+		t.Fatalf("view reports %d tasks on %d procs", plan.Tasks(), plan.NumProcs())
+	}
+	seen := map[[2]int]bool{}
+	for _, ch := range plan.Channels() {
+		if seen[ch] {
+			t.Fatalf("channel %v listed twice", ch)
+		}
+		seen[ch] = true
+	}
+	if len(seen) == 0 || plan.Jobs() == plan.Tasks() {
+		t.Fatal("instance has no message jobs")
+	}
+	indeg := make([]int32, plan.Jobs())
+	for j := int32(0); j < int32(plan.Jobs()); j++ {
+		jb := plan.Job(j)
+		if int(j) < plan.Tasks() {
+			if jb.Proc < 0 || jb.Chan != -1 {
+				t.Fatalf("task job %d: proc %d chan %d", j, jb.Proc, jb.Chan)
+			}
+		} else if jb.Proc != -1 || jb.Chan < 0 || int(jb.Chan) >= len(plan.Channels()) {
+			t.Fatalf("message job %d: proc %d chan %d", j, jb.Proc, jb.Chan)
+		}
+		for _, a := range plan.Arcs(j) {
+			indeg[a.To]++
+		}
+	}
+	if !reflect.DeepEqual(indeg, plan.InDegrees()) {
+		t.Fatal("InDegrees does not count the arcs")
 	}
 }
