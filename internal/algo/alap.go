@@ -70,12 +70,5 @@ func ALAPListOrder(g *dag.Graph) []dag.NodeID {
 	for i, v := range byList {
 		prio[v] = -int64(i) // smallest rank pops first; ranks are unique
 	}
-	ready := NewReadyHeap(g, prio)
-	order := make([]dag.NodeID, 0, n)
-	for !ready.Empty() {
-		next := ready.PopMax()
-		ready.MarkScheduled(g, next)
-		order = append(order, next)
-	}
-	return order
+	return PriorityOrder(g, prio)
 }

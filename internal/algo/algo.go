@@ -1,7 +1,12 @@
 // Package algo provides the pieces shared by the scheduling algorithm
-// implementations in its subpackages bnp, unc, and apn: ready-set
-// bookkeeping for list scheduling and deterministic priority selection
-// helpers.
+// implementations in its subpackages: the ready-node bookkeeping of list
+// scheduling. A node's priority is either fixed by the time it becomes
+// ready — then ReadyHeap pops the highest one in O(log w), and
+// PriorityOrder precomputes the whole pop sequence when readiness
+// depends only on the nodes taken — or re-scored every step, and then
+// the scheduler scans the unordered ReadySet. Both selection rules share
+// one deterministic total order, spelled out by MaxBy: priority
+// descending, ties toward the smaller node ID.
 //
 // The three subpackages mirror the taxonomy of Kwok & Ahmad (IPPS 1998,
 // section 4): BNP algorithms schedule onto a bounded clique of
@@ -111,7 +116,9 @@ func (r *ReadySet) MarkScheduled(g *dag.Graph, n dag.NodeID) []dag.NodeID {
 }
 
 // MaxBy returns the element of ready that maximizes priority, breaking
-// ties toward the smaller node ID. It panics on an empty slice.
+// ties toward the smaller node ID. It panics on an empty slice. It is
+// the reference form of the order ReadyHeap pops in: no scheduler calls
+// it, and tests use it as the oracle for the heap.
 func MaxBy(ready []dag.NodeID, priority func(dag.NodeID) int64) dag.NodeID {
 	best := ready[0]
 	bestP := priority(best)

@@ -86,11 +86,12 @@ func cpnDominantOrder(g *dag.Graph) []dag.NodeID {
 	bl := dag.BLevels(g)
 	cp := dag.CriticalPath(g)
 	emitted := make([]bool, g.NumNodes())
-	ready := algo.NewReadySet(g)
+	ready := algo.AcquireReadyHeap(g, bl)
+	defer ready.Release()
 	order := make([]dag.NodeID, 0, g.NumNodes())
 
+	// emit appends n, which the caller has taken out of the heap.
 	emit := func(n dag.NodeID) {
-		ready.Pop(n)
 		ready.MarkScheduled(g, n)
 		emitted[n] = true
 		order = append(order, n)
@@ -136,14 +137,15 @@ func cpnDominantOrder(g *dag.Graph) []dag.NodeID {
 			if candidate == dag.None {
 				break
 			}
+			ready.Remove(candidate)
 			emit(candidate)
 		}
+		ready.Remove(c)
 		emit(c)
 	}
 	// Out-branch nodes: descending b-level, topologically consistent.
 	for !ready.Empty() {
-		n := algo.MaxBy(ready.Ready(), func(m dag.NodeID) int64 { return bl[m] })
-		emit(n)
+		emit(ready.PopMax())
 	}
 	return order
 }

@@ -77,7 +77,7 @@ func runBU(g *dag.Graph, topo *machine.Topology, speeds []float64) (*machine.Sch
 	}
 	// Per-processor sequences in global b-level order.
 	seqs := make([][]dag.NodeID, topo.NumProcs())
-	for _, v := range blevelOrder(g) {
+	for _, v := range algo.PriorityOrder(g, dag.BLevels(g)) {
 		seqs[assign[v]] = append(seqs[assign[v]], v)
 	}
 	return machine.ReplaySequencesHet(g, topo, seqs, speeds)
@@ -93,19 +93,4 @@ func bestConnectedProc(topo *machine.Topology) int {
 		}
 	}
 	return best
-}
-
-// blevelOrder returns nodes in descending b-level order, kept
-// topological by a priority-driven Kahn pass.
-func blevelOrder(g *dag.Graph) []dag.NodeID {
-	bl := dag.BLevels(g)
-	ready := algo.NewReadySet(g)
-	order := make([]dag.NodeID, 0, g.NumNodes())
-	for !ready.Empty() {
-		n := algo.MaxBy(ready.Ready(), func(m dag.NodeID) int64 { return bl[m] })
-		ready.Pop(n)
-		ready.MarkScheduled(g, n)
-		order = append(order, n)
-	}
-	return order
 }

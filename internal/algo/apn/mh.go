@@ -35,16 +35,12 @@ func runMH(g *dag.Graph, topo *machine.Topology, speeds []float64) (*machine.Sch
 	if err != nil {
 		return nil, err
 	}
-	ready := algo.NewReadySet(g)
-	for !ready.Empty() {
-		n := algo.MaxBy(ready.Ready(), func(m dag.NodeID) int64 { return sl[m] })
-		ready.Pop(n)
+	for _, n := range algo.PriorityOrder(g, sl) {
 		p, est, ok := s.BestEST(n, false)
 		if !ok {
 			panic("apn: MH popped node with unscheduled parent")
 		}
 		s.MustPlace(n, p, est)
-		ready.MarkScheduled(g, n)
 	}
 	return s, nil
 }

@@ -27,11 +27,10 @@ func runISH(g *dag.Graph, s *sched.Schedule) {
 	sc := acquireScratch(g)
 	defer sc.release()
 	sl := sc.lv.Static
-	ready := algo.AcquireReadySet(g)
+	ready := algo.AcquireReadyHeap(g, sl)
 	defer ready.Release()
 	for !ready.Empty() {
-		n := algo.MaxBy(ready.Ready(), func(n dag.NodeID) int64 { return sl[n] })
-		ready.Pop(n)
+		n := ready.PopMax()
 		p, est, ok := s.BestEST(n, false)
 		if !ok {
 			panic("bnp: ISH popped node with unscheduled parent")
@@ -51,7 +50,7 @@ func runISH(g *dag.Graph, s *sched.Schedule) {
 
 // fillHole inserts ready nodes into idle time on processor p before the
 // hole end, highest static level first, until no ready node fits.
-func fillHole(g *dag.Graph, s *sched.Schedule, ready *algo.ReadySet, sl []int64, p int, holeEnd int64) {
+func fillHole(g *dag.Graph, s *sched.Schedule, ready *algo.ReadyHeap, sl []int64, p int, holeEnd int64) {
 	for {
 		best := dag.None
 		var bestStart int64
@@ -70,7 +69,7 @@ func fillHole(g *dag.Graph, s *sched.Schedule, ready *algo.ReadySet, sl []int64,
 		if best == dag.None {
 			return
 		}
-		ready.Pop(best)
+		ready.Remove(best)
 		tracePriority(best, sl[best])
 		s.MustPlace(best, p, bestStart)
 		ready.MarkScheduled(g, best)

@@ -61,18 +61,13 @@ func clustersOf(s *sched.Schedule) [][]dag.NodeID {
 // scheduleMapped list-schedules the graph in descending b-level order
 // with every node pinned to the processor its cluster was mapped to.
 func scheduleMapped(g *dag.Graph, proc []int, numProcs int) *sched.Schedule {
-	bl := dag.BLevels(g)
 	out := sched.Acquire(g, numProcs)
-	ready := algo.NewReadySet(g)
-	for !ready.Empty() {
-		n := algo.MaxBy(ready.Ready(), func(m dag.NodeID) int64 { return bl[m] })
-		ready.Pop(n)
+	for _, n := range algo.PriorityOrder(g, dag.BLevels(g)) {
 		est, ok := out.ESTOn(n, proc[n], true)
 		if !ok {
 			panic("cs: b-level order not topological")
 		}
 		out.MustPlace(n, proc[n], est)
-		ready.MarkScheduled(g, n)
 	}
 	return out
 }
@@ -105,7 +100,7 @@ func Sarkar(s *sched.Schedule, numProcs int) (*sched.Schedule, error) {
 			for _, n := range cluster {
 				proc[n] = p
 			}
-			l := partialLength(g, proc, append(mapped, cluster...), numProcs)
+			l := partialLength(g, bl, proc, append(mapped, cluster...), numProcs)
 			if bestProc == -1 || l < bestLen {
 				bestProc, bestLen = p, l
 			}
@@ -119,13 +114,12 @@ func Sarkar(s *sched.Schedule, numProcs int) (*sched.Schedule, error) {
 }
 
 // partialLength estimates the schedule length of the already-mapped
-// nodes by list-scheduling the induced subgraph in b-level order.
-func partialLength(g *dag.Graph, proc []int, mapped []dag.NodeID, numProcs int) int64 {
+// nodes by list-scheduling the induced subgraph in the b-level order bl.
+func partialLength(g *dag.Graph, bl []int64, proc []int, mapped []dag.NodeID, numProcs int) int64 {
 	inSet := make([]bool, g.NumNodes())
 	for _, n := range mapped {
 		inSet[n] = true
 	}
-	bl := dag.BLevels(g)
 	order := append([]dag.NodeID(nil), mapped...)
 	sort.SliceStable(order, func(i, j int) bool {
 		if bl[order[i]] != bl[order[j]] {

@@ -27,11 +27,7 @@ func DSH(g *dag.Graph, numProcs int) (*DupSchedule, error) {
 	}
 	sl := dag.StaticLevels(g)
 	d := NewDupSchedule(g, numProcs)
-	ready := algo.NewReadySet(g)
-	for !ready.Empty() {
-		n := algo.MaxBy(ready.Ready(), func(m dag.NodeID) int64 { return sl[m] })
-		ready.Pop(n)
-
+	for _, n := range algo.PriorityOrder(g, sl) {
 		bestProc := -1
 		var bestStart int64
 		var bestDups []dupPlan
@@ -49,7 +45,6 @@ func DSH(g *dag.Graph, numProcs int) (*DupSchedule, error) {
 		if err := d.place(n, bestProc, bestStart); err != nil {
 			return nil, err
 		}
-		ready.MarkScheduled(g, n)
 	}
 	return d, nil
 }

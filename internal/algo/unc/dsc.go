@@ -39,21 +39,22 @@ func runDSC(g *dag.Graph, speeds []float64) (*sched.Schedule, error) {
 		return s, nil
 	}
 	bl := dag.BLevels(g) // descendants are unexamined, so static b-levels stay exact
+	// tl is the current t-level: the earliest start with every incoming
+	// edge still carrying communication. A free node's parents are all
+	// placed and never move, so its t-level, and with it its priority
+	// t-level + b-level, is final by the time it enters the heap.
+	tl := make([]int64, n)
+	prio := append([]int64(nil), bl...) // entry nodes: t-level 0
 	clusterEnd := make([]int64, n)
-	clusterUsed := make([]bool, n)
 	nextCluster := 0
 
-	free := algo.NewReadySet(g)
+	free := algo.AcquireReadyHeap(g, prio)
+	defer free.Release()
 	for !free.Empty() {
-		// Priority = current t-level (earliest start with all incoming
-		// edges still carrying communication) + static b-level.
-		node := algo.MaxBy(free.Ready(), func(m dag.NodeID) int64 {
-			return currentTLevel(g, s, m) + bl[m]
-		})
-		free.Pop(node)
+		node := free.PopMax()
 
 		// Starting a fresh cluster keeps every incoming edge unzeroed.
-		newEST := currentTLevel(g, s, node)
+		newEST := tl[node]
 		// Joining a parent's cluster zeroes the edges from co-located
 		// parents but must wait for the cluster to drain.
 		bestCluster := -1
@@ -86,22 +87,15 @@ func runDSC(g *dag.Graph, speeds []float64) (*sched.Schedule, error) {
 			nextCluster++
 		}
 		s.MustPlace(node, proc, start)
-		clusterUsed[proc] = true
-		clusterEnd[proc] = s.FinishOf(node)
+		finish := s.FinishOf(node)
+		clusterEnd[proc] = finish
+		for _, a := range g.Succs(node) {
+			if t := finish + a.Weight; t > tl[a.To] {
+				tl[a.To] = t
+				prio[a.To] = t + bl[a.To]
+			}
+		}
 		free.MarkScheduled(g, node)
 	}
 	return s, nil
-}
-
-// currentTLevel is the earliest start of an unexamined free node with all
-// incoming communication costs charged (its t-level in the current
-// partially zeroed graph).
-func currentTLevel(g *dag.Graph, s *sched.Schedule, n dag.NodeID) int64 {
-	var t int64
-	for _, pr := range g.Preds(n) {
-		if c := s.FinishOf(pr.To) + pr.Weight; c > t {
-			t = c
-		}
-	}
-	return t
 }

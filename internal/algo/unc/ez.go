@@ -3,6 +3,7 @@ package unc
 import (
 	"sort"
 
+	"repro/internal/algo"
 	"repro/internal/dag"
 	"repro/internal/sched"
 )
@@ -54,7 +55,7 @@ func runEZ(g *dag.Graph, speeds []float64) (*sched.Schedule, error) {
 		return edges[i].to < edges[j].to
 	})
 
-	order := blevelOrder(g)
+	order := algo.PriorityOrder(g, dag.BLevels(g))
 	assign := make([]int, n) // node -> cluster label
 	members := make([][]dag.NodeID, n)
 	for v := 0; v < n; v++ {

@@ -1,6 +1,7 @@
 package unc
 
 import (
+	"repro/internal/algo"
 	"repro/internal/dag"
 	"repro/internal/sched"
 )
@@ -111,5 +112,5 @@ func runLC(g *dag.Graph, speeds []float64) (*sched.Schedule, error) {
 			cur = next
 		}
 	}
-	return scheduleAssignment(g, blevelOrder(g), assign, nextCluster, speeds), nil
+	return scheduleAssignment(g, algo.PriorityOrder(g, dag.BLevels(g)), assign, nextCluster, speeds), nil
 }

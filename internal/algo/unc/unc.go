@@ -17,7 +17,6 @@ package unc
 import (
 	"fmt"
 
-	"repro/internal/algo"
 	"repro/internal/dag"
 	"repro/internal/sched"
 )
@@ -93,29 +92,12 @@ func acquire(g *dag.Graph, numProcs int, speeds []float64) *sched.Schedule {
 	return s
 }
 
-// blevelOrder returns the nodes in descending b-level order, enforced to
-// be topological via a priority-driven Kahn pass (for positive node
-// weights descending b-level is already topological; zero-weight nodes
-// need the guard). This is the standard intra-cluster ordering used when
-// converting a clustering into a schedule.
-func blevelOrder(g *dag.Graph) []dag.NodeID {
-	bl := dag.BLevels(g)
-	ready := algo.NewReadySet(g)
-	order := make([]dag.NodeID, 0, g.NumNodes())
-	for !ready.Empty() {
-		n := algo.MaxBy(ready.Ready(), func(n dag.NodeID) int64 { return bl[n] })
-		ready.Pop(n)
-		ready.MarkScheduled(g, n)
-		order = append(order, n)
-	}
-	return order
-}
-
 // scheduleAssignment converts a node-to-cluster assignment into a
 // concrete schedule: nodes are placed in the given order (which must be
 // topological), each at its earliest start time on its assigned
 // processor without insertion. This is the cluster-ordering step shared
-// by EZ and LC.
+// by EZ and LC, which both pass the b-level order
+// algo.PriorityOrder(g, dag.BLevels(g)).
 func scheduleAssignment(g *dag.Graph, order []dag.NodeID, assign []int, numProcs int, speeds []float64) *sched.Schedule {
 	s := acquire(g, numProcs, speeds)
 	for _, n := range order {

@@ -37,10 +37,26 @@ type Algorithm struct {
 	Name  string
 	Class Class
 
-	runBNP   bnp.Scheduler
-	runUNC   unc.Scheduler
-	runAPN   apn.Scheduler
-	runParam func(*dag.Graph, int, []float64) (*sched.Schedule, error)
+	kernel kernel
+}
+
+// kernel builds one schedule of g: on procs clique processors (BNP,
+// PARAM; UNC algorithms size their own machine) or on topo (APN), with
+// per-processor speeds or nil for the homogeneous model. Clique classes
+// return a *sched.Schedule, APN algorithms a *machine.Schedule.
+type kernel func(g *dag.Graph, procs int, speeds []float64, topo *machine.Topology) (*sched.Schedule, *machine.Schedule, error)
+
+// schedule runs the algorithm's kernel. On success exactly one of the
+// two schedules is non-nil: the *machine.Schedule for APN algorithms,
+// the *sched.Schedule otherwise.
+func (a Algorithm) schedule(g *dag.Graph, procs int, speeds []float64, topo *machine.Topology) (*sched.Schedule, *machine.Schedule, error) {
+	switch {
+	case a.kernel == nil:
+		return nil, nil, fmt.Errorf("core: unknown class %q", a.Class)
+	case a.Class == APN && topo == nil:
+		return nil, nil, fmt.Errorf("core: APN algorithm %s needs a topology", a.Name)
+	}
+	return a.kernel(g, procs, speeds, topo)
 }
 
 // Result is one measured scheduling run.
@@ -87,79 +103,21 @@ func (a Algorithm) RunOn(g *dag.Graph, bnpProcs int, speeds []float64, topo *mac
 	}
 	algRuns.Inc()
 	start := time.Now()
-	var (
-		length int64
-		nsl    float64
-		procs  int
-	)
-	switch a.Class {
-	case BNP:
-		var (
-			s   *sched.Schedule
-			err error
-		)
-		if speeds == nil {
-			s, err = a.runBNP(g, bnpProcs)
-		} else {
-			s, err = bnp.ScheduleHet(a.Name, g, bnpProcs, speeds)
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		length, nsl, procs = s.Makespan(), s.NSL(), s.ProcessorsUsed()
+	cs, ms, err := a.schedule(g, bnpProcs, speeds, topo)
+	if err != nil {
+		return Result{}, err
+	}
+	res := Result{Algorithm: a.Name, Class: a.Class}
+	if ms != nil {
+		res.Length, res.NSL, res.Procs = ms.Makespan(), ms.NSL(), ms.ProcessorsUsed()
+	} else {
+		res.Length, res.NSL, res.Procs = cs.Makespan(), cs.NSL(), cs.ProcessorsUsed()
 		// The schedule is measured and discarded; recycling it lets the
 		// next cell on this worker run without allocating one.
-		s.Release()
-	case PARAM:
-		s, err := a.runParam(g, bnpProcs, speeds)
-		if err != nil {
-			return Result{}, err
-		}
-		length, nsl, procs = s.Makespan(), s.NSL(), s.ProcessorsUsed()
-		s.Release()
-	case UNC:
-		var (
-			s   *sched.Schedule
-			err error
-		)
-		if speeds == nil {
-			s, err = a.runUNC(g)
-		} else {
-			s, err = unc.ScheduleHet(a.Name, g, speeds)
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		length, nsl, procs = s.Makespan(), s.NSL(), s.ProcessorsUsed()
-		s.Release()
-	case APN:
-		if topo == nil {
-			return Result{}, fmt.Errorf("core: APN algorithm %s needs a topology", a.Name)
-		}
-		var (
-			s   *machine.Schedule
-			err error
-		)
-		if speeds == nil {
-			s, err = a.runAPN(g, topo)
-		} else {
-			s, err = apn.ScheduleHet(a.Name, g, topo, speeds)
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		length, nsl, procs = s.Makespan(), s.NSL(), s.ProcessorsUsed()
-	default:
-		return Result{}, fmt.Errorf("core: unknown class %q", a.Class)
+		cs.Release()
 	}
-	return Result{
-		Algorithm: a.Name,
-		Class:     a.Class,
-		Length:    length,
-		NSL:       nsl,
-		Procs:     procs,
-		Elapsed:   time.Since(start),
-	}, nil
+	res.Elapsed = time.Since(start)
+	return res, nil
 }
 
 // All returns the 15 algorithms of the study in the paper's order:
@@ -177,29 +135,11 @@ func All() []Algorithm {
 func ByClass(c Class) []Algorithm {
 	switch c {
 	case BNP:
-		return []Algorithm{
-			{Name: "HLFET", Class: BNP, runBNP: bnp.HLFET},
-			{Name: "ISH", Class: BNP, runBNP: bnp.ISH},
-			{Name: "ETF", Class: BNP, runBNP: bnp.ETF},
-			{Name: "LAST", Class: BNP, runBNP: bnp.LAST},
-			{Name: "MCP", Class: BNP, runBNP: bnp.MCP},
-			{Name: "DLS", Class: BNP, runBNP: bnp.DLS},
-		}
+		return named(bnpAlgorithm, "HLFET", "ISH", "ETF", "LAST", "MCP", "DLS")
 	case UNC:
-		return []Algorithm{
-			{Name: "EZ", Class: UNC, runUNC: unc.EZ},
-			{Name: "LC", Class: UNC, runUNC: unc.LC},
-			{Name: "DSC", Class: UNC, runUNC: unc.DSC},
-			{Name: "MD", Class: UNC, runUNC: unc.MD},
-			{Name: "DCP", Class: UNC, runUNC: unc.DCP},
-		}
+		return named(uncAlgorithm, "EZ", "LC", "DSC", "MD", "DCP")
 	case APN:
-		return []Algorithm{
-			{Name: "MH", Class: APN, runAPN: apn.MH},
-			{Name: "DLS", Class: APN, runAPN: apn.DLS},
-			{Name: "BU", Class: APN, runAPN: apn.BU},
-			{Name: "BSA", Class: APN, runAPN: apn.BSA},
-		}
+		return named(apnAlgorithm, "MH", "DLS", "BU", "BSA")
 	}
 	return nil
 }
@@ -209,7 +149,43 @@ func ByClass(c Class) []Algorithm {
 // class PARAM, named by its canonical combo name. It runs on bnpProcs
 // processors, homogeneous or heterogeneous, like a BNP algorithm.
 func ParamAlgorithm(c param.Combo) Algorithm {
-	return Algorithm{Name: c.Name(), Class: PARAM, runParam: c.Schedule}
+	return Algorithm{Name: c.Name(), Class: PARAM, kernel: func(g *dag.Graph, procs int, speeds []float64, _ *machine.Topology) (*sched.Schedule, *machine.Schedule, error) {
+		s, err := c.Schedule(g, procs, speeds)
+		return s, nil, err
+	}}
+}
+
+// named builds the algorithms of one class, in the given order.
+func named(mk func(name string) Algorithm, names ...string) []Algorithm {
+	out := make([]Algorithm, len(names))
+	for i, name := range names {
+		out[i] = mk(name)
+	}
+	return out
+}
+
+// bnpAlgorithm, uncAlgorithm and apnAlgorithm register the named
+// algorithm of their class. Each runs through the class's ScheduleHet,
+// which for nil speeds is the plain entry point byte for byte.
+func bnpAlgorithm(name string) Algorithm {
+	return Algorithm{Name: name, Class: BNP, kernel: func(g *dag.Graph, procs int, speeds []float64, _ *machine.Topology) (*sched.Schedule, *machine.Schedule, error) {
+		s, err := bnp.ScheduleHet(name, g, procs, speeds)
+		return s, nil, err
+	}}
+}
+
+func uncAlgorithm(name string) Algorithm {
+	return Algorithm{Name: name, Class: UNC, kernel: func(g *dag.Graph, _ int, speeds []float64, _ *machine.Topology) (*sched.Schedule, *machine.Schedule, error) {
+		s, err := unc.ScheduleHet(name, g, speeds)
+		return s, nil, err
+	}}
+}
+
+func apnAlgorithm(name string) Algorithm {
+	return Algorithm{Name: name, Class: APN, kernel: func(g *dag.Graph, _ int, speeds []float64, topo *machine.Topology) (*sched.Schedule, *machine.Schedule, error) {
+		s, err := apn.ScheduleHet(name, g, topo, speeds)
+		return nil, s, err
+	}}
 }
 
 // Parameterized returns the full component cross-product of the

@@ -6,7 +6,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/ft"
 	"repro/internal/machine"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/table"
 )
@@ -152,44 +151,11 @@ const faultEffectiveTrials = 10
 // adversarial fault-gap objective compares. BNP and PARAM algorithms
 // receive bnpProcs processors; APN algorithms the topology.
 func FaultEffective(a Algorithm, g *dag.Graph, bnpProcs int, topo *machine.Topology) (int64, error) {
-	var (
-		x   *ft.Exec
-		err error
-	)
-	apnClass := a.Class == APN
-	switch a.Class {
-	case BNP:
-		var s *sched.Schedule
-		if s, err = a.runBNP(g, bnpProcs); err == nil {
-			x, err = ft.Compile(s)
-			s.Release()
-		}
-	case PARAM:
-		var s *sched.Schedule
-		if s, err = a.runParam(g, bnpProcs, nil); err == nil {
-			x, err = ft.Compile(s)
-			s.Release()
-		}
-	case UNC:
-		var s *sched.Schedule
-		if s, err = a.runUNC(g); err == nil {
-			x, err = ft.Compile(s)
-			s.Release()
-		}
-	case APN:
-		if topo == nil {
-			return 0, fmt.Errorf("core: APN algorithm %s needs a topology", a.Name)
-		}
-		var s *machine.Schedule
-		if s, err = a.runAPN(g, topo); err == nil {
-			x, err = ft.CompileAPN(s)
-		}
-	default:
-		return 0, fmt.Errorf("core: unknown class %q", a.Class)
-	}
+	x, err := compileFT(a, g, bnpProcs, topo)
 	if err != nil {
 		return 0, err
 	}
+	apnClass := a.Class == APN
 	ref := dag.CPComputationSum(g)
 	deadline := faultsDeadline(x.Static())
 	opts := ft.Options{
@@ -214,6 +180,21 @@ func FaultEffective(a Algorithm, g *dag.Graph, bnpProcs int, topo *machine.Topol
 		}
 	}
 	return sum / int64(len(st.Makespans)), nil
+}
+
+// compileFT schedules g with a on a homogeneous machine (bnpProcs
+// processors for the clique classes, topo for APN) and compiles the
+// schedule for fault-injected execution.
+func compileFT(a Algorithm, g *dag.Graph, bnpProcs int, topo *machine.Topology) (*ft.Exec, error) {
+	cs, ms, err := a.schedule(g, bnpProcs, nil, topo)
+	if err != nil {
+		return nil, err
+	}
+	if ms != nil {
+		return ft.CompileAPN(ms)
+	}
+	defer cs.Release()
+	return ft.Compile(cs)
 }
 
 // faultsAgg accumulates survival rates, finished-trial ratios, and
@@ -283,12 +264,7 @@ func Faults(cfg Config) error {
 				label := fmt.Sprintf("%s(BNP) on %s", a.Name, ng.Name)
 				procs := BNPProcs(ng.G.NumNodes())
 				p.add(func() (faultsCell, error) {
-					s, err := a.runBNP(ng.G, procs)
-					if err != nil {
-						return faultsCell{}, fmt.Errorf("faults: %s: %w", label, err)
-					}
-					x, err := ft.Compile(s)
-					s.Release()
+					x, err := compileFT(a, ng.G, procs, nil)
 					if err != nil {
 						return faultsCell{}, fmt.Errorf("faults: %s: %w", label, err)
 					}
@@ -300,11 +276,7 @@ func Faults(cfg Config) error {
 				a, ng := a, ng
 				label := fmt.Sprintf("%s(APN) on %s", a.Name, ng.Name)
 				p.add(func() (faultsCell, error) {
-					s, err := a.runAPN(ng.G, topo)
-					if err != nil {
-						return faultsCell{}, fmt.Errorf("faults: %s: %w", label, err)
-					}
-					x, err := ft.CompileAPN(s)
+					x, err := compileFT(a, ng.G, 0, topo)
 					if err != nil {
 						return faultsCell{}, fmt.Errorf("faults: %s: %w", label, err)
 					}

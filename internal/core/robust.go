@@ -116,36 +116,29 @@ func Robust(cfg Config) error {
 				for _, a := range panel.algs {
 					a, ng := a, ng
 					label := fmt.Sprintf("%s(%s) on %s", a.Name, a.Class, ng.Name)
-					switch a.Class {
-					case BNP:
-						procs := BNPProcs(ng.G.NumNodes())
-						p.add(func() (robustCell, error) {
-							s, err := a.runBNP(ng.G, procs)
-							if err != nil {
-								return robustCell{}, fmt.Errorf("robust: %s: %w", label, err)
-							}
-							static := s.Makespan()
-							splan, err := sim.Compile(s)
-							s.Release()
-							if err != nil {
-								return robustCell{}, fmt.Errorf("robust: %s: %w", label, err)
-							}
-							return runRobustTrials(splan, static, opts, trials, label)
-						})
-					case APN:
-						p.add(func() (robustCell, error) {
-							s, err := a.runAPN(ng.G, topo)
-							if err != nil {
-								return robustCell{}, fmt.Errorf("robust: %s: %w", label, err)
-							}
-							static := s.Makespan()
-							splan, err := sim.CompileAPN(s)
-							if err != nil {
-								return robustCell{}, fmt.Errorf("robust: %s: %w", label, err)
-							}
-							return runRobustTrials(splan, static, opts, trials, label)
-						})
-					}
+					procs := BNPProcs(ng.G.NumNodes())
+					p.add(func() (robustCell, error) {
+						cs, ms, err := a.schedule(ng.G, procs, nil, topo)
+						if err != nil {
+							return robustCell{}, fmt.Errorf("robust: %s: %w", label, err)
+						}
+						var (
+							static int64
+							splan  *sim.Plan
+						)
+						if ms != nil {
+							static = ms.Makespan()
+							splan, err = sim.CompileAPN(ms)
+						} else {
+							static = cs.Makespan()
+							splan, err = sim.Compile(cs)
+							cs.Release()
+						}
+						if err != nil {
+							return robustCell{}, fmt.Errorf("robust: %s: %w", label, err)
+						}
+						return runRobustTrials(splan, static, opts, trials, label)
+					})
 				}
 			}
 		}
