@@ -8,6 +8,10 @@ package taskgraph
 // The table/figure benchmarks run the Quick-scale experiment workload;
 // use cmd/dagbench -scale=full for the paper-sized runs. Quality
 // ablations report NSL through b.ReportMetric in addition to time.
+//
+// These kernels produced the historical BENCH_*.json trajectory. The
+// tracked benchmark is now perfbench (perfbench/README.md); CI runs each
+// kernel here once, to prove it still builds and runs.
 
 import (
 	"bytes"
@@ -62,15 +66,14 @@ func BenchmarkRobustExperiment(b *testing.B) { benchExperiment(b, "robust") }
 
 // BenchmarkComponents measures the component-attribution experiment:
 // the full 60-combo parameterized scheduler space over the matched
-// random-family grid on homogeneous and heterogeneous machines. It is
-// part of the tracked benchmark trajectory (scripts/bench.sh).
+// random-family grid on homogeneous and heterogeneous machines
+// (BENCH_3.json added it to the trajectory).
 func BenchmarkComponents(b *testing.B) { benchExperiment(b, "components") }
 
 // BenchmarkAdversarialGeneration measures one generation of the
 // adversarial instance search: building a 16-candidate population and
 // scheduling it with the default MCP:LAST pair through the experiment
-// pool. This is the per-generation kernel behind -exp adversarial and
-// part of the tracked benchmark trajectory (scripts/bench.sh).
+// pool. This is the per-generation kernel behind -exp adversarial.
 func BenchmarkAdversarialGeneration(b *testing.B) {
 	cfg := core.Config{Seed: 1998, Scale: core.Quick, Out: io.Discard, Cache: core.NewSuiteCache()}
 	opts := AdversarialDefaults(1998)
@@ -170,8 +173,8 @@ func BenchmarkFaultMonteCarlo(b *testing.B) {
 // driven). Each sub-benchmark also reports the deterministic encoding
 // density (tgb-B/node) and the structural power-law exponent of the
 // encoded size against a rung at v/4 (tgb-slope, ~1.0 = the encoding
-// scales linearly). Part of the tracked benchmark trajectory
-// (scripts/bench.sh, BENCH_5.json).
+// scales linearly). BENCH_5.json added it to the trajectory;
+// perfbench's million workload now tracks the 10^6-node pipeline.
 func BenchmarkScalingLadder(b *testing.B) {
 	families := []struct {
 		name   string
@@ -385,8 +388,7 @@ func BenchmarkAblationTopology(b *testing.B) {
 // three regimes: fully off (the default every experiment runs under —
 // this sub-benchmark is the disabled-path contract, expected within
 // noise of the pre-observability kernel and 0 allocs/op from the
-// schedule pool), metrics on, and a live JSONL decision tracer. Part of
-// the tracked benchmark trajectory (scripts/bench.sh).
+// schedule pool), metrics on, and a live JSONL decision tracer.
 func BenchmarkObsOverhead(b *testing.B) {
 	graphs := benchGraphs()
 	loop := func(b *testing.B) {

@@ -338,8 +338,8 @@ func TestFixtureRoundTrip(t *testing.T) {
 	if out.G.NumNodes() != 2 || out.G.NumEdges() != 1 {
 		t.Errorf("graph lost: %d nodes %d edges", out.G.NumNodes(), out.G.NumEdges())
 	}
-	if out.Gap() != 0.2 {
-		t.Errorf("Gap() = %g, want 0.2", out.Gap())
+	if gap := (GapObjective{}).Score(out.LenA, out.LenB); gap != 0.2 {
+		t.Errorf("gap = %g, want 0.2", gap)
 	}
 
 	// A fixture is also a plain .tg file.
@@ -435,8 +435,8 @@ func TestArchive(t *testing.T) {
 		if fx.AlgA != "MCP" || fx.AlgB != "APN/DLS" || fx.Procs != 8 {
 			t.Errorf("%s: pair/procs wrong: %+v", name, fx)
 		}
-		if fx.Gap() < fx.MinGap {
-			t.Errorf("%s: recorded gap %g below its own pinned floor %g", name, fx.Gap(), fx.MinGap)
+		if gap := (GapObjective{}).Score(fx.LenA, fx.LenB); gap < fx.MinGap {
+			t.Errorf("%s: recorded gap %g below its own pinned floor %g", name, gap, fx.MinGap)
 		}
 		if !strings.Contains(name, "-mcp-vs-apn-dls-") {
 			t.Errorf("fixture name %q does not follow the family-pair-rank convention", name)

@@ -57,9 +57,6 @@ type Fixture struct {
 	G *dag.Graph
 }
 
-// Gap returns the fixture's recorded relative makespan gap.
-func (f *Fixture) Gap() float64 { return GapObjective{}.Score(f.LenA, f.LenB) }
-
 // fixtureHeader renders the "# adv" provenance lines shared by both
 // fixture encodings.
 func fixtureHeader(f *Fixture) string {

@@ -23,7 +23,7 @@ import (
 // incrementally around each migration; this implementation evaluates a
 // candidate migration with a cheap routed-EST estimate and, when the
 // estimate promises an improvement, rebuilds the schedule by replaying
-// the per-processor sequences (machine.ReplaySequences), keeping the
+// the per-processor sequences (machine.ReplaySequencesHet), keeping the
 // migration only if the node's start time actually improved. The
 // resulting schedules follow the published behaviour; only the running
 // time constant differs.

@@ -31,8 +31,9 @@ import (
 // Scheduler is the common signature of all BNP algorithms.
 type Scheduler func(g *dag.Graph, numProcs int) (*sched.Schedule, error)
 
-// Algorithms returns the BNP algorithms in the order used by the paper's
-// tables: HLFET, ISH, ETF, LAST, MCP, DLS.
+// Algorithms returns the six BNP algorithms by name. A map has no
+// order: callers that need one (the paper's tables, a deterministic
+// search) fix it themselves.
 func Algorithms() map[string]Scheduler {
 	return map[string]Scheduler{
 		"HLFET": HLFET,

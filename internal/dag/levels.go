@@ -82,9 +82,6 @@ func resizeInt64(s []int64, n int) []int64 {
 	return make([]int64, n)
 }
 
-// TLevels returns only the t-levels of the graph.
-func TLevels(g *Graph) []int64 { return ComputeLevels(g).T }
-
 // BLevels returns only the b-levels of the graph.
 func BLevels(g *Graph) []int64 { return ComputeLevels(g).B }
 
@@ -149,16 +146,4 @@ func CPComputationSum(g *Graph) int64 {
 		sum += g.Weight(n)
 	}
 	return sum
-}
-
-// CPNodes returns the set of all nodes that lie on at least one critical
-// path, marked in a boolean slice indexed by NodeID. Critical-path-based
-// algorithms (MCP, DCP, BU, BSA) give these nodes scheduling preference.
-func CPNodes(g *Graph) []bool {
-	lv := ComputeLevels(g)
-	on := make([]bool, g.NumNodes())
-	for v := range on {
-		on[v] = lv.T[v]+lv.B[v] == lv.CPLength
-	}
-	return on
 }

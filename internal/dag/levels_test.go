@@ -59,11 +59,11 @@ func TestCriticalPathDiamond(t *testing.T) {
 
 func TestCPNodesDiamond(t *testing.T) {
 	g, ids := diamond(t)
-	on := CPNodes(g)
+	lv := ComputeLevels(g)
 	want := map[NodeID]bool{ids[0]: true, ids[1]: false, ids[2]: true, ids[3]: true}
 	for n, w := range want {
-		if on[n] != w {
-			t.Errorf("CPNodes[%s] = %v, want %v", g.Label(n), on[n], w)
+		if on := lv.T[n]+lv.B[n] == lv.CPLength; on != w {
+			t.Errorf("%s on a critical path = %v, want %v", g.Label(n), on, w)
 		}
 	}
 }

@@ -6,24 +6,20 @@ import (
 	"repro/internal/dag"
 )
 
-// ReplaySequences builds a complete schedule from an assignment expressed
-// as one execution sequence per processor. It repeatedly places, among
-// the heads of the remaining sequences whose parents are all scheduled,
-// the node with the smallest earliest start time (ties toward the lower
-// processor index), using non-insertion placement so each processor runs
-// its sequence in the given order.
+// ReplaySequencesHet builds a complete schedule from an assignment
+// expressed as one execution sequence per processor. It repeatedly
+// places, among the heads of the remaining sequences whose parents are
+// all scheduled, the node with the smallest earliest start time (ties
+// toward the lower processor index), using non-insertion placement so
+// each processor runs its sequence in the given order.
 //
-// Migration-style algorithms (BSA) use this to re-derive a consistent
-// task-and-message schedule after moving nodes between processors.
-func ReplaySequences(g *dag.Graph, topo *Topology, seqs [][]dag.NodeID) (*Schedule, error) {
-	return ReplaySequencesHet(g, topo, seqs, nil)
-}
-
-// ReplaySequencesHet is ReplaySequences on heterogeneous processors:
-// the optional speed vector (one positive factor per processor, nil for
+// The optional speed vector (one positive factor per processor, nil for
 // uniform) is applied to the schedule before any placement, so both the
 // earliest-start selection and the committed execution times are
 // speed-aware.
+//
+// Migration-style algorithms (BSA) use this to re-derive a consistent
+// task-and-message schedule after moving nodes between processors.
 func ReplaySequencesHet(g *dag.Graph, topo *Topology, seqs [][]dag.NodeID, speeds []float64) (*Schedule, error) {
 	if len(seqs) != topo.NumProcs() {
 		return nil, fmt.Errorf("machine: %d sequences for %d processors", len(seqs), topo.NumProcs())

@@ -318,14 +318,6 @@ func (s *Schedule) planInbound(n dag.NodeID, p int) (drt int64, plan []edgePlan,
 	return drt, plan, true
 }
 
-// DataReady returns the earliest time node n's inputs can all be present
-// on processor p, planning (but not committing) the necessary messages.
-// ok is false when a parent is unscheduled.
-func (s *Schedule) DataReady(n dag.NodeID, p int) (int64, bool) {
-	drt, _, ok := s.planInbound(n, p)
-	return drt, ok
-}
-
 // ESTOn returns the earliest start time of n on processor p under the
 // routed message model.
 func (s *Schedule) ESTOn(n dag.NodeID, p int, insertion bool) (int64, bool) {

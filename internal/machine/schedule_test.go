@@ -24,14 +24,14 @@ func TestMessageOverChain(t *testing.T) {
 	s.MustPlace(u, 0, 0) // finishes at 3
 
 	// On P2 the message travels two hops of 5 each: 3+5+5 = 13.
-	drt, ok := s.DataReady(v, 2)
-	if !ok || drt != 13 {
-		t.Errorf("DataReady(v,P2) = %d,%v want 13,true", drt, ok)
+	est, ok := s.ESTOn(v, 2, true)
+	if !ok || est != 13 {
+		t.Errorf("ESTOn(v,P2) = %d,%v want 13,true", est, ok)
 	}
 	// On P0 it is local.
-	drt, ok = s.DataReady(v, 0)
-	if !ok || drt != 3 {
-		t.Errorf("DataReady(v,P0) = %d,%v want 3,true", drt, ok)
+	est, ok = s.ESTOn(v, 0, true)
+	if !ok || est != 3 {
+		t.Errorf("ESTOn(v,P0) = %d,%v want 3,true", est, ok)
 	}
 	s.MustPlace(v, 2, 13)
 	if err := s.Validate(); err != nil {
@@ -52,9 +52,9 @@ func TestZeroCostMessageNeedsNoLink(t *testing.T) {
 	g, u, v := pair(t, 0)
 	s := NewSchedule(g, Chain(2))
 	s.MustPlace(u, 0, 0)
-	drt, ok := s.DataReady(v, 1)
-	if !ok || drt != 3 {
-		t.Errorf("zero-cost DRT = %d,%v want 3,true", drt, ok)
+	est, ok := s.ESTOn(v, 1, true)
+	if !ok || est != 3 {
+		t.Errorf("zero-cost EST = %d,%v want 3,true", est, ok)
 	}
 	s.MustPlace(v, 1, 3)
 	if err := s.Validate(); err != nil {
@@ -84,9 +84,9 @@ func TestLinkContention(t *testing.T) {
 	s.MustPlace(p2, 0, 2) // [2,4)
 	s.MustPlace(c1, 1, 6) // msg1 on link [2,6)
 	// msg2 ready at 4, but the link is busy until 6: arrival 6+4=10.
-	drt, ok := s.DataReady(c2, 1)
-	if !ok || drt != 10 {
-		t.Errorf("contended DRT = %d,%v want 10,true", drt, ok)
+	est, ok := s.ESTOn(c2, 1, true)
+	if !ok || est != 10 {
+		t.Errorf("contended EST = %d,%v want 10,true", est, ok)
 	}
 	s.MustPlace(c2, 1, 10)
 	if err := s.Validate(); err != nil {
@@ -112,9 +112,9 @@ func TestMessageInsertionIntoLinkGap(t *testing.T) {
 	s.MustPlace(pb, 0, 10)
 	s.MustPlace(ca, 1, 13) // msg a on link [10,13)
 	// pb finishes at 11... link busy [10,13), so msg b starts at 13.
-	drt, ok := s.DataReady(cb, 1)
-	if !ok || drt != 15 {
-		t.Errorf("DRT = %d,%v want 15,true", drt, ok)
+	est, ok := s.ESTOn(cb, 1, true)
+	if !ok || est != 15 {
+		t.Errorf("EST = %d,%v want 15,true", est, ok)
 	}
 	// Now reverse: if pb had finished during an idle window before 10 the
 	// message would fit before msg a. Rebuild with pb first.
@@ -122,9 +122,9 @@ func TestMessageInsertionIntoLinkGap(t *testing.T) {
 	s2.MustPlace(pb, 0, 0)  // [0,1)
 	s2.MustPlace(pa, 0, 1)  // [1,11)
 	s2.MustPlace(ca, 1, 14) // msg a on link [11,14)
-	drt, ok = s2.DataReady(cb, 1)
-	if !ok || drt != 3 {
-		t.Errorf("gap DRT = %d,%v want 3,true (message fits before msg a)", drt, ok)
+	est, ok = s2.ESTOn(cb, 1, true)
+	if !ok || est != 3 {
+		t.Errorf("gap EST = %d,%v want 3,true (message fits before msg a)", est, ok)
 	}
 	s2.MustPlace(cb, 1, 3)
 	if err := s2.Validate(); err != nil {
@@ -174,9 +174,9 @@ func TestUnplaceRemovesReservations(t *testing.T) {
 		t.Errorf("Placed = %d, want 1", s.Placed())
 	}
 	// The link is free again: a re-placement gets the original time.
-	drt, ok := s.DataReady(v, 1)
-	if !ok || drt != 8 {
-		t.Errorf("DRT after unplace = %d,%v want 8,true", drt, ok)
+	est, ok := s.ESTOn(v, 1, true)
+	if !ok || est != 8 {
+		t.Errorf("EST after unplace = %d,%v want 8,true", est, ok)
 	}
 	if err := s.Unplace(v); err != nil {
 		t.Errorf("Unplace of unscheduled node should be a no-op, got %v", err)
@@ -218,9 +218,9 @@ func TestReplaySequencesDiamond(t *testing.T) {
 	g := b.MustBuild()
 
 	topo := Chain(2)
-	s, err := ReplaySequences(g, topo, [][]dag.NodeID{{na, nc, nd}, {nb}})
+	s, err := ReplaySequencesHet(g, topo, [][]dag.NodeID{{na, nc, nd}, {nb}}, nil)
 	if err != nil {
-		t.Fatalf("ReplaySequences: %v", err)
+		t.Fatalf("ReplaySequencesHet: %v", err)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
@@ -241,16 +241,16 @@ func TestReplaySequencesDiamond(t *testing.T) {
 func TestReplaySequencesErrors(t *testing.T) {
 	g, u, v := pair(t, 1)
 	topo := Chain(2)
-	if _, err := ReplaySequences(g, topo, [][]dag.NodeID{{u, v}}); err == nil {
+	if _, err := ReplaySequencesHet(g, topo, [][]dag.NodeID{{u, v}}, nil); err == nil {
 		t.Error("accepted wrong sequence count")
 	}
-	if _, err := ReplaySequences(g, topo, [][]dag.NodeID{{u, u}, {v}}); err == nil {
+	if _, err := ReplaySequencesHet(g, topo, [][]dag.NodeID{{u, u}, {v}}, nil); err == nil {
 		t.Error("accepted duplicate node")
 	}
-	if _, err := ReplaySequences(g, topo, [][]dag.NodeID{{u}, nil}); err == nil {
+	if _, err := ReplaySequencesHet(g, topo, [][]dag.NodeID{{u}, nil}, nil); err == nil {
 		t.Error("accepted missing node")
 	}
-	if _, err := ReplaySequences(g, topo, [][]dag.NodeID{{v, u}, nil}); err == nil {
+	if _, err := ReplaySequencesHet(g, topo, [][]dag.NodeID{{v, u}, nil}, nil); err == nil {
 		t.Error("accepted precedence-violating sequence")
 	}
 }
@@ -289,7 +289,7 @@ func TestReplayMatchesRandomAssignments(t *testing.T) {
 			p := rng.Intn(topo.NumProcs())
 			seqs[p] = append(seqs[p], n)
 		}
-		s, err := ReplaySequences(g, topo, seqs)
+		s, err := ReplaySequencesHet(g, topo, seqs, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

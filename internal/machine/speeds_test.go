@@ -53,9 +53,9 @@ func TestReplaySequencesHetUniform(t *testing.T) {
 	g := b.MustBuild()
 	topo := Chain(3)
 	seqs := [][]dag.NodeID{{n0}, {n1}, {n2}}
-	hom, err := ReplaySequences(g, topo, seqs)
+	hom, err := ReplaySequencesHet(g, topo, seqs, nil)
 	if err != nil {
-		t.Fatalf("ReplaySequences: %v", err)
+		t.Fatalf("ReplaySequencesHet(nil): %v", err)
 	}
 	het, err := ReplaySequencesHet(g, topo, seqs, []float64{1, 1, 1})
 	if err != nil {

@@ -27,12 +27,20 @@
 //   - load bound: processors cannot finish before busy time plus
 //     remaining work spreads across them.
 //
-// The incumbent is seeded with heuristic schedules (MCP and DCP), so the
-// search only has to prove optimality or find rare improvements.
+// The incumbent is seeded with the best schedule of the eleven
+// clique-model heuristics (the six BNP algorithms, and the five UNC
+// algorithms whose clusters fit on the processors), so the search only
+// has to prove optimality or find rare improvements. The heuristics are
+// tried in a fixed order and a later one replaces the incumbent only
+// when strictly shorter, and the search itself is a deterministic
+// depth-first walk, so every call on the same input returns the same
+// schedule.
 package optimal
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/algo/bnp"
@@ -49,7 +57,8 @@ type Options struct {
 	MaxExpansions int64
 	// UpperBound, when non-zero, seeds the incumbent: only schedules of
 	// length <= UpperBound are searched for. If none exists the Result
-	// carries a nil Schedule. When zero, MCP and DCP seed the incumbent.
+	// carries a nil Schedule. When zero, the best heuristic schedule
+	// seeds the incumbent.
 	UpperBound int64
 }
 
@@ -75,8 +84,7 @@ type searcher struct {
 	expansions int64
 	maxExp     int64
 	truncated  bool
-	shared     *sharedIncumbent // non-nil only in parallel search
-	lbStart    []int64          // scratch for the critical-path bound
+	lbStart    []int64 // scratch for the critical-path bound
 	topo       []dag.NodeID
 	remaining  []int // unscheduled parent count
 	ready      []dag.NodeID
@@ -110,20 +118,24 @@ func Schedule(g *dag.Graph, numProcs int, opts Options) (*Result, error) {
 
 	// Incumbent: the best schedule over every clique-model heuristic,
 	// unless the caller seeds a bound. A tight incumbent is what lets
-	// the communication-heavy (CCR 10) instances close.
+	// the communication-heavy (CCR 10) instances close. The heuristics
+	// run in sorted-name order, BNP before UNC, so ties between them
+	// always resolve to the same schedule.
 	se.bestLen = opts.UpperBound + 1
 	if opts.UpperBound <= 0 {
-		for _, h := range bnp.Algorithms() {
-			if m, err := h(g, numProcs); err == nil {
+		bnpAlgs := bnp.Algorithms()
+		for _, name := range slices.Sorted(maps.Keys(bnpAlgs)) {
+			if m, err := bnpAlgs[name](g, numProcs); err == nil {
 				if se.best == nil || m.Length() < se.bestLen {
 					se.best, se.bestLen = m, m.Length()
 				}
 			}
 		}
-		for _, h := range unc.Algorithms() {
-			if d, err := h(g); err == nil && d.ProcessorsUsed() <= numProcs {
+		uncAlgs := unc.Algorithms()
+		for _, name := range slices.Sorted(maps.Keys(uncAlgs)) {
+			if d, err := uncAlgs[name](g); err == nil && d.ProcessorsUsed() <= numProcs {
 				if dl := d.Length(); se.best == nil || dl < se.bestLen {
-					se.best, se.bestLen = compact(g, d, numProcs), dl
+					se.best, se.bestLen = compact(d, numProcs), dl
 				}
 			}
 		}
@@ -154,22 +166,41 @@ func Schedule(g *dag.Graph, numProcs int, opts Options) (*Result, error) {
 
 // compact re-homes a schedule that may use more processor slots than
 // numProcs but no more distinct processors; used to adopt UNC incumbents.
-func compact(g *dag.Graph, s *sched.Schedule, numProcs int) *sched.Schedule {
+// Processors are renumbered 0, 1, … in the order in which node IDs
+// first reach them.
+func compact(s *sched.Schedule, numProcs int) *sched.Schedule {
 	remap := map[int]int{}
+	return replant(s, numProcs, func(p int) int {
+		q, ok := remap[p]
+		if !ok {
+			q = len(remap)
+			remap[p] = q
+		}
+		return q
+	})
+}
+
+// snapshot deep-copies a complete schedule into a fresh Schedule.
+func snapshot(s *sched.Schedule, numProcs int) *sched.Schedule {
+	return replant(s, numProcs, func(p int) int { return p })
+}
+
+// replant copies every placement of the complete schedule s onto a new
+// numProcs-processor schedule, moving processor p to proc(p). Placements
+// are replayed in start-time order, so each processor keeps its task
+// order. proc is called once per node, in node-ID order.
+func replant(s *sched.Schedule, numProcs int, proc func(p int) int) *sched.Schedule {
+	g := s.Graph()
 	out := sched.New(g, numProcs)
 	type placement struct {
 		n     dag.NodeID
 		p     int
 		start int64
 	}
-	var ps []placement
-	for v := 0; v < g.NumNodes(); v++ {
+	ps := make([]placement, g.NumNodes())
+	for v := range ps {
 		n := dag.NodeID(v)
-		p := s.ProcOf(n)
-		if _, ok := remap[p]; !ok {
-			remap[p] = len(remap)
-		}
-		ps = append(ps, placement{n, remap[p], s.StartOf(n)})
+		ps[v] = placement{n, proc(s.ProcOf(n)), s.StartOf(n)}
 	}
 	sort.Slice(ps, func(i, j int) bool { return ps[i].start < ps[j].start })
 	for _, pl := range ps {
@@ -183,7 +214,13 @@ func (se *searcher) dfs() {
 		return
 	}
 	if se.s.Complete() {
-		se.offerIncumbent()
+		// Strictness matters: bestLen is an exclusive threshold when an
+		// UpperBound seeded the search without a schedule, so an
+		// equal-length schedule must not be adopted.
+		if l := se.s.Length(); l < se.bestLen {
+			se.best = snapshot(se.s, se.numProcs)
+			se.bestLen = l
+		}
 		return
 	}
 	if se.expansions >= se.maxExp {
@@ -191,7 +228,7 @@ func (se *searcher) dfs() {
 		return
 	}
 	se.expansions++
-	if se.lowerBound() >= se.effectiveBest() {
+	if se.lowerBound() >= se.bestLen {
 		return
 	}
 
@@ -205,6 +242,49 @@ func (se *searcher) dfs() {
 			return
 		}
 	}
+}
+
+type branchCandidate struct {
+	n   dag.NodeID
+	p   int
+	est int64
+}
+
+// branches lists every ready task on every non-empty processor plus the
+// first empty one, ordered by EST, then static level descending, then
+// node and processor ID.
+func (se *searcher) branches() []branchCandidate {
+	var out []branchCandidate
+	for _, n := range se.ready {
+		seenEmpty := false
+		for p := 0; p < se.numProcs; p++ {
+			if len(se.s.Slots(p)) == 0 {
+				if seenEmpty {
+					continue
+				}
+				seenEmpty = true
+			}
+			est, ok := se.s.ESTOn(n, p, false)
+			if !ok {
+				panic("optimal: ready node has unscheduled parent")
+			}
+			out = append(out, branchCandidate{n, p, est})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		bi, bj := out[i], out[j]
+		if bi.est != bj.est {
+			return bi.est < bj.est
+		}
+		if se.sl[bi.n] != se.sl[bj.n] {
+			return se.sl[bi.n] > se.sl[bj.n]
+		}
+		if bi.n != bj.n {
+			return bi.n < bj.n
+		}
+		return bi.p < bj.p
+	})
+	return out
 }
 
 func (se *searcher) apply(n dag.NodeID, p int, est int64) {
@@ -342,26 +422,4 @@ func (se *searcher) joinBound(v dag.NodeID) int64 {
 
 func ceilDiv(a, b int64) int64 {
 	return (a + b - 1) / b
-}
-
-// snapshot deep-copies the current partial schedule (which is complete
-// when called) into a fresh Schedule.
-func snapshot(s *sched.Schedule, numProcs int) *sched.Schedule {
-	g := s.Graph()
-	out := sched.New(g, numProcs)
-	type placement struct {
-		n     dag.NodeID
-		p     int
-		start int64
-	}
-	var ps []placement
-	for v := 0; v < g.NumNodes(); v++ {
-		n := dag.NodeID(v)
-		ps = append(ps, placement{n, s.ProcOf(n), s.StartOf(n)})
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].start < ps[j].start })
-	for _, pl := range ps {
-		out.MustPlace(pl.n, pl.p, pl.start)
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/algo/bnp"
+	"repro/internal/algo/unc"
 	"repro/internal/dag"
 	"repro/internal/sched"
 )
@@ -268,5 +269,78 @@ func TestRGBOSSizedInstanceCloses(t *testing.T) {
 	}
 	if err := res.Schedule.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScheduleDeterministic pins the returned schedule, not only its
+// length: when several heuristics tie for the incumbent and the search
+// finds nothing shorter, every call must still adopt the same one.
+func TestScheduleDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 40; trial++ {
+		g := randomGraph(rng, 5+rng.Intn(4), 40)
+		var want string
+		for call := 0; call < 12; call++ {
+			res, err := Schedule(g, 3, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res.Schedule.String()
+			if call == 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("trial %d call %d: schedule differs from call 0:\n%s\nvs\n%s",
+					trial, call, got, want)
+			}
+		}
+	}
+}
+
+func TestCompactKeepsPlacements(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	scattered := 0
+	for trial := 0; trial < 20; trial++ {
+		g := randomGraph(rng, 8+rng.Intn(8), 40)
+		d, err := unc.EZ(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		used := d.ProcessorsUsed()
+		if len(d.Slots(used-1)) == 0 {
+			scattered++ // some task sits on an index >= used
+		}
+		c := compact(d, used)
+		if err := c.Validate(); err != nil {
+			t.Fatalf("trial %d: compacted schedule invalid: %v", trial, err)
+		}
+		if c.ProcessorsUsed() != used || c.Length() != d.Length() {
+			t.Fatalf("trial %d: compact changed procs %d -> %d or length %d -> %d",
+				trial, used, c.ProcessorsUsed(), d.Length(), c.Length())
+		}
+		for v := 0; v < g.NumNodes(); v++ {
+			n := dag.NodeID(v)
+			if c.StartOf(n) != d.StartOf(n) {
+				t.Fatalf("trial %d: node %d moved from %d to %d", trial, n, d.StartOf(n), c.StartOf(n))
+			}
+		}
+		for p := 0; p < d.NumProcs(); p++ {
+			slots := d.Slots(p)
+			if len(slots) == 0 {
+				continue
+			}
+			got := c.Slots(c.ProcOf(slots[0].Node))
+			if len(got) != len(slots) {
+				t.Fatalf("trial %d: P%d had %d tasks, its image has %d", trial, p, len(slots), len(got))
+			}
+			for i := range slots {
+				if got[i].Node != slots[i].Node {
+					t.Fatalf("trial %d: P%d task %d is %d, its image has %d",
+						trial, p, i, slots[i].Node, got[i].Node)
+				}
+			}
+		}
+	}
+	if scattered == 0 {
+		t.Fatal("no EZ schedule used scattered processor indices; the test exercises no remapping")
 	}
 }

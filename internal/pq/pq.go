@@ -17,11 +17,6 @@ func New[T any](less func(a, b T) bool) *Heap[T] {
 	return &Heap[T]{less: less}
 }
 
-// NewWithCapacity returns an empty heap with pre-allocated storage.
-func NewWithCapacity[T any](less func(a, b T) bool, capacity int) *Heap[T] {
-	return &Heap[T]{less: less, items: make([]T, 0, capacity)}
-}
-
 // Len returns the number of elements in the heap.
 func (h *Heap[T]) Len() int { return len(h.items) }
 

@@ -40,7 +40,7 @@ func TestHeapPeek(t *testing.T) {
 }
 
 func TestHeapReset(t *testing.T) {
-	h := NewWithCapacity(func(a, b string) bool { return a < b }, 4)
+	h := New(func(a, b string) bool { return a < b })
 	h.Push("b")
 	h.Push("a")
 	h.Reset()

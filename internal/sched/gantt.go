@@ -129,23 +129,3 @@ func ReadText(r io.Reader, g *dag.Graph) (*Schedule, error) {
 	}
 	return s, nil
 }
-
-// Speedup returns the ratio of the serial execution time (the sum of all
-// computation costs) to the schedule length. Together with
-// ProcessorsUsed it yields Efficiency.
-func (s *Schedule) Speedup() float64 {
-	l := s.Length()
-	if l == 0 {
-		return 0
-	}
-	return float64(s.g.TotalComputation()) / float64(l)
-}
-
-// Efficiency returns Speedup divided by the number of processors used.
-func (s *Schedule) Efficiency() float64 {
-	used := s.ProcessorsUsed()
-	if used == 0 {
-		return 0
-	}
-	return s.Speedup() / float64(used)
-}

@@ -90,19 +90,3 @@ func TestScheduleReadTextRejectsInvalid(t *testing.T) {
 		})
 	}
 }
-
-func TestSpeedupAndEfficiency(t *testing.T) {
-	_, s := builtSchedule(t)
-	// Total computation 10, length 15: speedup 2/3, two processors used.
-	if sp := s.Speedup(); sp < 0.66 || sp > 0.67 {
-		t.Errorf("Speedup = %v, want 10/15", sp)
-	}
-	if e := s.Efficiency(); e < 0.33 || e > 0.34 {
-		t.Errorf("Efficiency = %v, want speedup/2", e)
-	}
-	g, _ := diamond(t)
-	empty := New(g, 2)
-	if empty.Speedup() != 0 || empty.Efficiency() != 0 {
-		t.Error("empty schedule should report zero speedup/efficiency")
-	}
-}

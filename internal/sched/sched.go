@@ -215,16 +215,6 @@ func (s *Schedule) SetAvailableFrom(avail []int64) error {
 	return nil
 }
 
-// AvailableFrom returns the availability floor of processor p: 0
-// without a mask, otherwise the time set by SetAvailableFrom (possibly
-// Never).
-func (s *Schedule) AvailableFrom(p int) int64 {
-	if s.avail == nil {
-		return 0
-	}
-	return s.avail[p]
-}
-
 // ExecTime returns the execution time of node n on processor p:
 // ceil(Weight(n)/speed[p]), or exactly the weight under uniform speeds.
 func (s *Schedule) ExecTime(n dag.NodeID, p int) int64 {
@@ -518,27 +508,6 @@ func (s *Schedule) rebuildArrival(n dag.NodeID) {
 	s.arrM2[n] = m2
 	s.arrFin[n] = fmax
 	s.dirty[n] = false
-}
-
-// EnablingProc returns the processor choice that maximizes locality for
-// DataReadyTime: the processor of the parent whose message arrives last
-// (the "very important parent"). Scheduling n there removes that edge's
-// cost. Returns -1 when n has no scheduled parents.
-func (s *Schedule) EnablingProc(n dag.NodeID) int {
-	best := -1
-	var bestArrival int64 = -1
-	for _, pr := range s.g.Preds(n) {
-		pp := s.proc[pr.To]
-		if pp < 0 {
-			continue
-		}
-		arrival := s.finish[pr.To] + pr.Weight
-		if arrival > bestArrival {
-			bestArrival = arrival
-			best = int(pp)
-		}
-	}
-	return best
 }
 
 // ESTOn returns the earliest start time of node n on processor p.

@@ -185,20 +185,6 @@ func TestBestEST(t *testing.T) {
 	}
 }
 
-func TestEnablingProc(t *testing.T) {
-	g, ids := diamond(t)
-	s := New(g, 3)
-	s.MustPlace(ids[0], 0, 0)
-	s.MustPlace(ids[1], 1, 3) // b finishes 6, edge b->d = 2 -> arrival 8
-	s.MustPlace(ids[2], 2, 7) // c finishes 11, edge c->d = 3 -> arrival 14
-	if p := s.EnablingProc(ids[3]); p != 2 {
-		t.Errorf("EnablingProc(d) = %d, want 2 (c's processor)", p)
-	}
-	if p := s.EnablingProc(ids[0]); p != -1 {
-		t.Errorf("EnablingProc(entry) = %d, want -1", p)
-	}
-}
-
 func TestValidateAcceptsHandSchedule(t *testing.T) {
 	g, ids := diamond(t)
 	s := New(g, 2)

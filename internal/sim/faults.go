@@ -73,9 +73,6 @@ type FaultModel struct {
 	MeanOutage int64
 }
 
-// Enabled reports whether the model injects any faults.
-func (f *FaultModel) Enabled() bool { return f.MTBF > 0 || f.LinkMTBF > 0 }
-
 // Validate checks the model's parameters.
 func (f *FaultModel) Validate() error {
 	for _, v := range [...]int64{f.MTBF, f.MeanRepair, f.LinkMTBF, f.MeanOutage} {

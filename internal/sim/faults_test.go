@@ -87,13 +87,4 @@ func TestFaultModelValidate(t *testing.T) {
 			t.Errorf("%s: error expected", tc.name)
 		}
 	}
-	if (&FaultModel{}).Enabled() {
-		t.Error("zero model reports enabled")
-	}
-	if m := (FaultModel{MTBF: 1}); !m.Enabled() {
-		t.Error("crash model reports disabled")
-	}
-	if m := (FaultModel{LinkMTBF: 1, MeanOutage: 1}); !m.Enabled() {
-		t.Error("link model reports disabled")
-	}
 }

@@ -292,16 +292,10 @@ type OptimalOptions = optimal.Options
 
 // ScheduleOptimal finds a provably minimum-length schedule of g on
 // numProcs fully connected processors, within the configured search
-// budget (Result.Closed reports whether optimality was proven).
+// budget (Result.Closed reports whether optimality was proven). Repeated
+// calls on the same input return the same schedule.
 func ScheduleOptimal(g *Graph, numProcs int, opts OptimalOptions) (*OptimalResult, error) {
 	return optimal.Schedule(g, numProcs, opts)
-}
-
-// ScheduleOptimalParallel is ScheduleOptimal distributed over worker
-// goroutines with a shared incumbent, mirroring the parallel A* the
-// paper used for its RGBOS optima. workers <= 0 selects GOMAXPROCS.
-func ScheduleOptimalParallel(g *Graph, numProcs int, opts OptimalOptions, workers int) (*OptimalResult, error) {
-	return optimal.ScheduleParallel(g, numProcs, opts, workers)
 }
 
 // ScheduleDSH runs the task-duplication heuristic DSH (the TDB family of

@@ -246,10 +246,6 @@ func TestFacadeExtensions(t *testing.T) {
 	if Torus(3, 3).NumProcs() != 9 || BinaryTree(2).NumProcs() != 3 {
 		t.Error("extra topologies wrong")
 	}
-	par, err := ScheduleOptimalParallel(g, 2, OptimalOptions{}, 4)
-	if err != nil || par.Length != 9 {
-		t.Errorf("parallel optimal = %d, err %v", par.Length, err)
-	}
 }
 
 func TestSimulationFacade(t *testing.T) {
