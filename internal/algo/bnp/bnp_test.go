@@ -461,3 +461,50 @@ func TestDLSMatchesETFOnIndependentTasks(t *testing.T) {
 		t.Errorf("DLS length %d, ETF length %d, want both 8", d.Length(), e.Length())
 	}
 }
+
+// zeroWeightGraph is a 12-node graph whose zero-weight tasks and
+// zero-cost edges put zero-length slots exactly where later tasks start.
+func zeroWeightGraph() *dag.Graph {
+	b := dag.NewBuilder()
+	for _, w := range []int64{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0} {
+		b.AddNode(w)
+	}
+	for _, e := range [][3]int64{
+		{0, 3, 1}, {1, 4, 1}, {0, 5, 1}, {5, 6, 0}, {1, 7, 1}, {5, 7, 0},
+		{2, 8, 2}, {0, 9, 2}, {2, 11, 2}, {4, 11, 1}, {8, 11, 0},
+	} {
+		b.AddEdge(dag.NodeID(e[0]), dag.NodeID(e[1]), e[2])
+	}
+	return b.MustBuild()
+}
+
+// TestZeroLengthSlots schedules graphs on which a task's EST lands on
+// the finish of a zero-length slot: LAST on n0(0) -> n1(5) with a
+// zero-cost edge, and every algorithm on zeroWeightGraph. Each must
+// return a valid complete schedule instead of reporting an overlap.
+func TestZeroLengthSlots(t *testing.T) {
+	b := dag.NewBuilder()
+	n0 := b.AddNode(0)
+	n1 := b.AddNode(5)
+	b.AddEdge(n0, n1, 0)
+	pair := b.MustBuild()
+	s, err := LAST(pair, 2)
+	if err != nil {
+		t.Fatalf("LAST: %v", err)
+	}
+	if err := s.Validate(); err != nil || !s.Complete() || s.Length() != 5 {
+		t.Fatalf("LAST: length %d, complete %v, validate %v", s.Length(), s.Complete(), err)
+	}
+	g := zeroWeightGraph()
+	for _, tc := range allAlgorithms() {
+		for _, procs := range []int{1, 2, 3} {
+			s, err := tc.run(g, procs)
+			if err != nil {
+				t.Fatalf("%s on %d procs: %v", tc.name, procs, err)
+			}
+			if err := s.Validate(); err != nil || !s.Complete() {
+				t.Fatalf("%s on %d procs: complete %v, validate %v", tc.name, procs, s.Complete(), err)
+			}
+		}
+	}
+}

@@ -344,3 +344,23 @@ func TestCompactKeepsPlacements(t *testing.T) {
 		t.Fatal("no EZ schedule used scattered processor indices; the test exercises no remapping")
 	}
 }
+
+// TestZeroLengthSlotGraph searches n0(0) -> n1(5) with a zero-cost edge,
+// where the seeding heuristics (LAST among them) start n1 on the finish
+// of n0's zero-length slot.
+func TestZeroLengthSlotGraph(t *testing.T) {
+	b := dag.NewBuilder()
+	n0 := b.AddNode(0)
+	n1 := b.AddNode(5)
+	b.AddEdge(n0, n1, 0)
+	res, err := Schedule(b.MustBuild(), 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Closed || res.Length != 5 {
+		t.Fatalf("optimum = %d (closed=%v), want 5", res.Length, res.Closed)
+	}
+	if err := res.Schedule.Validate(); err != nil {
+		t.Fatalf("invalid optimal schedule: %v", err)
+	}
+}

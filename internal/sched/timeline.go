@@ -65,9 +65,17 @@ func (tl *Timeline) EarliestFit(ready, duration int64, insertion bool) int64 {
 }
 
 // Insert adds a slot, keeping the timeline sorted. It returns an error if
-// the slot would overlap an existing one.
+// the slot would overlap an existing one. A zero-length slot touches but
+// does not overlap a slot that starts where it sits, and the new slot
+// goes after the zero-length slots sharing its start: slots that share a
+// start keep their insertion order, which list schedulers make
+// topological, so replaying a processor's slots in order never runs a
+// zero-weight child before its co-located zero-weight parent.
 func (tl *Timeline) Insert(s Slot) error {
 	i := sort.Search(len(tl.slots), func(i int) bool { return tl.slots[i].Start >= s.Start })
+	for i < len(tl.slots) && tl.slots[i].Finish == s.Start {
+		i++
+	}
 	if i > 0 && tl.slots[i-1].Finish > s.Start {
 		prev := tl.slots[i-1]
 		return fmt.Errorf("sched: slot n%d[%d,%d) overlaps n%d[%d,%d)",
