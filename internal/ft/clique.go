@@ -167,6 +167,16 @@ type runtime struct {
 	freeAt    []int64 // last realized completion per processor
 	upAt      []int64 // last repair time per processor
 
+	// Repair-pass scratch, set up by the run's first repair pass and
+	// reused by every later one; the schedule goes back to the sched
+	// pool when the run ends. It lives here, not on the shared Exec,
+	// because concurrent runs of one Exec each need their own.
+	repairSched *sched.Schedule
+	avail       []int64
+	running     []bool  // task has a copy in flight at the pass
+	remPreds    []int32 // unplaced rest predecessors per rest task
+	ready       *pq.Heap[int32]
+
 	aborted bool
 }
 
@@ -240,6 +250,7 @@ func (c *cliqueExec) run(opts *Options, pol RecoveryPolicy, trial int) Result {
 			rt.repairProc(int(ev.id))
 		}
 	}
+	rt.repairSched.Release()
 	return rt.result(rt.aborted)
 }
 
@@ -465,12 +476,17 @@ func (rt *runtime) repairCanUnblock() bool {
 
 // resubmit is the repair pass of the resubmit and checkpoint policies:
 // it rebuilds a schedule for the unfinished suffix on the processors
-// still in service and swaps the runtime's queues over to it. Finished
-// tasks are pinned at their realized intervals and running tasks at
-// their committed finish times; everything else is list-scheduled by
-// descending static b-level with non-insertion best-EST queries under
-// the availability mask (down processors become available at their
-// scheduled repair; dead ones never).
+// still in service and swaps the runtime's queues over to it. Running
+// tasks are pinned at their committed finish times, and of the
+// finished tasks only the frontier (those with an unfinished child) is
+// pinned at its realized interval: every finished predecessor of an
+// unfinished task is on the frontier, and any other finished task ends
+// by the crash time tc, which no processor in service is available
+// before, so it cannot move an EST. Everything else is list-scheduled
+// by descending static b-level with non-insertion best-EST queries
+// under the availability mask (down processors become available at
+// their scheduled repair; dead ones never). The pass reuses the run's
+// repair scratch, so its cost follows the work left, not the graph.
 func (rt *runtime) resubmit() {
 	tc := rt.now
 	g := rt.x.g
@@ -486,30 +502,22 @@ func (rt *runtime) resubmit() {
 			rt.pending--
 		}
 	}
-	s := sched.Acquire(g, rt.x.numProcs)
-	defer s.Release()
-	if rt.x.speeds != nil {
-		if err := s.SetSpeeds(rt.x.speeds); err != nil {
-			panic(err)
-		}
-	}
-	avail := make([]int64, rt.x.numProcs)
-	for p := range avail {
+	s := rt.repairScratch()
+	for p := range rt.avail {
 		switch {
 		case rt.downAt[p] < 0:
-			avail[p] = tc
+			rt.avail[p] = tc
 		case rt.repairAt[p] != never:
-			avail[p] = rt.repairAt[p]
+			rt.avail[p] = rt.repairAt[p]
 		default:
-			avail[p] = sched.Never
+			rt.avail[p] = sched.Never
 		}
 	}
-	if err := s.SetAvailableFrom(avail); err != nil {
+	if err := s.SetAvailableFrom(rt.avail); err != nil {
 		panic(err)
 	}
-	running := make([]bool, n)
 	for v := 0; v < n; v++ {
-		if rt.done[v] {
+		if rt.done[v] && rt.onFrontier(dag.NodeID(v)) {
 			if err := s.PlaceFixed(dag.NodeID(v), int(rt.finProc[v]), rt.finStart[v], rt.finTime[v]); err != nil {
 				panic(err)
 			}
@@ -518,7 +526,7 @@ func (rt *runtime) resubmit() {
 	for ci := range rt.copies {
 		c := &rt.copies[ci]
 		if c.released && !rt.done[c.task] {
-			running[c.task] = true
+			rt.running[c.task] = true
 			if err := s.PlaceFixed(dag.NodeID(c.task), int(c.proc), c.start, c.finish); err != nil {
 				panic(err)
 			}
@@ -529,21 +537,15 @@ func (rt *runtime) resubmit() {
 	// alone is not guaranteed topological on zero-weight nodes, the
 	// ready filter is.
 	rest := 0
-	remPreds := make([]int32, n)
-	ready := pq.New[int32](func(a, b int32) bool {
-		if rt.x.blevel[a] != rt.x.blevel[b] {
-			return rt.x.blevel[a] > rt.x.blevel[b]
-		}
-		return a < b
-	})
-	inRest := func(v int32) bool { return !rt.done[v] && !running[v] }
+	remPreds, ready := rt.remPreds, rt.ready
 	for v := int32(0); v < int32(n); v++ {
-		if !inRest(v) {
+		if !rt.inRest(v) {
 			continue
 		}
 		rest++
+		remPreds[v] = 0
 		for _, pr := range g.Preds(dag.NodeID(v)) {
-			if inRest(int32(pr.To)) {
+			if rt.inRest(int32(pr.To)) {
 				remPreds[v]++
 			}
 		}
@@ -564,7 +566,7 @@ func (rt *runtime) resubmit() {
 		rest--
 		for _, a := range g.Succs(dag.NodeID(v)) {
 			w := int32(a.To)
-			if !inRest(w) {
+			if !rt.inRest(w) {
 				continue
 			}
 			if remPreds[w]--; remPreds[w] == 0 {
@@ -584,14 +586,14 @@ func (rt *runtime) resubmit() {
 		rt.qpos[p] = 0
 		for _, sl := range s.Slots(p) {
 			v := int32(sl.Node)
-			if rt.done[v] || running[v] {
+			if rt.done[v] || rt.running[v] {
 				continue
 			}
 			rt.queue[p] = append(rt.queue[p], v)
 		}
 	}
 	for v := int32(0); v < int32(n); v++ {
-		if !inRest(v) {
+		if !rt.inRest(v) {
 			continue
 		}
 		c := &rt.copies[v]
@@ -626,6 +628,51 @@ func (rt *runtime) resubmit() {
 		rt.tryRelease(p)
 	}
 }
+
+// repairScratch readies the scratch a repair pass works in. The run's
+// first pass acquires the schedule and sizes the mask, flags, counts
+// and heap; later passes Reset and clear them, keeping their storage.
+func (rt *runtime) repairScratch() *sched.Schedule {
+	x := rt.x
+	if rt.repairSched == nil {
+		n := x.g.NumNodes()
+		rt.repairSched = sched.Acquire(x.g, x.numProcs)
+		rt.avail = make([]int64, x.numProcs)
+		rt.running = make([]bool, n)
+		rt.remPreds = make([]int32, n)
+		rt.ready = pq.New[int32](func(a, b int32) bool {
+			if x.blevel[a] != x.blevel[b] {
+				return x.blevel[a] > x.blevel[b]
+			}
+			return a < b
+		})
+	} else {
+		rt.repairSched.Reset(x.g, x.numProcs)
+		clear(rt.running)
+		rt.ready.Reset() // an aborted pass leaves tasks behind
+	}
+	if x.speeds != nil {
+		if err := rt.repairSched.SetSpeeds(x.speeds); err != nil {
+			panic(err)
+		}
+	}
+	return rt.repairSched
+}
+
+// onFrontier reports whether finished task v has a child that has not
+// finished: only such tasks constrain the work a repair pass places.
+func (rt *runtime) onFrontier(v dag.NodeID) bool {
+	for _, a := range rt.x.g.Succs(v) {
+		if !rt.done[a.To] {
+			return true
+		}
+	}
+	return false
+}
+
+// inRest reports whether task v is left for the repair pass to place:
+// neither finished nor in flight.
+func (rt *runtime) inRest(v int32) bool { return !rt.done[v] && !rt.running[v] }
 
 // addReplicas implements the replicate policy's prepare step: the k
 // tasks with the highest static b-level get one replica each on the

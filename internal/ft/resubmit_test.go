@@ -2,6 +2,8 @@ package ft_test
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/algo/bnp"
@@ -107,5 +109,110 @@ func TestRepairZeroWeightTasks(t *testing.T) {
 	}
 	if repaired == 0 {
 		t.Fatal("no trial finished after a crash")
+	}
+}
+
+// TestRepairAllocsFlatInCrashes requires the repair passes of a trial
+// to reuse their scratch: as the crash rate rises, one resubmit trial
+// of HLFET on 32 processors (rgnos v=80) may allocate more only where a
+// slice outgrows its capacity, which is at most a few dozen times a
+// run, not once or more per crash.
+func TestRepairAllocsFlatInCrashes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are not meaningful")
+	}
+	g, err := gen.Generate("rgnos", 9, gen.Params{"v": "80", "ccr": "1"})
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	s, err := bnp.ScheduleHet("HLFET", g, 32, nil)
+	if err != nil {
+		t.Fatalf("schedule: %v", err)
+	}
+	x, err := ft.Compile(s)
+	s.Release()
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	static := x.Static()
+	var crashes []int
+	var allocs []float64
+	for _, div := range []int64{1, 4, 16} {
+		opts := ft.Options{
+			Faults:   sim.FaultModel{MTBF: max64(1, static/div), MeanRepair: max64(1, static/10)},
+			Recovery: ft.Resubmit(),
+		}
+		res, err := x.Run(opts, 0)
+		if err != nil || !res.Finished {
+			t.Fatalf("MTBF static/%d: finished %v, err %v", div, res.Finished, err)
+		}
+		crashes = append(crashes, res.Crashes)
+		allocs = append(allocs, testing.AllocsPerRun(10, func() {
+			if _, err := x.Run(opts, 0); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	t.Logf("crashes %v, allocations %v", crashes, allocs)
+	for i := 1; i < len(crashes); i++ {
+		if crashes[i] <= crashes[i-1] {
+			t.Fatalf("crash counts %v do not rise with the crash rate", crashes)
+		}
+		if extra := allocs[i] - allocs[0]; extra*10 > float64(crashes[i]-crashes[0]) {
+			t.Fatalf("%v allocations at %v crashes: %.0f more for %d more crashes",
+				allocs, crashes, extra, crashes[i]-crashes[0])
+		}
+	}
+}
+
+// TestConcurrentRunsMatchSerial runs the trials of each repair-pin
+// Exec from several goroutines at once and requires every result to
+// equal the serial run's: repair scratch belongs to a run, not to the
+// shared Exec.
+func TestConcurrentRunsMatchSerial(t *testing.T) {
+	const trials, workers = 12, 4
+	for _, c := range cliqueFaultCases(t) {
+		static := c.x.Static()
+		for _, pol := range []ft.RecoveryPolicy{ft.Resubmit(), ft.Checkpoint(max64(1, static/16))} {
+			opts := ft.Options{Faults: sim.FaultModel{MTBF: max64(1, static/2), MeanRepair: max64(1, static/10)}, Recovery: pol}
+			want := make([]ft.Result, trials)
+			for trial := range want {
+				res, err := c.x.Run(opts, trial)
+				if err != nil {
+					t.Fatalf("%s %s trial %d: %v", c.label, pol.Name(), trial, err)
+				}
+				want[trial] = res
+			}
+			got := make([][]ft.Result, workers)
+			errs := make([]error, workers)
+			var wg sync.WaitGroup
+			for w := range got {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					got[w] = make([]ft.Result, trials)
+					// Each worker walks the trials from a different
+					// offset, so different trials overlap in time.
+					for i := 0; i < trials; i++ {
+						trial := (i + w*trials/workers) % trials
+						res, err := c.x.Run(opts, trial)
+						if err != nil {
+							errs[w] = err
+							return
+						}
+						got[w][trial] = res
+					}
+				}(w)
+			}
+			wg.Wait()
+			for w := range got {
+				if errs[w] != nil {
+					t.Fatalf("%s %s worker %d: %v", c.label, pol.Name(), w, errs[w])
+				}
+				if !reflect.DeepEqual(got[w], want) {
+					t.Fatalf("%s %s worker %d: concurrent results differ from serial", c.label, pol.Name(), w)
+				}
+			}
+		}
 	}
 }

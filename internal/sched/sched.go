@@ -75,15 +75,18 @@ type Schedule struct {
 
 	// speed optionally makes the processors heterogeneous (HEFT-style):
 	// node n on processor p executes for ceil(Weight(n)/speed[p]) time
-	// units. Nil means uniform unit speed, where the execution time is
+	// units. Empty means uniform unit speed, where the execution time is
 	// exactly the node weight — the paper's homogeneous model.
 	speed []float64
 
 	// avail optionally floors the EST of every processor (repair-pass
-	// availability mask, see SetAvailableFrom); nil means every
+	// availability mask, see SetAvailableFrom); empty means every
 	// processor is available from time 0. The Never sentinel excludes a
-	// processor from EST queries entirely.
-	avail []int64
+	// processor from EST queries entirely. availMin is the smallest
+	// finite entry (0 without a mask, Never when every entry is Never):
+	// a lower bound on the floor of every processor a query may pick.
+	avail    []int64
+	availMin int64
 
 	// hasFixed records that PlaceFixed committed at least one slot whose
 	// duration is an observed execution time rather than ExecTime, so
@@ -158,8 +161,11 @@ func (s *Schedule) Reset(g *dag.Graph, numProcs int) {
 	}
 	s.placed = 0
 	s.maxFin = 0
-	s.speed = nil
-	s.avail = nil
+	// Truncate rather than drop the speed and mask vectors, so a schedule
+	// reset between repair passes keeps their capacity.
+	s.speed = s.speed[:0]
+	s.avail = s.avail[:0]
+	s.availMin = 0
 	s.hasFixed = false
 }
 
@@ -187,20 +193,28 @@ func (s *Schedule) SetSpeeds(speeds []float64) error {
 
 // Speeds returns the per-processor speed vector, or nil for uniform unit
 // speeds. The slice is shared with the schedule and must not be modified.
-func (s *Schedule) Speeds() []float64 { return s.speed }
+func (s *Schedule) Speeds() []float64 {
+	if len(s.speed) == 0 {
+		return nil
+	}
+	return s.speed
+}
 
 // SetAvailableFrom restricts when each processor may run newly queried
 // work: every EST query on processor p is floored at avail[p], and a
 // processor whose entry is the Never sentinel is skipped by BestEST
 // entirely (BestEST returns proc == -1 when every processor is Never).
 // The mask models machine availability after failures — a repair pass
-// fixes the realized prefix of an execution with PlaceFixed (which the
-// mask deliberately does not constrain) and then list-schedules the
-// unfinished suffix onto the processors still in service. Nil clears
-// the mask; the vector is copied.
+// fixes the part of the realized prefix that later work depends on with
+// PlaceFixed (which the mask deliberately does not constrain) and then
+// list-schedules the unfinished suffix onto the processors still in
+// service. Nil clears the mask; the vector is copied into storage the
+// schedule keeps across Reset, and its smallest finite entry is kept as
+// the lower bound that lets BestESTNonInsertion stop its scan early.
 func (s *Schedule) SetAvailableFrom(avail []int64) error {
 	if avail == nil {
-		s.avail = nil
+		s.avail = s.avail[:0]
+		s.availMin = 0
 		return nil
 	}
 	if len(avail) != len(s.procs) {
@@ -212,6 +226,12 @@ func (s *Schedule) SetAvailableFrom(avail []int64) error {
 		}
 	}
 	s.avail = append(s.avail[:0], avail...)
+	s.availMin = Never
+	for _, a := range avail {
+		if a < s.availMin {
+			s.availMin = a
+		}
+	}
 	return nil
 }
 
@@ -219,7 +239,7 @@ func (s *Schedule) SetAvailableFrom(avail []int64) error {
 // ceil(Weight(n)/speed[p]), or exactly the weight under uniform speeds.
 func (s *Schedule) ExecTime(n dag.NodeID, p int) int64 {
 	w := s.g.Weight(n)
-	if s.speed == nil {
+	if len(s.speed) == 0 {
 		return w
 	}
 	return int64(math.Ceil(float64(w) / s.speed[p]))
@@ -520,7 +540,7 @@ func (s *Schedule) ESTOn(n dag.NodeID, p int, insertion bool) (est int64, ok boo
 	if !ok {
 		return 0, false
 	}
-	if s.avail != nil {
+	if len(s.avail) != 0 {
 		a := s.avail[p]
 		if a == Never {
 			// The sentinel propagates: an excluded processor has no
@@ -557,7 +577,7 @@ func (s *Schedule) BestEST(n dag.NodeID, insertion bool) (proc int, est int64, o
 		if !k {
 			return -1, 0, false
 		}
-		if e == Never && s.avail != nil {
+		if e == Never && len(s.avail) != 0 {
 			continue
 		}
 		if proc == -1 || e < est {
@@ -571,6 +591,12 @@ func (s *Schedule) BestEST(n dag.NodeID, insertion bool) (proc int, est int64, o
 // arrival row gives the data-ready time as one of two precomputed
 // values (co-located with the dominant parent or not), so the scan over
 // processors reduces to a tight loop over the flat last-finish array.
+//
+// The scan stops at its lower bound. Every processor other than the
+// dominant parent's p1 starts n no earlier than lb = max(M1, availMin),
+// so once the best EST is down to lb no later processor but p1 can
+// beat it (ties keep the lower index): the scan jumps to p1 if it lies
+// ahead and stops. The result is exactly the full scan's.
 func (s *Schedule) BestESTNonInsertion(n dag.NodeID) (proc int, est int64, ok bool) {
 	estQueries.Inc()
 	if int(s.schedPreds[n]) != s.g.InDegree(n) {
@@ -585,16 +611,19 @@ func (s *Schedule) BestESTNonInsertion(n dag.NodeID) (proc int, est int64, ok bo
 	if f := s.arrFin[n]; f > mloc {
 		mloc = f
 	}
+	lb := max(m1, s.availMin)
+	masked := len(s.avail) != 0
 	proc = -1
-	for p, lf := range s.lastFin {
+	lastFin := s.lastFin
+	for p, end := 0, len(lastFin); p < end; p++ {
 		drt := m1
 		if p == p1 {
 			drt = mloc
 		}
-		if lf > drt {
+		if lf := lastFin[p]; lf > drt {
 			drt = lf
 		}
-		if s.avail != nil {
+		if masked {
 			a := s.avail[p]
 			if a == Never {
 				continue
@@ -605,6 +634,13 @@ func (s *Schedule) BestESTNonInsertion(n dag.NodeID) (proc int, est int64, ok bo
 		}
 		if proc == -1 || drt < est {
 			proc, est = p, drt
+			if drt <= lb {
+				if p1 <= p {
+					break
+				}
+				// Only p1 can still win: evaluate it next, and last.
+				p, end = p1-1, p1+1
+			}
 		}
 	}
 	return proc, est, true
