@@ -93,8 +93,9 @@ func BenchmarkAdversarialGeneration(b *testing.B) {
 // BenchmarkSimMonteCarlo measures the execution simulator's
 // steady-state Monte-Carlo loop — schedule once, compile once, then
 // 100 perturbed discrete-event executions of a 100-node MCP schedule.
-// This is the per-cell kernel behind -exp robust and the simulator's
-// entry in the tracked BENCH_*.json trajectory.
+// This is the per-cell kernel behind -exp robust; the frozen
+// BENCH_*.json history recorded it, and perfbench's faults workload
+// now measures the simulator.
 func BenchmarkSimMonteCarlo(b *testing.B) {
 	g, err := gen.Generate("rgnos", 7, gen.Params{"v": "100", "ccr": "1"})
 	if err != nil {
@@ -129,8 +130,9 @@ func BenchmarkSimMonteCarlo(b *testing.B) {
 // steady-state Monte-Carlo loop — schedule once, compile once, then
 // 100 crash-injected executions of a 100-node MCP schedule under
 // checkpoint recovery at an MTBF harsh enough that most trials crash
-// and repair. This is the per-cell kernel behind -exp faults and the
-// fault engine's entry in the tracked BENCH_*.json trajectory.
+// and repair. This is the per-cell kernel behind -exp faults; the
+// frozen BENCH_*.json history recorded it, and perfbench's faults
+// workload now measures the fault engine.
 func BenchmarkFaultMonteCarlo(b *testing.B) {
 	g, err := gen.Generate("rgnos", 7, gen.Params{"v": "100", "ccr": "1"})
 	if err != nil {

@@ -647,9 +647,9 @@ func (rt *runtime) repairScratch() *sched.Schedule {
 			return a < b
 		})
 	} else {
+		// The ready heap is empty: a pass drains it or aborts the run.
 		rt.repairSched.Reset(x.g, x.numProcs)
 		clear(rt.running)
-		rt.ready.Reset() // an aborted pass leaves tasks behind
 	}
 	if x.speeds != nil {
 		if err := rt.repairSched.SetSpeeds(x.speeds); err != nil {

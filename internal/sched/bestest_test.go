@@ -8,34 +8,20 @@ import (
 )
 
 // fullScanBestESTNonInsertion is BestESTNonInsertion without its early
-// exit: the cached arrival row read over every processor, ties toward
-// lower indices, Never entries of the mask skipped.
+// exit: the non-insertion ESTOn of every processor, Never entries of
+// the mask skipped, ties toward lower indices.
 func fullScanBestESTNonInsertion(s *Schedule, n dag.NodeID) (proc int, est int64, ok bool) {
-	if int(s.schedPreds[n]) != s.g.InDegree(n) {
-		return -1, 0, false
-	}
-	if s.dirty[n] {
-		s.rebuildArrival(n)
-	}
-	m1 := s.arrM1[n]
-	p1 := int(s.arrP1[n])
-	mloc := max(s.arrM2[n], s.arrFin[n])
 	proc = -1
-	for p, lf := range s.lastFin {
-		drt := m1
-		if p == p1 {
-			drt = mloc
+	for p := 0; p < s.NumProcs(); p++ {
+		e, ok := s.ESTOn(n, p, false)
+		if !ok {
+			return -1, 0, false
 		}
-		drt = max(drt, lf)
-		if len(s.avail) != 0 {
-			a := s.avail[p]
-			if a == Never {
-				continue
-			}
-			drt = max(drt, a)
+		if e == Never {
+			continue
 		}
-		if proc == -1 || drt < est {
-			proc, est = p, drt
+		if proc == -1 || e < est {
+			proc, est = p, e
 		}
 	}
 	return proc, est, true
