@@ -2,6 +2,7 @@ package bnp
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -257,35 +258,24 @@ func TestMCPOrderDiamond(t *testing.T) {
 
 func TestMCPListTieBrokenByDescendants(t *testing.T) {
 	// Two entry nodes with equal ALAP but different descendant lists:
-	// the lexicographically smaller list must come first.
+	// the lexicographically smaller list must come first, even though
+	// the other entry has the smaller ID.
 	//
-	//	x(5) -> u(1); y(5) -> v(1) with edge costs making u tighter.
+	//	y(5) -> v(1) with edge cost 6; x(5) -> u(3) with edge cost 4.
 	b := dag.NewBuilder()
-	x := b.AddNode(5)
 	y := b.AddNode(5)
+	x := b.AddNode(5)
 	u := b.AddNode(3)
-	v := b.AddNode(3)
+	v := b.AddNode(1)
 	b.AddEdge(x, u, 4) // path length 12
-	b.AddEdge(y, v, 2) // path length 10
+	b.AddEdge(y, v, 6) // path length 12
 	g := b.MustBuild()
-	// CP = 12 via x-u. ALAP: x = 0, u = 9, y = 2, v = 9.
-	// Lists: x = [0,9], y = [2,9]; x first. Then u (9 at head after
-	// parents) vs v [9]... order positions of x and y are what we check.
-	order := algo.ALAPListOrder(g)
-	posX, posY := -1, -1
-	for i, n := range order {
-		if n == x {
-			posX = i
-		}
-		if n == y {
-			posY = i
-		}
+	// CP = 12 on both paths. ALAP: x = y = 0, u = 9, v = 11.
+	// Lists: x = [0 9], y = [0 11], u = [9], v = [11].
+	want := []dag.NodeID{x, y, u, v}
+	if got := algo.ALAPListOrder(g); !slices.Equal(got, want) {
+		t.Errorf("MCP order %v, want %v", got, want)
 	}
-	if posX > posY {
-		t.Errorf("MCP scheduled y before x: order %v", order)
-	}
-	_ = u
-	_ = v
 }
 
 func TestETFPicksGlobalEarliestPair(t *testing.T) {

@@ -69,7 +69,7 @@ func scalingAlgs() []scalingAlg {
 	caps := map[string]int{
 		"ETF":  2000,  // O(W·P) candidate re-scoring per step
 		"DLS":  2000,  // same scan with dynamic levels
-		"MCP":  4000,  // ALAP list sort plus insertion scans go quadratic (70s at 16k)
+		"MCP":  4000,  // set when the ALAP-list order was V²; now ~66 ms at 16k
 		"ISH":  16000, // hole filling rescans the whole ready set per hole
 		"LAST": 64000, // dynamic edge-locality priority rescans per step
 		"DSC":  16000, // O((V+E) log V) cluster merging, but one processor per node
