@@ -66,14 +66,14 @@ func faultsModel(factor float64, ref int64, apnLinks bool) sim.FaultModel {
 	if factor == 0 {
 		return sim.FaultModel{}
 	}
-	mtbf := max64(1, int64(factor*float64(ref)+0.5))
+	mtbf := max(1, int64(factor*float64(ref)+0.5))
 	m := sim.FaultModel{
 		MTBF:       mtbf,
-		MeanRepair: max64(1, ref/10),
+		MeanRepair: max(1, ref/10),
 	}
 	if apnLinks {
 		m.LinkMTBF = mtbf
-		m.MeanOutage = max64(1, ref/20)
+		m.MeanOutage = max(1, ref/20)
 	}
 	return m
 }
@@ -120,21 +120,7 @@ func runFaultsSweep(x *ft.Exec, seed int64, ref int64, apnLinks bool, policies [
 // schedule: the checkpoint period is a sixteenth of the static
 // makespan, the replication degree a tenth of the task count.
 func faultsPolicies(static int64, numTasks int) []ft.RecoveryPolicy {
-	return ft.Policies(max64(1, static/16), maxInt(1, numTasks/10))
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return ft.Policies(max(1, static/16), max(1, numTasks/10))
 }
 
 // faultEffectiveTrials is the Monte-Carlo budget of FaultEffective.

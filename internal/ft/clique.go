@@ -604,7 +604,7 @@ func (rt *runtime) resubmit() {
 		}
 		// A re-placement decided at tc cannot start before tc, even under
 		// eager dispatch.
-		c.ready = max64i(c.floor, tc)
+		c.ready = max(c.floor, tc)
 		c.dead = false
 		c.released = false
 		deps := int32(0)
@@ -739,12 +739,4 @@ func (rt *runtime) addReplicas(k int) {
 		rt.queue[best] = append(rt.queue[best], ci)
 		lastFin[best] = bestFin
 	}
-}
-
-// max64i returns the larger of two int64 values.
-func max64i(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

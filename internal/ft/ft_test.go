@@ -282,19 +282,12 @@ func faultyOptions(x *ft.Exec, pol ft.RecoveryPolicy) ft.Options {
 	static := x.Static()
 	return ft.Options{
 		Faults: sim.FaultModel{
-			MTBF:       max64(1, static/2),
-			MeanRepair: max64(1, static/10),
+			MTBF:       max(1, static/2),
+			MeanRepair: max(1, static/10),
 		},
 		Recovery: pol,
 		Deadline: static + static/2,
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // TestUtilizationAccounting checks the exact utilization identity
@@ -303,7 +296,7 @@ func max64(a, b int64) int64 {
 func TestUtilizationAccounting(t *testing.T) {
 	x := faultyExec(t)
 	static := x.Static()
-	for _, pol := range ft.Policies(max64(1, static/16), 6) {
+	for _, pol := range ft.Policies(max(1, static/16), 6) {
 		for trial := 0; trial < 12; trial++ {
 			res, err := x.Run(faultyOptions(x, pol), trial)
 			if err != nil {
@@ -344,7 +337,7 @@ func TestRecoveryDominatesNone(t *testing.T) {
 	x := faultyExec(t)
 	const trials = 40
 	finished := map[string]int{}
-	for _, pol := range ft.Policies(max64(1, x.Static()/16), 6) {
+	for _, pol := range ft.Policies(max(1, x.Static()/16), 6) {
 		st, err := ft.MonteCarlo(x, faultyOptions(x, pol), trials)
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
@@ -376,7 +369,7 @@ func TestCheckpointReducesRework(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resubmit: %v", err)
 	}
-	cp, err := ft.MonteCarlo(x, faultyOptions(x, ft.Checkpoint(max64(1, x.Static()/16))), trials)
+	cp, err := ft.MonteCarlo(x, faultyOptions(x, ft.Checkpoint(max(1, x.Static()/16))), trials)
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
@@ -469,10 +462,10 @@ func apnFaultExec(t *testing.T) (*ft.Exec, ft.Options) {
 	static := x.Static()
 	return x, ft.Options{
 		Faults: sim.FaultModel{
-			MTBF:       max64(1, static),
-			MeanRepair: max64(1, static/10),
-			LinkMTBF:   max64(1, static),
-			MeanOutage: max64(1, static/20),
+			MTBF:       max(1, static),
+			MeanRepair: max(1, static/10),
+			LinkMTBF:   max(1, static),
+			MeanOutage: max(1, static/20),
 		},
 	}
 }
@@ -573,7 +566,7 @@ func TestRunDeterminism(t *testing.T) {
 		x    *ft.Exec
 		opts ft.Options
 	}{
-		{x, faultyOptions(x, ft.Checkpoint(max64(1, x.Static()/16)))},
+		{x, faultyOptions(x, ft.Checkpoint(max(1, x.Static()/16)))},
 		{apnX, apnOpts},
 	} {
 		checkRunDeterminism(t, in.x, in.opts)

@@ -77,15 +77,15 @@ func cliqueOutcomeDigest(t *testing.T, cases []cliqueFaultCase) (digest string, 
 	h := sha256.New()
 	for _, c := range cases {
 		static := c.x.Static()
-		for _, pol := range []ft.RecoveryPolicy{ft.Resubmit(), ft.Checkpoint(max64(1, static/16))} {
+		for _, pol := range []ft.RecoveryPolicy{ft.Resubmit(), ft.Checkpoint(max(1, static/16))} {
 			for si, so := range []sim.Options{
 				{},
 				{Perturb: sim.Perturbation{Dist: sim.DistLognormal, TaskSpread: 0.3, CommSpread: 0.3}, Policy: sim.PolicyEager, Seed: 11},
 			} {
-				for _, repair := range []int64{max64(1, static/10), 0} {
+				for _, repair := range []int64{max(1, static/10), 0} {
 					opts := ft.Options{
 						Sim:      so,
-						Faults:   sim.FaultModel{MTBF: max64(1, static/2), MeanRepair: repair},
+						Faults:   sim.FaultModel{MTBF: max(1, static/2), MeanRepair: repair},
 						Recovery: pol,
 					}
 					for trial := 0; trial < 10; trial++ {

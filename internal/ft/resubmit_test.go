@@ -88,9 +88,9 @@ func TestRepairZeroWeightTasks(t *testing.T) {
 	x := zeroWeightExec(t)
 	static := x.Static()
 	repaired := 0
-	for _, pol := range []ft.RecoveryPolicy{ft.Resubmit(), ft.Checkpoint(max64(1, static/16))} {
-		for _, repair := range []int64{max64(1, static/10), 0} {
-			opts := ft.Options{Faults: sim.FaultModel{MTBF: max64(1, static/2), MeanRepair: repair}, Recovery: pol}
+	for _, pol := range []ft.RecoveryPolicy{ft.Resubmit(), ft.Checkpoint(max(1, static/16))} {
+		for _, repair := range []int64{max(1, static/10), 0} {
+			opts := ft.Options{Faults: sim.FaultModel{MTBF: max(1, static/2), MeanRepair: repair}, Recovery: pol}
 			for trial := 0; trial < 40; trial++ {
 				res, err := x.Run(opts, trial)
 				if err != nil {
@@ -139,7 +139,7 @@ func TestRepairAllocsFlatInCrashes(t *testing.T) {
 	var allocs []float64
 	for _, div := range []int64{1, 4, 16} {
 		opts := ft.Options{
-			Faults:   sim.FaultModel{MTBF: max64(1, static/div), MeanRepair: max64(1, static/10)},
+			Faults:   sim.FaultModel{MTBF: max(1, static/div), MeanRepair: max(1, static/10)},
 			Recovery: ft.Resubmit(),
 		}
 		res, err := x.Run(opts, 0)
@@ -173,8 +173,8 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 	const trials, workers = 12, 4
 	for _, c := range cliqueFaultCases(t) {
 		static := c.x.Static()
-		for _, pol := range []ft.RecoveryPolicy{ft.Resubmit(), ft.Checkpoint(max64(1, static/16))} {
-			opts := ft.Options{Faults: sim.FaultModel{MTBF: max64(1, static/2), MeanRepair: max64(1, static/10)}, Recovery: pol}
+		for _, pol := range []ft.RecoveryPolicy{ft.Resubmit(), ft.Checkpoint(max(1, static/16))} {
+			opts := ft.Options{Faults: sim.FaultModel{MTBF: max(1, static/2), MeanRepair: max(1, static/10)}, Recovery: pol}
 			want := make([]ft.Result, trials)
 			for trial := range want {
 				res, err := c.x.Run(opts, trial)

@@ -20,8 +20,8 @@ func TestMakespanCacheAPN(t *testing.T) {
 	scan := func() int64 {
 		var max int64
 		for p := 0; p < s.NumProcs(); p++ {
-			if f := s.procs[p].LastFinish(); f > max {
-				max = f
+			if sl := s.Slots(p); len(sl) > 0 && sl[len(sl)-1].Finish > max {
+				max = sl[len(sl)-1].Finish
 			}
 		}
 		return max

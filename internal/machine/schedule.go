@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/dag"
@@ -29,26 +28,16 @@ type hopRes struct {
 
 // Schedule is a task-and-message schedule on an arbitrary processor
 // network. Tasks occupy processor timelines exactly as in the clique
-// model; in addition, every cross-processor message occupies each
-// directed link channel on its (deterministic shortest) route for the
-// full edge cost, store-and-forward, with insertion-based slot search.
+// model — the embedded sched.Tasks holds them, with the placement
+// arrays, makespan and speeds; in addition, every cross-processor
+// message occupies each directed link channel on its (deterministic
+// shortest) route for the full edge cost, store-and-forward, with
+// insertion-based slot search.
 type Schedule struct {
-	g      *dag.Graph
-	topo   *Topology
-	procs  []sched.Timeline
-	links  map[linkKey]*sched.Timeline
-	msgs   map[edgeKey][]hopRes
-	proc   []int32
-	start  []int64
-	finish []int64
-	placed int
-	maxFin int64 // cached makespan: max task finish over all processors
-
-	// speed optionally makes the processors heterogeneous, exactly as in
-	// sched.Schedule: node n on processor p runs for
-	// ceil(Weight(n)/speed[p]) time units; nil means uniform unit speed.
-	// Link transfer costs are unaffected.
-	speed []float64
+	sched.Tasks
+	topo  *Topology
+	links map[linkKey]*sched.Timeline
+	msgs  map[edgeKey][]hopRes
 
 	// Query scratch, reused across planInbound calls so the hot
 	// ready×processor EST scans of the APN schedulers allocate nothing.
@@ -63,87 +52,16 @@ type Schedule struct {
 
 // NewSchedule returns an empty schedule for g on the given topology.
 func NewSchedule(g *dag.Graph, topo *Topology) *Schedule {
-	n := g.NumNodes()
-	s := &Schedule{
-		g:      g,
-		topo:   topo,
-		procs:  make([]sched.Timeline, topo.NumProcs()),
-		links:  make(map[linkKey]*sched.Timeline),
-		msgs:   make(map[edgeKey][]hopRes),
-		proc:   make([]int32, n),
-		start:  make([]int64, n),
-		finish: make([]int64, n),
+	return &Schedule{
+		Tasks: sched.NewTasks(g, topo.NumProcs()),
+		topo:  topo,
+		links: make(map[linkKey]*sched.Timeline),
+		msgs:  make(map[edgeKey][]hopRes),
 	}
-	for i := range s.proc {
-		s.proc[i] = -1
-	}
-	return s
 }
-
-// SetSpeeds makes the processors heterogeneous: node n on processor p
-// executes for ceil(Weight(n)/speeds[p]) time units. It must be called
-// on an empty schedule, with one positive factor per processor; the
-// vector is copied. A uniform all-ones vector reproduces the
-// homogeneous model exactly.
-func (s *Schedule) SetSpeeds(speeds []float64) error {
-	if s.placed != 0 {
-		return fmt.Errorf("machine: SetSpeeds on a schedule with %d placed tasks", s.placed)
-	}
-	if len(speeds) != s.NumProcs() {
-		return fmt.Errorf("machine: %d speed factors for %d processors", len(speeds), s.NumProcs())
-	}
-	for p, sp := range speeds {
-		if !(sp > 0) || math.IsInf(sp, 1) {
-			return fmt.Errorf("machine: speed factor %g for processor %d must be positive and finite", sp, p)
-		}
-	}
-	s.speed = append(s.speed[:0], speeds...)
-	return nil
-}
-
-// Speeds returns the per-processor speed vector, or nil for uniform unit
-// speeds. The slice is shared with the schedule and must not be modified.
-func (s *Schedule) Speeds() []float64 { return s.speed }
-
-// ExecTime returns the execution time of node n on processor p:
-// ceil(Weight(n)/speed[p]), or exactly the weight under uniform speeds.
-func (s *Schedule) ExecTime(n dag.NodeID, p int) int64 {
-	w := s.g.Weight(n)
-	if s.speed == nil {
-		return w
-	}
-	return int64(math.Ceil(float64(w) / s.speed[p]))
-}
-
-// Graph returns the task graph being scheduled.
-func (s *Schedule) Graph() *dag.Graph { return s.g }
 
 // Topology returns the processor network.
 func (s *Schedule) Topology() *Topology { return s.topo }
-
-// NumProcs returns the number of processors.
-func (s *Schedule) NumProcs() int { return s.topo.NumProcs() }
-
-// IsScheduled reports whether node n has been placed.
-func (s *Schedule) IsScheduled(n dag.NodeID) bool { return s.proc[n] >= 0 }
-
-// Complete reports whether all nodes are placed.
-func (s *Schedule) Complete() bool { return s.placed == s.g.NumNodes() }
-
-// Placed returns the number of placed nodes.
-func (s *Schedule) Placed() int { return s.placed }
-
-// ProcOf returns the processor of n, or -1 when unscheduled.
-func (s *Schedule) ProcOf(n dag.NodeID) int { return int(s.proc[n]) }
-
-// StartOf returns the start time of a scheduled node.
-func (s *Schedule) StartOf(n dag.NodeID) int64 { return s.start[n] }
-
-// FinishOf returns the finish time of a scheduled node.
-func (s *Schedule) FinishOf(n dag.NodeID) int64 { return s.finish[n] }
-
-// Slots returns the task timeline of processor p.
-func (s *Schedule) Slots(p int) []sched.Slot { return s.procs[p].Slots() }
 
 // LinkHop is one committed link reservation of a message, exposed for
 // consumers that replay schedules (the execution simulator): the
@@ -196,8 +114,8 @@ func (s *Schedule) linkTimeline(k linkKey) *sched.Timeline {
 // the same message cannot conflict with each other and the overlay is
 // only read, never extended, inside one planEdge call.
 func (s *Schedule) planEdge(parent dag.NodeID, c int64, dst int, overlay []hopRes) (int64, int) {
-	src := int(s.proc[parent])
-	ready := s.finish[parent]
+	src := s.ProcOf(parent)
+	ready := s.FinishOf(parent)
 	first := len(s.qHops)
 	if src == dst || c == 0 {
 		return ready, first
@@ -277,9 +195,9 @@ type edgePlan struct {
 // schedule's query scratch and is valid until the next planInbound
 // call; Place copies what it commits.
 func (s *Schedule) planInbound(n dag.NodeID, p int) (drt int64, plan []edgePlan, ok bool) {
-	preds := s.g.Preds(n)
+	preds := s.Graph().Preds(n)
 	for _, pr := range preds {
-		if s.proc[pr.To] < 0 {
+		if !s.IsScheduled(pr.To) {
 			return 0, nil, false
 		}
 	}
@@ -291,7 +209,7 @@ func (s *Schedule) planInbound(n dag.NodeID, p int) (drt int64, plan []edgePlan,
 		i := len(order)
 		order = append(order, pr)
 		for i > 0 {
-			fi, fj := s.finish[order[i-1].To], s.finish[order[i].To]
+			fi, fj := s.FinishOf(order[i-1].To), s.FinishOf(order[i].To)
 			if fi < fj || (fi == fj && order[i-1].To < order[i].To) {
 				break
 			}
@@ -325,7 +243,7 @@ func (s *Schedule) ESTOn(n dag.NodeID, p int, insertion bool) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return s.procs[p].EarliestFit(drt, s.ExecTime(n, p), insertion), true
+	return s.EarliestFit(p, drt, s.ExecTime(n, p), insertion), true
 }
 
 // BestEST returns the processor with the smallest EST for n, ties toward
@@ -348,19 +266,14 @@ func (s *Schedule) BestEST(n dag.NodeID, insertion bool) (proc int, est int64, o
 // the message reservations of all inbound edges. The start time must be
 // at or after the planned data-ready time.
 func (s *Schedule) Place(n dag.NodeID, p int, start int64) error {
-	if s.proc[n] >= 0 {
-		return fmt.Errorf("machine: node %d already scheduled", n)
+	if err := s.CheckPlace(n, p, start); err != nil {
+		return err
 	}
-	if p < 0 || p >= s.NumProcs() {
-		return fmt.Errorf("machine: processor %d out of range", p)
-	}
-	if start < 0 {
-		return fmt.Errorf("machine: negative start time %d", start)
-	}
+	finish := start + s.ExecTime(n, p)
 	if t := obs.ActiveTracer(); t != nil && t.InRun() {
 		// Must precede planInbound: candidate probing reuses the query
 		// scratch the committed plan would alias.
-		s.tracePlacement(t, n, p, start)
+		s.TracePlacement(t, n, p, start, finish, s.ESTOn)
 	}
 	drt, plan, ok := s.planInbound(n, p)
 	if !ok {
@@ -369,9 +282,8 @@ func (s *Schedule) Place(n dag.NodeID, p int, start int64) error {
 	if start < drt {
 		return fmt.Errorf("machine: node %d start %d before data-ready %d on P%d", n, start, drt, p)
 	}
-	finish := start + s.ExecTime(n, p)
-	if err := s.procs[p].Insert(sched.Slot{Node: n, Start: start, Finish: finish}); err != nil {
-		return fmt.Errorf("machine: node %d on P%d: %w", n, p, err)
+	if err := s.Tasks.Place(n, p, start, finish); err != nil {
+		return err
 	}
 	for _, ep := range plan {
 		// The plan aliases the query scratch; commit an owned copy.
@@ -383,13 +295,6 @@ func (s *Schedule) Place(n dag.NodeID, p int, start int64) error {
 				panic(fmt.Sprintf("machine: internal link conflict: %v", err))
 			}
 		}
-	}
-	s.proc[n] = int32(p)
-	s.start[n] = start
-	s.finish[n] = finish
-	s.placed++
-	if s.finish[n] > s.maxFin {
-		s.maxFin = s.finish[n]
 	}
 	return nil
 }
@@ -406,103 +311,47 @@ func (s *Schedule) MustPlace(n dag.NodeID, p int, start int64) {
 // error when a child of n is already scheduled, because the child's
 // committed messages would become dangling.
 func (s *Schedule) Unplace(n dag.NodeID) error {
-	p := s.proc[n]
-	if p < 0 {
+	if !s.IsScheduled(n) {
 		return nil
 	}
-	for _, a := range s.g.Succs(n) {
-		if s.proc[a.To] >= 0 {
+	for _, a := range s.Graph().Succs(n) {
+		if s.IsScheduled(a.To) {
 			return fmt.Errorf("machine: cannot unplace node %d: child %d is scheduled", n, a.To)
 		}
 	}
-	s.procs[p].Remove(n, s.start[n])
-	for _, pr := range s.g.Preds(n) {
+	for _, pr := range s.Graph().Preds(n) {
 		key := edgeKey{pr.To, n}
 		for _, h := range s.msgs[key] {
 			s.linkTimeline(h.link).Remove(n, h.start)
 		}
 		delete(s.msgs, key)
 	}
-	removed := s.finish[n]
-	s.proc[n] = -1
-	s.start[n] = 0
-	s.finish[n] = 0
-	s.placed--
-	if removed == s.maxFin {
-		// The cached makespan may have been carried by the removed
-		// task; one scan over the per-processor tails restores it.
-		s.maxFin = 0
-		for i := range s.procs {
-			if f := s.procs[i].LastFinish(); f > s.maxFin {
-				s.maxFin = f
-			}
-		}
-	}
+	s.Tasks.Unplace(n)
 	return nil
 }
 
-// Makespan returns the schedule length from the incrementally
-// maintained cache: Place folds each new finish time in, so the query
-// is O(1) instead of a scan over the processor timelines.
-func (s *Schedule) Makespan() int64 { return s.maxFin }
-
-// Length returns the makespan: the latest task finish time.
-func (s *Schedule) Length() int64 { return s.maxFin }
-
-// ProcessorsUsed returns the number of processors running at least one
-// task.
-func (s *Schedule) ProcessorsUsed() int {
-	used := 0
-	for i := range s.procs {
-		if s.procs[i].Len() > 0 {
-			used++
-		}
-	}
-	return used
-}
-
-// NSL returns the normalized schedule length (makespan over the CP
-// computation sum), as in the clique model.
-func (s *Schedule) NSL() float64 {
-	den := dag.CPComputationSum(s.g)
-	if den == 0 {
-		return 0
-	}
-	return float64(s.Length()) / float64(den)
-}
-
-// Validate checks processor timelines, link timelines, and that every
-// scheduled node starts only after all parent data has arrived — locally
-// for co-located parents, and through a complete, route-consistent chain
-// of link reservations for remote parents.
+// Validate checks the processor side (see sched.Tasks.Validate), link
+// timelines, and that every scheduled node starts only after all parent
+// data has arrived — locally for co-located parents, and through a
+// complete, route-consistent chain of link reservations for remote
+// parents.
 func (s *Schedule) Validate() error {
-	for p := range s.procs {
-		if err := s.procs[p].Validate(); err != nil {
-			return fmt.Errorf("machine: P%d: %w", p, err)
-		}
-		for _, sl := range s.procs[p].Slots() {
-			if sl.Finish-sl.Start != s.ExecTime(sl.Node, p) {
-				return fmt.Errorf("machine: node %d duration mismatch", sl.Node)
-			}
-			if s.proc[sl.Node] != int32(p) || s.start[sl.Node] != sl.Start {
-				return fmt.Errorf("machine: node %d slot disagrees with placement arrays", sl.Node)
-			}
-		}
+	if err := s.Tasks.Validate(); err != nil {
+		return err
 	}
 	for k, tl := range s.links {
 		if err := tl.Validate(); err != nil {
 			return fmt.Errorf("machine: link %d->%d: %w", k.from, k.to, err)
 		}
 	}
-	count := 0
-	for v := 0; v < s.g.NumNodes(); v++ {
+	g := s.Graph()
+	for v := 0; v < g.NumNodes(); v++ {
 		n := dag.NodeID(v)
-		if s.proc[n] < 0 {
+		if !s.IsScheduled(n) {
 			continue
 		}
-		count++
-		for _, pr := range s.g.Preds(n) {
-			if s.proc[pr.To] < 0 {
+		for _, pr := range g.Preds(n) {
+			if !s.IsScheduled(pr.To) {
 				return fmt.Errorf("machine: node %d scheduled before parent %d", n, pr.To)
 			}
 			if err := s.validateEdge(pr.To, n, pr.Weight); err != nil {
@@ -510,16 +359,13 @@ func (s *Schedule) Validate() error {
 			}
 		}
 	}
-	if count != s.placed {
-		return fmt.Errorf("machine: placed counter %d != %d", s.placed, count)
-	}
 	return nil
 }
 
 func (s *Schedule) validateEdge(parent, child dag.NodeID, c int64) error {
-	srcP, dstP := int(s.proc[parent]), int(s.proc[child])
+	srcP, dstP := s.ProcOf(parent), s.ProcOf(child)
 	if srcP == dstP || c == 0 {
-		if s.start[child] < s.finish[parent] {
+		if s.StartOf(child) < s.FinishOf(parent) {
 			return fmt.Errorf("machine: node %d starts before parent %d finishes", child, parent)
 		}
 		return nil
@@ -530,7 +376,7 @@ func (s *Schedule) validateEdge(parent, child dag.NodeID, c int64) error {
 		return fmt.Errorf("machine: edge (%d,%d) has %d hops, route needs %d",
 			parent, child, len(hops), len(route)-1)
 	}
-	prev := s.finish[parent]
+	prev := s.FinishOf(parent)
 	for i, h := range hops {
 		want := linkKey{int32(route[i]), int32(route[i+1])}
 		if h.link != want {
@@ -560,26 +406,16 @@ func (s *Schedule) validateEdge(parent, child dag.NodeID, c int64) error {
 		}
 		prev = h.finish
 	}
-	if s.start[child] < prev {
+	if s.StartOf(child) < prev {
 		return fmt.Errorf("machine: node %d starts %d before message from %d arrives %d",
-			child, s.start[child], parent, prev)
+			child, s.StartOf(child), parent, prev)
 	}
 	return nil
 }
 
-// String renders processor timelines and non-empty link channels.
+// String renders the processor timelines under a header naming the
+// topology.
 func (s *Schedule) String() string {
-	out := fmt.Sprintf("apn schedule length=%d procs=%d topo=%s\n",
-		s.Length(), s.ProcessorsUsed(), s.topo.Name())
-	for p := range s.procs {
-		if s.procs[p].Len() == 0 {
-			continue
-		}
-		out += fmt.Sprintf("P%d:", p)
-		for _, sl := range s.procs[p].Slots() {
-			out += fmt.Sprintf(" n%d[%d,%d)", sl.Node, sl.Start, sl.Finish)
-		}
-		out += "\n"
-	}
-	return out
+	return fmt.Sprintf("apn schedule length=%d procs=%d topo=%s\n",
+		s.Length(), s.ProcessorsUsed(), s.topo.Name()) + s.Tasks.String()
 }

@@ -5,14 +5,15 @@
 // child costs the edge weight when the two tasks are on different
 // processors and nothing when they are co-located.
 //
-// A Schedule maintains one timeline per processor plus per-node placement
-// arrays, supports insertion and non-insertion earliest-start-time
-// queries, placement and removal (for migration-style algorithms and
-// branch-and-bound backtracking), and full validation of precedence and
+// A Schedule keeps its processor side — one timeline per processor plus
+// per-node placement arrays — in the embedded Tasks, and adds
+// insertion and non-insertion earliest-start-time queries, placement
+// and removal (for migration-style algorithms and branch-and-bound
+// backtracking), and full validation of precedence and
 // processor-exclusivity constraints.
 //
-// The APN class uses internal/machine instead, which schedules messages
-// on the links of an arbitrary topology.
+// The APN class uses internal/machine instead, which embeds the same
+// Tasks and schedules messages on the links of an arbitrary topology.
 package sched
 
 import (
@@ -34,21 +35,16 @@ type Slot struct {
 // Schedule is a (possibly partial) mapping of tasks to processors and
 // start times under the clique communication model.
 //
-// Alongside the placement arrays, the schedule maintains an incremental
-// data-arrival cache: for every node it tracks, over the node's already
-// scheduled parents, the top-2 values of finish+communication on
-// distinct processors plus the maximum bare finish time. The cache is
-// updated in O(outdegree) on Place, which makes DataReadyTime — and
-// with it the non-insertion ESTOn — an O(1) query instead of a scan
-// over all predecessors. Unplace marks affected children dirty; their
+// Alongside the placement arrays of the embedded Tasks, the schedule
+// maintains an incremental data-arrival cache: for every node it
+// tracks, over the node's already scheduled parents, the top-2 values
+// of finish+communication on distinct processors plus the maximum bare
+// finish time. The cache is updated in O(outdegree) on Place, which
+// makes DataReadyTime — and with it the non-insertion ESTOn — an O(1)
+// query instead of a scan over all predecessors. Unplace marks affected children dirty; their
 // cache rows are rebuilt lazily by one predecessor scan on next query.
 type Schedule struct {
-	g      *dag.Graph
-	procs  []Timeline
-	proc   []int32 // node -> processor, -1 when unscheduled
-	start  []int64
-	finish []int64
-	placed int
+	Tasks
 
 	// Data-arrival cache, one row per node, valid while dirty is unset:
 	//   arrM1:  max over scheduled parents q of finish[q]+comm(q,n)
@@ -63,22 +59,6 @@ type Schedule struct {
 	arrFin     []int64
 	dirty      []bool // row must be rebuilt by a predecessor scan
 
-	// lastFin mirrors procs[p].LastFinish() in a flat array so the
-	// non-insertion best-processor scan touches one cache line per few
-	// processors instead of chasing a slot slice per processor.
-	lastFin []int64
-
-	// maxFin caches the makespan (max over lastFin): Place folds each
-	// new finish in, so Makespan is O(1) instead of a scan. Unplace
-	// rebuilds it from lastFin only when the removed task carried it.
-	maxFin int64
-
-	// speed optionally makes the processors heterogeneous (HEFT-style):
-	// node n on processor p executes for ceil(Weight(n)/speed[p]) time
-	// units. Empty means uniform unit speed, where the execution time is
-	// exactly the node weight — the paper's homogeneous model.
-	speed []float64
-
 	// avail optionally floors the EST of every processor (repair-pass
 	// availability mask, see SetAvailableFrom); empty means every
 	// processor is available from time 0. The Never sentinel excludes a
@@ -87,11 +67,6 @@ type Schedule struct {
 	// a lower bound on the floor of every processor a query may pick.
 	avail    []int64
 	availMin int64
-
-	// hasFixed records that PlaceFixed committed at least one slot whose
-	// duration is an observed execution time rather than ExecTime, so
-	// Validate skips the duration check.
-	hasFixed bool
 }
 
 // Never is the availability sentinel for a processor that will not
@@ -112,32 +87,8 @@ func New(g *dag.Graph, numProcs int) *Schedule {
 // indistinguishable from a New one; steady-state experiment loops reset
 // pooled schedules instead of allocating fresh ones.
 func (s *Schedule) Reset(g *dag.Graph, numProcs int) {
-	if numProcs < 1 {
-		numProcs = 1
-	}
-	s.g = g
-	if cap(s.procs) >= numProcs {
-		s.procs = s.procs[:numProcs]
-		for i := range s.procs {
-			s.procs[i].reset()
-		}
-	} else {
-		// Carry the old timelines over so their slot capacity survives.
-		old := s.procs[:cap(s.procs)]
-		for i := range old {
-			old[i].reset()
-		}
-		s.procs = make([]Timeline, numProcs)
-		copy(s.procs, old)
-	}
-	s.lastFin = resize(s.lastFin, numProcs)
-	for i := range s.lastFin {
-		s.lastFin[i] = 0
-	}
+	s.Tasks.reset(g, numProcs)
 	n := g.NumNodes()
-	s.proc = resize(s.proc, n)
-	s.start = resize(s.start, n)
-	s.finish = resize(s.finish, n)
 	s.schedPreds = resize(s.schedPreds, n)
 	s.arrM1 = resize(s.arrM1, n)
 	s.arrP1 = resize(s.arrP1, n)
@@ -145,59 +96,19 @@ func (s *Schedule) Reset(g *dag.Graph, numProcs int) {
 	s.arrFin = resize(s.arrFin, n)
 	s.dirty = resize(s.dirty, n)
 	// Per-array clears compile to vectorized memclr, which beats a
-	// combined 9-stream loop once n reaches the scaling ladder's sizes.
-	clear(s.start)
-	clear(s.finish)
+	// combined loop once n reaches the scaling ladder's sizes.
 	clear(s.schedPreds)
 	clear(s.arrM1)
 	clear(s.arrM2)
 	clear(s.arrFin)
 	clear(s.dirty)
 	for i := 0; i < n; i++ {
-		s.proc[i] = -1
-	}
-	for i := 0; i < n; i++ {
 		s.arrP1[i] = -1
 	}
-	s.placed = 0
-	s.maxFin = 0
-	// Truncate rather than drop the speed and mask vectors, so a schedule
-	// reset between repair passes keeps their capacity.
-	s.speed = s.speed[:0]
+	// Truncate rather than drop the mask vector, so a schedule reset
+	// between repair passes keeps its capacity.
 	s.avail = s.avail[:0]
 	s.availMin = 0
-	s.hasFixed = false
-}
-
-// SetSpeeds makes the processors heterogeneous: node n on processor p
-// executes for ceil(Weight(n)/speeds[p]) time units. It must be called
-// on an empty schedule (speeds change every execution time, so placed
-// slots would become inconsistent), with one positive factor per
-// processor. The vector is copied. A uniform all-ones vector reproduces
-// the homogeneous model exactly: ceil(w/1) == w.
-func (s *Schedule) SetSpeeds(speeds []float64) error {
-	if s.placed != 0 {
-		return fmt.Errorf("sched: SetSpeeds on a schedule with %d placed tasks", s.placed)
-	}
-	if len(speeds) != len(s.procs) {
-		return fmt.Errorf("sched: %d speed factors for %d processors", len(speeds), len(s.procs))
-	}
-	for p, sp := range speeds {
-		if !(sp > 0) || math.IsInf(sp, 1) {
-			return fmt.Errorf("sched: speed factor %g for processor %d must be positive and finite", sp, p)
-		}
-	}
-	s.speed = append(s.speed[:0], speeds...)
-	return nil
-}
-
-// Speeds returns the per-processor speed vector, or nil for uniform unit
-// speeds. The slice is shared with the schedule and must not be modified.
-func (s *Schedule) Speeds() []float64 {
-	if len(s.speed) == 0 {
-		return nil
-	}
-	return s.speed
 }
 
 // SetAvailableFrom restricts when each processor may run newly queried
@@ -235,16 +146,6 @@ func (s *Schedule) SetAvailableFrom(avail []int64) error {
 	return nil
 }
 
-// ExecTime returns the execution time of node n on processor p:
-// ceil(Weight(n)/speed[p]), or exactly the weight under uniform speeds.
-func (s *Schedule) ExecTime(n dag.NodeID, p int) int64 {
-	w := s.g.Weight(n)
-	if len(s.speed) == 0 {
-		return w
-	}
-	return int64(math.Ceil(float64(w) / s.speed[p]))
-}
-
 // resize returns a slice of length n, reusing s's backing array when it
 // has the capacity. Contents are unspecified; Reset overwrites every
 // element.
@@ -279,51 +180,16 @@ func (s *Schedule) Release() {
 	pool.Put(s)
 }
 
-// Graph returns the task graph this schedule is for.
-func (s *Schedule) Graph() *dag.Graph { return s.g }
-
-// NumProcs returns the number of processors available to the schedule.
-func (s *Schedule) NumProcs() int { return len(s.procs) }
-
-// IsScheduled reports whether node n has been placed.
-func (s *Schedule) IsScheduled(n dag.NodeID) bool { return s.proc[n] >= 0 }
-
-// Complete reports whether every node has been placed.
-func (s *Schedule) Complete() bool { return s.placed == s.g.NumNodes() }
-
-// Placed returns the number of nodes placed so far.
-func (s *Schedule) Placed() int { return s.placed }
-
-// ProcOf returns the processor of node n, or -1 if unscheduled.
-func (s *Schedule) ProcOf(n dag.NodeID) int { return int(s.proc[n]) }
-
-// StartOf returns the start time of a scheduled node.
-func (s *Schedule) StartOf(n dag.NodeID) int64 { return s.start[n] }
-
-// FinishOf returns the finish time of a scheduled node.
-func (s *Schedule) FinishOf(n dag.NodeID) int64 { return s.finish[n] }
-
-// Slots returns the timeline of processor p, sorted by start time. The
-// returned slice is shared with the schedule and must not be modified.
-func (s *Schedule) Slots(p int) []Slot { return s.procs[p].Slots() }
-
 // Place schedules node n on processor p starting at the given time. It
 // returns an error if n is already scheduled, the processor index or
 // start time is invalid, or the slot would overlap an existing one.
 // Place does not verify precedence feasibility; use Validate or the EST
 // helpers for that — heuristics deliberately query EST first.
 func (s *Schedule) Place(n dag.NodeID, p int, start int64) error {
-	if s.proc[n] >= 0 {
-		return fmt.Errorf("sched: node %d already scheduled", n)
+	if err := s.CheckPlace(n, p, start); err != nil {
+		return err
 	}
-	if p < 0 || p >= len(s.procs) {
-		return fmt.Errorf("sched: processor %d out of range [0,%d)", p, len(s.procs))
-	}
-	if start < 0 {
-		return fmt.Errorf("sched: negative start time %d for node %d", start, n)
-	}
-	finish := start + s.ExecTime(n, p)
-	return s.commit(n, p, start, finish)
+	return s.commit(n, p, start, start+s.ExecTime(n, p))
 }
 
 // PlaceFixed schedules node n on processor p over an explicit
@@ -336,14 +202,8 @@ func (s *Schedule) Place(n dag.NodeID, p int, start int64) error {
 // zero-length interval is allowed (a task whose realized duration
 // rounded to nothing).
 func (s *Schedule) PlaceFixed(n dag.NodeID, p int, start, finish int64) error {
-	if s.proc[n] >= 0 {
-		return fmt.Errorf("sched: node %d already scheduled", n)
-	}
-	if p < 0 || p >= len(s.procs) {
-		return fmt.Errorf("sched: processor %d out of range [0,%d)", p, len(s.procs))
-	}
-	if start < 0 {
-		return fmt.Errorf("sched: negative start time %d for node %d", start, n)
+	if err := s.CheckPlace(n, p, start); err != nil {
+		return err
 	}
 	if finish < start {
 		return fmt.Errorf("sched: node %d finish %d before start %d", n, finish, start)
@@ -355,27 +215,18 @@ func (s *Schedule) PlaceFixed(n dag.NodeID, p int, start, finish int64) error {
 	return nil
 }
 
-// commit inserts the slot and maintains every incremental structure:
-// placement arrays, last-finish mirror, makespan, and the children's
-// data-arrival cache rows.
+// commit is Tasks.Place with the insert and the record written out, so
+// the hot placement path makes no extra call, followed by folding the
+// new arrival into the children's data-arrival cache rows.
 func (s *Schedule) commit(n dag.NodeID, p int, start, finish int64) error {
 	if t := obs.ActiveTracer(); t != nil && t.InRun() {
 		// Before the insert: the record captures the pre-decision state.
-		s.tracePlacement(t, n, p, start, finish)
+		s.TracePlacement(t, n, p, start, finish, s.ESTOn)
 	}
 	if err := s.procs[p].Insert(Slot{Node: n, Start: start, Finish: finish}); err != nil {
 		return fmt.Errorf("sched: node %d on P%d: %w", n, p, err)
 	}
-	s.proc[n] = int32(p)
-	s.start[n] = start
-	s.finish[n] = finish
-	s.placed++
-	if finish > s.lastFin[p] {
-		s.lastFin[p] = finish
-	}
-	if finish > s.maxFin {
-		s.maxFin = finish
-	}
+	s.record(n, p, start, finish)
 	// Fold the new arrival into each child's data-arrival cache.
 	pp := int32(p)
 	for _, a := range s.g.Succs(n) {
@@ -416,24 +267,8 @@ func (s *Schedule) MustPlace(n dag.NodeID, p int, start int64) {
 // Unplace removes node n from the schedule so it can be migrated or the
 // search can backtrack. It is a no-op for unscheduled nodes.
 func (s *Schedule) Unplace(n dag.NodeID) {
-	p := s.proc[n]
-	if p < 0 {
+	if !s.Tasks.Unplace(n) {
 		return
-	}
-	s.procs[p].Remove(n, s.start[n])
-	s.lastFin[p] = s.procs[p].LastFinish()
-	removed := s.finish[n]
-	s.proc[n] = -1
-	s.start[n] = 0
-	s.finish[n] = 0
-	s.placed--
-	if removed == s.maxFin {
-		s.maxFin = 0
-		for _, f := range s.lastFin {
-			if f > s.maxFin {
-				s.maxFin = f
-			}
-		}
 	}
 	// Removing an arrival cannot be undone in O(1); mark each child's
 	// cache row for a lazy rebuild.
@@ -441,28 +276,6 @@ func (s *Schedule) Unplace(n dag.NodeID) {
 		s.schedPreds[a.To]--
 		s.dirty[a.To] = true
 	}
-}
-
-// Makespan returns the schedule length from the incrementally
-// maintained cache: Place folds each new finish time into a running
-// maximum over the last-finish mirror, so the query is O(1) instead of
-// a scan over all processors. 0 for an empty schedule.
-func (s *Schedule) Makespan() int64 { return s.maxFin }
-
-// Length returns the schedule length (makespan): the latest finish time
-// over all processors, 0 for an empty schedule.
-func (s *Schedule) Length() int64 { return s.maxFin }
-
-// ProcessorsUsed returns the number of processors with at least one task
-// (paper section 6.4.2).
-func (s *Schedule) ProcessorsUsed() int {
-	used := 0
-	for i := range s.procs {
-		if s.procs[i].Len() > 0 {
-			used++
-		}
-	}
-	return used
 }
 
 // DataReadyTime returns the earliest time all of n's input data can be
@@ -647,36 +460,17 @@ func (s *Schedule) BestESTNonInsertion(n dag.NodeID) (proc int, est int64, ok bo
 }
 
 // Validate checks that the partial or complete schedule is consistent:
-// every placed node's parents are placed, precedence plus communication
-// delays are respected under the clique model, timelines are sorted and
-// non-overlapping, no node finishes before it starts, and slot durations
-// equal node weights.
+// the processor side (see Tasks.Validate), and that every placed node's
+// parents are placed and its data arrives in time under the clique
+// model.
 func (s *Schedule) Validate() error {
-	for p := range s.procs {
-		if err := s.procs[p].Validate(); err != nil {
-			return fmt.Errorf("sched: P%d: %w", p, err)
-		}
-		for _, sl := range s.procs[p].Slots() {
-			if !s.hasFixed && sl.Finish-sl.Start != s.ExecTime(sl.Node, p) {
-				// PlaceFixed commits observed durations, which legitimately
-				// differ from the static execution-time estimate.
-				return fmt.Errorf("sched: node %d duration %d != execution time %d",
-					sl.Node, sl.Finish-sl.Start, s.ExecTime(sl.Node, p))
-			}
-			if s.proc[sl.Node] != int32(p) || s.start[sl.Node] != sl.Start {
-				return fmt.Errorf("sched: node %d slot disagrees with placement arrays", sl.Node)
-			}
-		}
+	if err := s.Tasks.Validate(); err != nil {
+		return err
 	}
-	count := 0
 	for v := 0; v < s.g.NumNodes(); v++ {
 		n := dag.NodeID(v)
 		if s.proc[n] < 0 {
 			continue
-		}
-		count++
-		if s.finish[n] < s.start[n] {
-			return fmt.Errorf("sched: node %d finishes at %d before it starts at %d", n, s.finish[n], s.start[n])
 		}
 		for _, pr := range s.g.Preds(n) {
 			if s.proc[pr.To] < 0 {
@@ -692,36 +486,11 @@ func (s *Schedule) Validate() error {
 			}
 		}
 	}
-	if count != s.placed {
-		return fmt.Errorf("sched: placed counter %d != %d placed nodes", s.placed, count)
-	}
 	return nil
-}
-
-// NSL returns the normalized schedule length: the makespan divided by the
-// sum of computation costs on a critical path (paper section 6). Only
-// meaningful for complete schedules; returns 0 when the denominator is 0.
-func (s *Schedule) NSL() float64 {
-	den := dag.CPComputationSum(s.g)
-	if den == 0 {
-		return 0
-	}
-	return float64(s.Length()) / float64(den)
 }
 
 // String renders the schedule as a compact per-processor listing, for
 // debugging and the cmd tools.
 func (s *Schedule) String() string {
-	out := fmt.Sprintf("schedule length=%d procs=%d\n", s.Length(), s.ProcessorsUsed())
-	for p := range s.procs {
-		if s.procs[p].Len() == 0 {
-			continue
-		}
-		out += fmt.Sprintf("P%d:", p)
-		for _, sl := range s.procs[p].Slots() {
-			out += fmt.Sprintf(" n%d[%d,%d)", sl.Node, sl.Start, sl.Finish)
-		}
-		out += "\n"
-	}
-	return out
+	return fmt.Sprintf("schedule length=%d procs=%d\n", s.Length(), s.ProcessorsUsed()) + s.Tasks.String()
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/dag"
@@ -19,35 +18,12 @@ import (
 // begin until the channel has finished every transfer planned before
 // it. Co-located and zero-cost edges release the child directly.
 func CompileAPN(s *machine.Schedule) (*Plan, error) {
-	if !s.Complete() {
-		return nil, fmt.Errorf("sim: cannot compile a partial APN schedule (%d of %d tasks placed)",
-			s.Placed(), s.Graph().NumNodes())
+	var b planBuilder
+	if err := b.addTasks(&s.Tasks); err != nil {
+		return nil, err
 	}
 	g := s.Graph()
 	n := g.NumNodes()
-	var b planBuilder
-	b.plan.tasks = n
-	b.plan.numProcs = s.NumProcs()
-	b.plan.static = s.Makespan()
-	b.plan.jobs = make([]Job, 0, n)
-	for v := 0; v < n; v++ {
-		node := dag.NodeID(v)
-		// As in Compile, the base duration comes from the schedule so
-		// heterogeneous execution times replay exactly.
-		b.addJob(Job{
-			Base:    s.FinishOf(node) - s.StartOf(node),
-			Planned: s.StartOf(node),
-			Ent:     taskEnt(node),
-			Proc:    int32(s.ProcOf(node)),
-			Chan:    -1,
-		})
-	}
-	for p := 0; p < s.NumProcs(); p++ {
-		slots := s.Slots(p)
-		for i := 1; i < len(slots); i++ {
-			b.addArc(int32(slots[i-1].Node), int32(slots[i].Node), 0, 0)
-		}
-	}
 	// Message-hop jobs, one per committed link reservation, chained
 	// along the route, plus per-channel transfer lists for the
 	// contention queues. Channels are keyed by directed endpoint pair

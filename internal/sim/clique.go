@@ -14,39 +14,12 @@ import (
 // perturbable lag when the endpoints sit on different processors and
 // no lag when they are co-located.
 func Compile(s *sched.Schedule) (*Plan, error) {
-	if !s.Complete() {
-		return nil, fmt.Errorf("sim: cannot compile a partial schedule (%d of %d tasks placed)",
-			s.Placed(), s.Graph().NumNodes())
+	var b planBuilder
+	if err := b.addTasks(&s.Tasks); err != nil {
+		return nil, err
 	}
 	g := s.Graph()
 	n := g.NumNodes()
-	var b planBuilder
-	b.plan.tasks = n
-	b.plan.numProcs = s.NumProcs()
-	b.plan.static = s.Makespan()
-	b.plan.jobs = make([]Job, 0, n)
-	for v := 0; v < n; v++ {
-		node := dag.NodeID(v)
-		// The base duration is read off the schedule, not the graph, so
-		// a heterogeneous schedule (per-processor speeds) replays the
-		// execution times it actually committed; Options.Speed is a
-		// further runtime perturbation on top of these.
-		b.addJob(Job{
-			Base:    s.FinishOf(node) - s.StartOf(node),
-			Planned: s.StartOf(node),
-			Ent:     taskEnt(node),
-			Proc:    int32(s.ProcOf(node)),
-			Chan:    -1,
-		})
-	}
-	// Processor-exclusivity chains: each processor runs its tasks in
-	// the static start order.
-	for p := 0; p < s.NumProcs(); p++ {
-		slots := s.Slots(p)
-		for i := 1; i < len(slots); i++ {
-			b.addArc(int32(slots[i-1].Node), int32(slots[i].Node), 0, 0)
-		}
-	}
 	// Precedence: co-located data is free, remote data pays the
 	// (perturbable) edge cost.
 	for v := 0; v < n; v++ {
@@ -60,6 +33,42 @@ func Compile(s *sched.Schedule) (*Plan, error) {
 		}
 	}
 	return b.finalize(), nil
+}
+
+// addTasks starts the plan from the processor side that every schedule
+// model shares: one job per task, then the processor-exclusivity chains
+// that run each processor's tasks in static start order. A task's base
+// duration is read off the schedule, not the graph, so a heterogeneous
+// schedule (per-processor speeds) replays the execution times it
+// actually committed; Options.Speed is a further runtime perturbation
+// on top of these.
+func (b *planBuilder) addTasks(s *sched.Tasks) error {
+	if !s.Complete() {
+		return fmt.Errorf("sim: cannot compile a partial schedule (%d of %d tasks placed)",
+			s.Placed(), s.Graph().NumNodes())
+	}
+	n := s.Graph().NumNodes()
+	b.plan.tasks = n
+	b.plan.numProcs = s.NumProcs()
+	b.plan.static = s.Makespan()
+	b.plan.jobs = make([]Job, 0, n)
+	for v := 0; v < n; v++ {
+		node := dag.NodeID(v)
+		b.addJob(Job{
+			Base:    s.FinishOf(node) - s.StartOf(node),
+			Planned: s.StartOf(node),
+			Ent:     taskEnt(node),
+			Proc:    int32(s.ProcOf(node)),
+			Chan:    -1,
+		})
+	}
+	for p := 0; p < s.NumProcs(); p++ {
+		slots := s.Slots(p)
+		for i := 1; i < len(slots); i++ {
+			b.addArc(int32(slots[i-1].Node), int32(slots[i].Node), 0, 0)
+		}
+	}
+	return nil
 }
 
 // Simulate compiles and executes a complete clique-model schedule once
