@@ -171,19 +171,24 @@ func runCell(p *plan[Result], exp string, a Algorithm, ng gen.NamedGraph, bnpPro
 // runCellOn is runCell with an optional per-processor speed vector
 // (nil for the homogeneous machine).
 func runCellOn(p *plan[Result], exp string, a Algorithm, ng gen.NamedGraph, bnpProcs int, speeds []float64, topo *machine.Topology) {
-	p.add(func() (Result, error) {
-		if t := obs.ActiveTracer(); t != nil {
-			// The planner knows the experiment and instance names; RunOn
-			// only sees the graph. Tracing implies a serial runner, so the
-			// staged labels pair with the BeginRun that follows.
-			t.SetInstance(exp, ng.Name)
-		}
-		res, err := a.RunOn(ng.G, bnpProcs, speeds, topo)
-		if err != nil {
-			return Result{}, fmt.Errorf("%s: %s on %s: %w", exp, a.Name, ng.Name, err)
-		}
-		return res, nil
-	})
+	p.add(func() (Result, error) { return runLabelled(exp, a, ng.Name, ng.G, bnpProcs, speeds, topo) })
+}
+
+// runLabelled runs a on g, labelling the traced run with the experiment
+// and instance names and wrapping errors with the same context. Every
+// experiment cell that runs an Algorithm goes through it.
+func runLabelled(exp string, a Algorithm, instance string, g *dag.Graph, bnpProcs int, speeds []float64, topo *machine.Topology) (Result, error) {
+	if t := obs.ActiveTracer(); t != nil {
+		// The planner knows the experiment and instance names; RunOn
+		// only sees the graph. Tracing implies a serial runner, so the
+		// staged labels pair with the BeginRun that follows.
+		t.SetInstance(exp, instance)
+	}
+	res, err := a.RunOn(g, bnpProcs, speeds, topo)
+	if err != nil {
+		return Result{}, fmt.Errorf("%s: %s on %s: %w", exp, a.Name, instance, err)
+	}
+	return res, nil
 }
 
 // Table1 reports the schedule length of every UNC and BNP algorithm on
@@ -229,7 +234,7 @@ type degradationInstance struct {
 	closed  bool
 }
 
-func degradationTable(cfg Config, title string, algs []Algorithm, bnpProcsFor func(*dag.Graph) int,
+func degradationTable(cfg Config, exp, title string, algs []Algorithm, bnpProcsFor func(*dag.Graph) int,
 	suites map[float64][]degradationInstance, ccrs []float64) error {
 
 	var p plan[Result]
@@ -237,11 +242,7 @@ func degradationTable(cfg Config, title string, algs []Algorithm, bnpProcsFor fu
 		for _, inst := range suites[ccr] {
 			for _, a := range algs {
 				p.add(func() (Result, error) {
-					res, err := a.Run(inst.g, bnpProcsFor(inst.g), nil)
-					if err != nil {
-						return Result{}, fmt.Errorf("%s on %s: %w", a.Name, inst.label, err)
-					}
-					return res, nil
+					return runLabelled(exp, a, inst.label, inst.g, bnpProcsFor(inst.g), nil, nil)
 				})
 			}
 		}
@@ -308,7 +309,7 @@ func Table2(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	return degradationTable(cfg, "% degradation from optimal, RGBOS (UNC algorithms)",
+	return degradationTable(cfg, "table2", "% degradation from optimal, RGBOS (UNC algorithms)",
 		ByClass(UNC), func(g *dag.Graph) int { return BNPProcs(g.NumNodes()) },
 		suites, gen.PaperCCRs)
 }
@@ -319,7 +320,7 @@ func Table3(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	return degradationTable(cfg, "% degradation from optimal, RGBOS (BNP algorithms)",
+	return degradationTable(cfg, "table3", "% degradation from optimal, RGBOS (BNP algorithms)",
 		ByClass(BNP), func(g *dag.Graph) int { return BNPProcs(g.NumNodes()) },
 		suites, gen.PaperCCRs)
 }
@@ -327,7 +328,7 @@ func Table3(cfg Config) error {
 // Table4 compares the UNC algorithms against the pre-determined optima
 // of the RGPOS suite.
 func Table4(cfg Config) error {
-	return degradationTable(cfg, "% degradation from optimal, RGPOS (UNC algorithms)",
+	return degradationTable(cfg, "table4", "% degradation from optimal, RGPOS (UNC algorithms)",
 		ByClass(UNC), func(g *dag.Graph) int { return BNPProcs(g.NumNodes()) },
 		suiteCacheFor(cfg).rgposInstances(cfg), gen.PaperCCRs)
 }
@@ -336,7 +337,7 @@ func Table4(cfg Config) error {
 // matches the 8 processors the optimal schedules were constructed for,
 // so the optimum is a true lower bound.
 func Table5(cfg Config) error {
-	return degradationTable(cfg, "% degradation from optimal, RGPOS (BNP algorithms)",
+	return degradationTable(cfg, "table5", "% degradation from optimal, RGPOS (BNP algorithms)",
 		ByClass(BNP), func(*dag.Graph) int { return 8 },
 		suiteCacheFor(cfg).rgposInstances(cfg), gen.PaperCCRs)
 }

@@ -31,11 +31,8 @@ func UNCCS(cfg Config) error {
 		for _, a := range ByClass(BNP) {
 			for _, ng := range bySize[v] {
 				p.add(func() (float64, error) {
-					res, err := a.Run(ng.G, procs, nil)
-					if err != nil {
-						return 0, fmt.Errorf("unccs: %s on %s: %w", a.Name, ng.Name, err)
-					}
-					return res.NSL, nil
+					res, err := runLabelled("unccs", a, ng.Name, ng.G, procs, nil, nil)
+					return res.NSL, err
 				})
 			}
 		}

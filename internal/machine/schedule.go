@@ -2,26 +2,21 @@ package machine
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dag"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
-// linkKey identifies one directed channel of an undirected link.
-type linkKey struct {
-	from, to int32
-}
-
 // edgeKey identifies one task-graph edge whose message has been committed.
 type edgeKey struct {
 	parent, child dag.NodeID
 }
 
-// hopRes is one committed or planned link reservation of a message.
+// hopRes is one committed or planned reservation of a message on a
+// topology channel.
 type hopRes struct {
-	link   linkKey
+	ch     int32
 	start  int64
 	finish int64
 }
@@ -36,18 +31,16 @@ type hopRes struct {
 type Schedule struct {
 	sched.Tasks
 	topo  *Topology
-	links map[linkKey]*sched.Timeline
+	links []sched.Timeline // indexed by the topology's channel
 	msgs  map[edgeKey][]hopRes
 
 	// Query scratch, reused across planInbound calls so the hot
 	// ready×processor EST scans of the APN schedulers allocate nothing.
 	// A plan's hop slices point into qHops and stay readable until the
 	// next query; Place copies the hops it commits.
-	qOrder   []dag.Arc
-	qOverlay []hopRes
-	qPlan    []edgePlan
-	qHops    []hopRes
-	qExtra   []sched.Slot
+	qOrder []dag.Arc
+	qPlan  []edgePlan
+	qHops  []hopRes
 }
 
 // NewSchedule returns an empty schedule for g on the given topology.
@@ -55,7 +48,7 @@ func NewSchedule(g *dag.Graph, topo *Topology) *Schedule {
 	return &Schedule{
 		Tasks: sched.NewTasks(g, topo.NumProcs()),
 		topo:  topo,
-		links: make(map[linkKey]*sched.Timeline),
+		links: make([]sched.Timeline, topo.NumChannels()),
 		msgs:  make(map[edgeKey][]hopRes),
 	}
 }
@@ -67,6 +60,8 @@ func (s *Schedule) Topology() *Topology { return s.topo }
 // consumers that replay schedules (the execution simulator): the
 // directed channel it occupies and the reserved interval.
 type LinkHop struct {
+	// Link is the topology's channel (see Topology.Channel).
+	Link int
 	// From and To are the channel's endpoint processors.
 	From, To int
 	// Start and Finish bound the reservation on the link.
@@ -80,106 +75,56 @@ type LinkHop struct {
 // style avoids allocating a hop slice per query.
 func (s *Schedule) EachMessageHop(parent, child dag.NodeID, fn func(LinkHop)) {
 	for _, h := range s.msgs[edgeKey{parent, child}] {
-		fn(LinkHop{From: int(h.link.from), To: int(h.link.to), Start: h.start, Finish: h.finish})
+		from, to := s.topo.Ends(int(h.ch))
+		fn(LinkHop{Link: int(h.ch), From: from, To: to, Start: h.start, Finish: h.finish})
 	}
 }
 
 // LinkSlots returns the message reservations on the directed channel
-// from processor u to its neighbor v, in start order. Nil when the
-// channel carries no messages. The Slot.Node field holds the receiving
-// task of each message.
+// from processor u to its neighbor v, in start order. Empty when the
+// channel carries no messages or u and v are not linked. The Slot.Node
+// field holds the receiving task of each message.
 func (s *Schedule) LinkSlots(u, v int) []sched.Slot {
-	tl := s.links[linkKey{int32(u), int32(v)}]
-	if tl == nil {
+	c := s.topo.Channel(u, v)
+	if c < 0 {
 		return nil
 	}
-	return tl.Slots()
+	return s.links[c].Slots()
 }
 
-func (s *Schedule) linkTimeline(k linkKey) *sched.Timeline {
-	tl := s.links[k]
-	if tl == nil {
-		tl = &sched.Timeline{}
-		s.links[k] = tl
-	}
-	return tl
-}
-
-// planEdge tentatively routes the message for edge (parent -> child of
-// weight c) to destination processor dst, on top of the overlay of hops
-// already planned in this query. The planned hops are appended to the
-// qHops arena; the returned pair is the data arrival time at dst and
-// the arena index the hops start at (len(qHops) when no link time is
-// needed). A shortest route never visits a channel twice, so hops of
-// the same message cannot conflict with each other and the overlay is
-// only read, never extended, inside one planEdge call.
-func (s *Schedule) planEdge(parent dag.NodeID, c int64, dst int, overlay []hopRes) (int64, int) {
+// planEdge routes the message for edge (parent -> child of weight c) to
+// destination processor dst, reserving each hop on its channel as soon
+// as it is planned, so that the hops of messages planned later in the
+// same query see it as an ordinary slot. The reserved hops are appended
+// to the qHops arena; the returned pair is the data arrival time at dst
+// and the arena index the hops start at (len(qHops) when no link time is
+// needed). A shortest route never visits a channel twice, so the hops
+// of one message cannot conflict with each other.
+func (s *Schedule) planEdge(parent, child dag.NodeID, c int64, dst int) (int64, int) {
 	src := s.ProcOf(parent)
 	ready := s.FinishOf(parent)
 	first := len(s.qHops)
 	if src == dst || c == 0 {
 		return ready, first
 	}
-	route := s.topo.route(src, dst)
-	for i := 0; i+1 < len(route); i++ {
-		k := linkKey{route[i], route[i+1]}
-		start := s.earliestLinkFit(k, overlay, ready, c)
-		s.qHops = append(s.qHops, hopRes{link: k, start: start, finish: start + c})
+	for _, ch := range s.topo.route(src, dst) {
+		tl := &s.links[ch]
+		start := tl.EarliestFit(ready, c, true)
+		if err := tl.Insert(sched.Slot{Node: child, Start: start, Finish: start + c}); err != nil {
+			panic(fmt.Sprintf("machine: internal link conflict: %v", err))
+		}
+		s.qHops = append(s.qHops, hopRes{ch: ch, start: start, finish: start + c})
 		ready = start + c
 	}
 	return ready, first
 }
 
-// earliestLinkFit finds the earliest start >= ready for a reservation of
-// the given duration on channel k, considering both committed slots and
-// the overlay of hops planned earlier in the same query.
-func (s *Schedule) earliestLinkFit(k linkKey, overlay []hopRes, ready, duration int64) int64 {
-	var base []sched.Slot
-	if tl := s.links[k]; tl != nil {
-		base = tl.Slots()
+// unreserve removes the link reservations in hops, all of which carry
+// messages to n.
+func (s *Schedule) unreserve(n dag.NodeID, hops []hopRes) {
+	for _, h := range hops {
+		s.links[h.ch].Remove(n, h.start)
 	}
-	// Collect the overlay reservations on this channel into the reused
-	// scratch, keeping them sorted by start as they are inserted.
-	// Overlay entries on one channel never overlap and messages have
-	// positive duration here, so starts are distinct and the order is
-	// uniquely determined.
-	extra := s.qExtra[:0]
-	for _, h := range overlay {
-		if h.link == k {
-			i := len(extra)
-			extra = append(extra, sched.Slot{Start: h.start, Finish: h.finish})
-			for i > 0 && extra[i-1].Start > extra[i].Start {
-				extra[i-1], extra[i] = extra[i], extra[i-1]
-				i--
-			}
-		}
-	}
-	s.qExtra = extra[:0]
-	// Two-pointer gap scan over the merged slot streams: return the first
-	// point cur >= ready such that [cur, cur+duration) hits no slot.
-	// Slots finishing at or before ready can neither advance cur nor
-	// open a usable gap (a returned start needs next.Start > cur >=
-	// ready, hence next.Finish > ready), so binary-search past them.
-	cur := ready
-	i := sort.Search(len(base), func(i int) bool { return base[i].Finish > ready })
-	j := sort.Search(len(extra), func(j int) bool { return extra[j].Finish > ready })
-	for i < len(base) || j < len(extra) {
-		var next sched.Slot
-		if j >= len(extra) || (i < len(base) && base[i].Start <= extra[j].Start) {
-			next = base[i]
-			i++
-		} else {
-			next = extra[j]
-			j++
-		}
-		if next.Start-cur >= duration {
-			return cur
-		}
-		if next.Finish > cur {
-			cur = next.Finish
-		}
-	}
-	return cur
 }
 
 // edgePlan is the planned reservation chain of one inbound edge.
@@ -189,9 +134,11 @@ type edgePlan struct {
 }
 
 // planInbound plans the messages from all of n's parents to processor p
-// in a deterministic order (parents by ascending finish time, then ID)
-// and returns the overall data-ready time plus the per-edge hop plan.
-// ok is false when some parent is unscheduled. The plan aliases the
+// in a deterministic order (parents by ascending finish time, then ID),
+// reserving their hops on the link timelines, and returns the overall
+// data-ready time plus the per-edge hop plan. ok is false, and nothing
+// is reserved, when some parent is unscheduled. The caller either keeps
+// the reservations (Place) or unreserves s.qHops. The plan aliases the
 // schedule's query scratch and is valid until the next planInbound
 // call; Place copies what it commits.
 func (s *Schedule) planInbound(n dag.NodeID, p int) (drt int64, plan []edgePlan, ok bool) {
@@ -218,20 +165,17 @@ func (s *Schedule) planInbound(n dag.NodeID, p int) (drt int64, plan []edgePlan,
 		}
 	}
 	s.qOrder = order
-	overlay := s.qOverlay[:0]
 	plan = s.qPlan[:0]
 	s.qHops = s.qHops[:0]
 	for _, pr := range order {
-		arrival, first := s.planEdge(pr.To, pr.Weight, p, overlay)
+		arrival, first := s.planEdge(pr.To, n, pr.Weight, p)
 		if hops := s.qHops[first:]; len(hops) > 0 {
-			overlay = append(overlay, hops...)
 			plan = append(plan, edgePlan{key: edgeKey{pr.To, n}, hops: hops})
 		}
 		if arrival > drt {
 			drt = arrival
 		}
 	}
-	s.qOverlay = overlay
 	s.qPlan = plan
 	return drt, plan, true
 }
@@ -243,6 +187,7 @@ func (s *Schedule) ESTOn(n dag.NodeID, p int, insertion bool) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
+	s.unreserve(n, s.qHops)
 	return s.EarliestFit(p, drt, s.ExecTime(n, p), insertion), true
 }
 
@@ -272,7 +217,8 @@ func (s *Schedule) Place(n dag.NodeID, p int, start int64) error {
 	finish := start + s.ExecTime(n, p)
 	if t := obs.ActiveTracer(); t != nil && t.InRun() {
 		// Must precede planInbound: candidate probing reuses the query
-		// scratch the committed plan would alias.
+		// scratch the committed plan aliases, and it must not see this
+		// placement's own reservations.
 		s.TracePlacement(t, n, p, start, finish, s.ESTOn)
 	}
 	drt, plan, ok := s.planInbound(n, p)
@@ -280,21 +226,17 @@ func (s *Schedule) Place(n dag.NodeID, p int, start int64) error {
 		return fmt.Errorf("machine: node %d has unscheduled parents", n)
 	}
 	if start < drt {
+		s.unreserve(n, s.qHops)
 		return fmt.Errorf("machine: node %d start %d before data-ready %d on P%d", n, start, drt, p)
 	}
 	if err := s.Tasks.Place(n, p, start, finish); err != nil {
+		s.unreserve(n, s.qHops)
 		return err
 	}
+	// The plan's reservations stay on the links; commit an owned copy of
+	// its hops, which alias the query scratch.
 	for _, ep := range plan {
-		// The plan aliases the query scratch; commit an owned copy.
-		hops := make([]hopRes, len(ep.hops))
-		copy(hops, ep.hops)
-		s.msgs[ep.key] = hops
-		for _, h := range hops {
-			if err := s.linkTimeline(h.link).Insert(sched.Slot{Node: n, Start: h.start, Finish: h.finish}); err != nil {
-				panic(fmt.Sprintf("machine: internal link conflict: %v", err))
-			}
-		}
+		s.msgs[ep.key] = append([]hopRes(nil), ep.hops...)
 	}
 	return nil
 }
@@ -321,9 +263,7 @@ func (s *Schedule) Unplace(n dag.NodeID) error {
 	}
 	for _, pr := range s.Graph().Preds(n) {
 		key := edgeKey{pr.To, n}
-		for _, h := range s.msgs[key] {
-			s.linkTimeline(h.link).Remove(n, h.start)
-		}
+		s.unreserve(n, s.msgs[key])
 		delete(s.msgs, key)
 	}
 	s.Tasks.Unplace(n)
@@ -339,9 +279,10 @@ func (s *Schedule) Validate() error {
 	if err := s.Tasks.Validate(); err != nil {
 		return err
 	}
-	for k, tl := range s.links {
-		if err := tl.Validate(); err != nil {
-			return fmt.Errorf("machine: link %d->%d: %w", k.from, k.to, err)
+	for c := range s.links {
+		if err := s.links[c].Validate(); err != nil {
+			from, to := s.topo.Ends(c)
+			return fmt.Errorf("machine: link %d->%d: %w", from, to, err)
 		}
 	}
 	g := s.Graph()
@@ -371,17 +312,18 @@ func (s *Schedule) validateEdge(parent, child dag.NodeID, c int64) error {
 		return nil
 	}
 	hops := s.msgs[edgeKey{parent, child}]
-	route := s.topo.Route(srcP, dstP)
-	if len(hops) != len(route)-1 {
+	route := s.topo.route(srcP, dstP)
+	if len(hops) != len(route) {
 		return fmt.Errorf("machine: edge (%d,%d) has %d hops, route needs %d",
-			parent, child, len(hops), len(route)-1)
+			parent, child, len(hops), len(route))
 	}
 	prev := s.FinishOf(parent)
 	for i, h := range hops {
-		want := linkKey{int32(route[i]), int32(route[i+1])}
-		if h.link != want {
+		if h.ch != route[i] {
+			gf, gt := s.topo.Ends(int(h.ch))
+			wf, wt := s.topo.Ends(int(route[i]))
 			return fmt.Errorf("machine: edge (%d,%d) hop %d uses link %d->%d, route says %d->%d",
-				parent, child, i, h.link.from, h.link.to, want.from, want.to)
+				parent, child, i, gf, gt, wf, wt)
 		}
 		if h.start < prev {
 			return fmt.Errorf("machine: edge (%d,%d) hop %d starts %d before data ready %d",
@@ -392,12 +334,10 @@ func (s *Schedule) validateEdge(parent, child dag.NodeID, c int64) error {
 				parent, child, i, h.finish-h.start, c)
 		}
 		found := false
-		if tl := s.links[h.link]; tl != nil {
-			for _, sl := range tl.Slots() {
-				if sl.Node == child && sl.Start == h.start {
-					found = true
-					break
-				}
+		for _, sl := range s.links[h.ch].Slots() {
+			if sl.Node == child && sl.Start == h.start {
+				found = true
+				break
 			}
 		}
 		if !found {

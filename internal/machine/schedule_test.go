@@ -199,7 +199,7 @@ func TestValidateCatchesForeignCorruption(t *testing.T) {
 	s.MustPlace(u, 0, 0)
 	s.MustPlace(v, 1, 8)
 	// Corrupt: drop the link reservation behind the schedule's back.
-	s.linkTimeline(linkKey{0, 1}).Remove(v, 3)
+	s.links[s.topo.Channel(0, 1)].Remove(v, 3)
 	if err := s.Validate(); err == nil {
 		t.Error("Validate accepted missing link reservation")
 	}

@@ -18,13 +18,18 @@ import (
 
 // Topology is an undirected, connected processor network with
 // deterministic shortest-path routing. Immutable after construction.
+//
+// The topology is the one owner of channel identity: its directed
+// channels are numbered densely 0..NumChannels()-1 in (from, to) order,
+// and every route is stored as the sequence of channels it crosses.
 type Topology struct {
-	n      int
-	adj    [][]int32 // sorted neighbor lists
-	next   [][]int32 // next[s][d]: neighbor of s on a shortest s->d path
-	dist   [][]int32
-	routes [][]int32 // routes[s*n+d]: full s->d path, precomputed
-	name   string
+	n       int
+	adj     [][]int32 // sorted neighbor lists
+	chanOff []int32   // channel of (u, adj[u][i]) is chanOff[u]+i
+	ends    [][2]int  // ends[c]: the (from, to) processors of channel c
+	dist    [][]int32
+	routes  [][]int32 // routes[s*n+d]: channels of the s->d path, precomputed
+	name    string
 }
 
 // NewTopology builds a topology for n processors from an undirected link
@@ -58,7 +63,13 @@ func newTopology(n int, links [][2]int, name string) (*Topology, error) {
 	for p := range adj {
 		sort.Slice(adj[p], func(i, j int) bool { return adj[p][i] < adj[p][j] })
 	}
-	t := &Topology{n: n, adj: adj, name: name}
+	t := &Topology{n: n, adj: adj, name: name, chanOff: make([]int32, n+1)}
+	for u := range adj {
+		t.chanOff[u+1] = t.chanOff[u] + int32(len(adj[u]))
+		for _, v := range adj[u] {
+			t.ends = append(t.ends, [2]int{u, int(v)})
+		}
+	}
 	t.computeRoutes()
 	for d := 0; d < n; d++ {
 		if t.dist[0][d] < 0 {
@@ -72,13 +83,13 @@ func newTopology(n int, links [][2]int, name string) (*Topology, error) {
 // are sorted ascending, the chosen next hop is the smallest-indexed
 // neighbor on a shortest path, making routes deterministic.
 func (t *Topology) computeRoutes() {
-	t.next = make([][]int32, t.n)
+	next := make([][]int32, t.n) // next[s][d]: neighbor of s on a shortest s->d path
 	t.dist = make([][]int32, t.n)
 	for s := 0; s < t.n; s++ {
-		t.next[s] = make([]int32, t.n)
+		next[s] = make([]int32, t.n)
 		t.dist[s] = make([]int32, t.n)
-		for d := range t.next[s] {
-			t.next[s][d] = -1
+		for d := range next[s] {
+			next[s][d] = -1
 			t.dist[s][d] = -1
 		}
 	}
@@ -93,36 +104,53 @@ func (t *Topology) computeRoutes() {
 			for _, nb := range t.adj[v] {
 				if t.dist[nb][d] < 0 {
 					t.dist[nb][d] = t.dist[v][d] + 1
-					t.next[nb][d] = v
+					next[nb][d] = v
 					queue = append(queue, nb)
 				}
 			}
 		}
 	}
-	// Materialize every route once so the message planners can walk
-	// shortest paths without allocating per query.
+	// Materialize every route once, as channels, so the message planners
+	// can walk shortest paths without allocating per query.
 	t.routes = make([][]int32, t.n*t.n)
 	for s := 0; s < t.n; s++ {
 		for d := 0; d < t.n; d++ {
 			if t.dist[s][d] < 0 {
 				continue // disconnected; NewTopology rejects these anyway
 			}
-			path := make([]int32, 0, t.dist[s][d]+1)
-			for v := int32(s); ; v = t.next[v][d] {
-				path = append(path, v)
-				if v == int32(d) {
-					break
-				}
+			path := make([]int32, 0, t.dist[s][d])
+			for v := s; v != d; v = int(next[v][d]) {
+				path = append(path, int32(t.Channel(v, int(next[v][d]))))
 			}
 			t.routes[s*t.n+d] = path
 		}
 	}
 }
 
-// route returns the precomputed shortest path from src to dst including
-// both endpoints. The slice is shared with the topology and must not be
-// modified.
+// route returns the precomputed shortest path from src to dst as its
+// channel sequence, empty when src == dst. The slice is shared with the
+// topology and must not be modified.
 func (t *Topology) route(src, dst int) []int32 { return t.routes[src*t.n+dst] }
+
+// NumChannels returns the number of directed channels, two per link.
+func (t *Topology) NumChannels() int { return len(t.ends) }
+
+// Channel returns the directed channel from processor u to processor v,
+// or -1 when u and v are not linked (or either is out of range).
+func (t *Topology) Channel(u, v int) int {
+	if u < 0 || u >= t.n || v < 0 || v >= t.n {
+		return -1
+	}
+	nb := t.adj[u]
+	i := sort.Search(len(nb), func(i int) bool { return nb[i] >= int32(v) })
+	if i == len(nb) || nb[i] != int32(v) {
+		return -1
+	}
+	return int(t.chanOff[u]) + i
+}
+
+// Ends returns the (from, to) processors of channel c.
+func (t *Topology) Ends(c int) (from, to int) { return t.ends[c][0], t.ends[c][1] }
 
 // NumProcs returns the number of processors.
 func (t *Topology) NumProcs() int { return t.n }
@@ -138,25 +166,20 @@ func (t *Topology) Neighbors(p int) []int32 { return t.adj[p] }
 func (t *Topology) Degree(p int) int { return len(t.adj[p]) }
 
 // NumLinks returns the number of undirected links.
-func (t *Topology) NumLinks() int {
-	total := 0
-	for p := range t.adj {
-		total += len(t.adj[p])
-	}
-	return total / 2
-}
+func (t *Topology) NumLinks() int { return len(t.ends) / 2 }
 
 // Dist returns the hop distance between two processors.
 func (t *Topology) Dist(src, dst int) int { return int(t.dist[src][dst]) }
 
 // Route returns the shortest path from src to dst as a processor
 // sequence including both endpoints; Route(p, p) is [p]. The returned
-// slice is a fresh copy; internal callers use the precomputed route.
+// slice is a fresh copy; internal callers use the precomputed channels.
 func (t *Topology) Route(src, dst int) []int {
 	r := t.route(src, dst)
-	path := make([]int, len(r))
-	for i, v := range r {
-		path[i] = int(v)
+	path := make([]int, 1, len(r)+1)
+	path[0] = src
+	for _, c := range r {
+		path = append(path, t.ends[c][1])
 	}
 	return path
 }

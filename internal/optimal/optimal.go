@@ -55,11 +55,6 @@ type Options struct {
 	// means DefaultMaxExpansions. When the cap is hit the best schedule
 	// found so far is returned with Closed=false.
 	MaxExpansions int64
-	// UpperBound, when non-zero, seeds the incumbent: only schedules of
-	// length <= UpperBound are searched for. If none exists the Result
-	// carries a nil Schedule. When zero, the best heuristic schedule
-	// seeds the incumbent.
-	UpperBound int64
 }
 
 // DefaultMaxExpansions bounds the search effort when Options.MaxExpansions
@@ -116,36 +111,33 @@ func Schedule(g *dag.Graph, numProcs int, opts Options) (*Result, error) {
 		se.maxExp = DefaultMaxExpansions
 	}
 
-	// Incumbent: the best schedule over every clique-model heuristic,
-	// unless the caller seeds a bound. A tight incumbent is what lets
-	// the communication-heavy (CCR 10) instances close. The heuristics
-	// run in sorted-name order, BNP before UNC, so ties between them
-	// always resolve to the same schedule.
-	se.bestLen = opts.UpperBound + 1
-	if opts.UpperBound <= 0 {
-		bnpAlgs := bnp.Algorithms()
-		for _, name := range slices.Sorted(maps.Keys(bnpAlgs)) {
-			if m, err := bnpAlgs[name](g, numProcs); err == nil {
-				if se.best == nil || m.Length() < se.bestLen {
-					se.best, se.bestLen = m, m.Length()
-				}
+	// Incumbent: the best schedule over every clique-model heuristic. A
+	// tight incumbent is what lets the communication-heavy (CCR 10)
+	// instances close. The heuristics run in sorted-name order, BNP
+	// before UNC, so ties between them always resolve to the same
+	// schedule.
+	bnpAlgs := bnp.Algorithms()
+	for _, name := range slices.Sorted(maps.Keys(bnpAlgs)) {
+		if m, err := bnpAlgs[name](g, numProcs); err == nil {
+			if se.best == nil || m.Length() < se.bestLen {
+				se.best, se.bestLen = m, m.Length()
 			}
 		}
-		uncAlgs := unc.Algorithms()
-		for _, name := range slices.Sorted(maps.Keys(uncAlgs)) {
-			if d, err := uncAlgs[name](g); err == nil && d.ProcessorsUsed() <= numProcs {
-				if dl := d.Length(); se.best == nil || dl < se.bestLen {
-					se.best, se.bestLen = compact(d, numProcs), dl
-				}
+	}
+	uncAlgs := unc.Algorithms()
+	for _, name := range slices.Sorted(maps.Keys(uncAlgs)) {
+		if d, err := uncAlgs[name](g); err == nil && d.ProcessorsUsed() <= numProcs {
+			if dl := d.Length(); se.best == nil || dl < se.bestLen {
+				se.best, se.bestLen = compact(d, numProcs), dl
 			}
 		}
-		if se.best == nil {
-			m, err := bnp.HLFET(g, numProcs)
-			if err != nil {
-				return nil, err
-			}
-			se.best, se.bestLen = m, m.Length()
+	}
+	if se.best == nil {
+		m, err := bnp.HLFET(g, numProcs)
+		if err != nil {
+			return nil, err
 		}
+		se.best, se.bestLen = m, m.Length()
 	}
 
 	se.remaining = make([]int, g.NumNodes())
@@ -214,9 +206,6 @@ func (se *searcher) dfs() {
 		return
 	}
 	if se.s.Complete() {
-		// Strictness matters: bestLen is an exclusive threshold when an
-		// UpperBound seeded the search without a schedule, so an
-		// equal-length schedule must not be adopted.
 		if l := se.s.Length(); l < se.bestLen {
 			se.best = snapshot(se.s, se.numProcs)
 			se.bestLen = l

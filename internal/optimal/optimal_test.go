@@ -216,30 +216,6 @@ func TestExpansionBudgetTruncates(t *testing.T) {
 	}
 }
 
-func TestUpperBoundSeeding(t *testing.T) {
-	b := dag.NewBuilder()
-	for i := 0; i < 4; i++ {
-		b.AddNode(2)
-	}
-	g := b.MustBuild()
-	// Optimum on 2 procs is 4. An upper bound of 3 is infeasible.
-	res, err := Schedule(g, 2, Options{UpperBound: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Schedule != nil {
-		t.Errorf("found schedule of length %d under infeasible bound", res.Length)
-	}
-	// A bound of 4 is exactly feasible.
-	res, err = Schedule(g, 2, Options{UpperBound: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Schedule == nil || res.Length != 4 {
-		t.Errorf("bound-4 search: length %d, want 4", res.Length)
-	}
-}
-
 func TestArgumentErrors(t *testing.T) {
 	if _, err := Schedule(nil, 2, Options{}); err == nil {
 		t.Error("accepted nil graph")

@@ -50,43 +50,3 @@ func TestGanttEmpty(t *testing.T) {
 		t.Error("empty schedule not labelled")
 	}
 }
-
-func TestScheduleTextRoundTrip(t *testing.T) {
-	g, s := builtSchedule(t)
-	var buf bytes.Buffer
-	if err := WriteText(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadText(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Length() != s.Length() {
-		t.Errorf("round trip length %d != %d", back.Length(), s.Length())
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		n := dag.NodeID(v)
-		if back.ProcOf(n) != s.ProcOf(n) || back.StartOf(n) != s.StartOf(n) {
-			t.Errorf("node %d placement changed in round trip", v)
-		}
-	}
-}
-
-func TestScheduleReadTextRejectsInvalid(t *testing.T) {
-	g, _ := diamond(t)
-	cases := map[string]string{
-		"missing header":   "place 0 0 0\n",
-		"unknown node":     "procs 2\nplace 9 0 0\n",
-		"bad directive":    "procs 2\nfrobnicate\n",
-		"overlap":          "procs 1\nplace 0 0 0\nplace 1 0 0\n",
-		"precedence break": "procs 2\nplace 1 0 0\n",
-		"empty":            "",
-	}
-	for name, src := range cases {
-		t.Run(name, func(t *testing.T) {
-			if _, err := ReadText(strings.NewReader(src), g); err == nil {
-				t.Errorf("accepted %q", src)
-			}
-		})
-	}
-}

@@ -26,38 +26,34 @@ func CompileAPN(s *machine.Schedule) (*Plan, error) {
 	n := g.NumNodes()
 	// Message-hop jobs, one per committed link reservation, chained
 	// along the route, plus per-channel transfer lists for the
-	// contention queues. Channels are keyed by directed endpoint pair
-	// and discovered in deterministic edge order; Plan.chans records
-	// their endpoints.
+	// contention queues. Job.Chan is the topology's channel, and
+	// Plan.chans records every channel's endpoints.
 	type chanHop struct {
 		job   int32
 		start int64 // static reservation start, the queue order key
 	}
-	chanIndex := map[[2]int]int32{}
-	var chanHops [][]chanHop
+	topo := s.Topology()
+	chanHops := make([][]chanHop, topo.NumChannels())
+	b.plan.chans = make([][2]int, topo.NumChannels())
+	for c := range b.plan.chans {
+		from, to := topo.Ends(c)
+		b.plan.chans[c] = [2]int{from, to}
+	}
 	for v := 0; v < n; v++ {
 		child := dag.NodeID(v)
 		for _, pr := range g.Preds(child) {
 			parent := pr.To
 			prev := int32(parent) // previous job in the message chain
 			s.EachMessageHop(parent, child, func(h machine.LinkHop) {
-				key := [2]int{h.From, h.To}
-				ci, ok := chanIndex[key]
-				if !ok {
-					ci = int32(len(chanHops))
-					chanIndex[key] = ci
-					chanHops = append(chanHops, nil)
-					b.plan.chans = append(b.plan.chans, key)
-				}
 				job := b.addJob(Job{
 					Base:    h.Finish - h.Start,
 					Planned: h.Start,
 					Ent:     commEnt(parent, child),
 					Proc:    -1,
-					Chan:    ci,
+					Chan:    int32(h.Link),
 				})
 				b.addArc(prev, job, 0, 0)
-				chanHops[ci] = append(chanHops[ci], chanHop{job: job, start: h.Start})
+				chanHops[h.Link] = append(chanHops[h.Link], chanHop{job: job, start: h.Start})
 				prev = job
 			})
 			// The child waits for the last hop, or directly for the

@@ -35,7 +35,7 @@ type Job struct {
 	Planned int64  // static start time (the timetable release floor)
 	Ent     uint64 // perturbation entity key
 	Proc    int32  // processor of a task job, -1 for message transfers
-	Chan    int32  // channel of a message job (index into Channels), -1 for tasks
+	Chan    int32  // topology channel of a message job (index into Channels), -1 for tasks
 }
 
 // Arc releases job To when the owning job finishes, after an optional
@@ -74,8 +74,9 @@ func (p *Plan) Arcs(j int32) []Arc { return p.arcs[p.arcOff[j]:p.arcOff[j+1]] }
 // InDegrees returns every job's number of incoming arcs.
 func (p *Plan) InDegrees() []int32 { return p.indeg }
 
-// Channels returns the directed link channels (from, to) of an APN
-// plan in discovery order, indexed by Job.Chan; nil for clique plans.
+// Channels returns the endpoints (from, to) of every directed channel of
+// an APN plan's topology, indexed by Job.Chan in the topology's own
+// numbering (machine.Topology.Channel); nil for clique plans.
 func (p *Plan) Channels() [][2]int { return p.chans }
 
 // Run executes the plan once under the given options and trial number

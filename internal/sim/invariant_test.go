@@ -9,6 +9,7 @@ import (
 	"repro/internal/algo/apn"
 	"repro/internal/algo/bnp"
 	"repro/internal/algo/unc"
+	"repro/internal/dag"
 	"repro/internal/gen"
 	"repro/internal/machine"
 )
@@ -168,6 +169,27 @@ func TestPlanView(t *testing.T) {
 	}
 	if len(seen) == 0 || plan.Jobs() == plan.Tasks() {
 		t.Fatal("instance has no message jobs")
+	}
+	// Message jobs follow the schedule's committed hops in (child,
+	// parent, route) order, and their channel is the topology's.
+	topo := s.Topology()
+	j := int32(plan.Tasks())
+	for v := 0; v < g.NumNodes(); v++ {
+		for _, pr := range g.Preds(dag.NodeID(v)) {
+			s.EachMessageHop(pr.To, dag.NodeID(v), func(h machine.LinkHop) {
+				jb := plan.Job(j)
+				if jb.Planned != h.Start || jb.Base != h.Finish-h.Start {
+					t.Fatalf("message job %d: planned %d base %d, hop [%d,%d)", j, jb.Planned, jb.Base, h.Start, h.Finish)
+				}
+				if plan.Channels()[jb.Chan] != [2]int{h.From, h.To} || int(jb.Chan) != topo.Channel(h.From, h.To) || h.Link != int(jb.Chan) {
+					t.Fatalf("message job %d: chan %d, hop %d->%d on channel %d", j, jb.Chan, h.From, h.To, h.Link)
+				}
+				j++
+			})
+		}
+	}
+	if int(j) != plan.Jobs() {
+		t.Fatalf("%d message jobs for %d committed hops", plan.Jobs()-plan.Tasks(), int(j)-plan.Tasks())
 	}
 	indeg := make([]int32, plan.Jobs())
 	for j := int32(0); j < int32(plan.Jobs()); j++ {
