@@ -1,6 +1,8 @@
 package apn
 
 import (
+	"slices"
+
 	"repro/internal/dag"
 	"repro/internal/machine"
 )
@@ -22,9 +24,13 @@ import (
 // Implementation note: the published algorithm updates the schedule
 // incrementally around each migration; this implementation evaluates a
 // candidate migration with a cheap routed-EST estimate and, when the
-// estimate promises an improvement, rebuilds the schedule by replaying
-// the per-processor sequences (machine.ReplaySequencesHet), keeping the
-// migration only if the node's start time actually improved. The
+// estimate promises an improvement, re-derives the schedule by replaying
+// the per-processor sequences (machine.Replay.Migrate), keeping the
+// migration only if the node's start time actually improved and the
+// makespan did not grow. A replay is deterministic, so Migrate rewinds
+// the schedule only to the first step the moved sequences can decide
+// differently and replays the suffix after it, stopping as soon as the
+// candidate is lost; the result equals a whole-schedule replay. The
 // resulting schedules follow the published behaviour; only the running
 // time constant differs.
 func BSA(g *dag.Graph, topo *machine.Topology) (*machine.Schedule, error) {
@@ -48,16 +54,16 @@ func runBSA(g *dag.Graph, topo *machine.Topology, speeds []float64) (*machine.Sc
 	}
 	pivot := bestConnectedProc(topo)
 	seqs := make([][]dag.NodeID, topo.NumProcs())
-	seqs[pivot] = append([]dag.NodeID(nil), order...)
+	seqs[pivot] = order
 
-	s, err := machine.ReplaySequencesHet(g, topo, seqs, speeds)
+	r, err := machine.NewReplay(g, topo, seqs, speeds)
 	if err != nil {
 		return nil, err
 	}
-
+	s := r.Schedule()
 	for _, p := range bfsProcs(topo, pivot) {
-		// Snapshot: migrations mutate seqs[p] as we iterate.
-		resident := append([]dag.NodeID(nil), seqs[p]...)
+		// Snapshot: migrations change p's sequence as we iterate.
+		resident := append([]dag.NodeID(nil), r.Sequence(p)...)
 		for _, n := range resident {
 			if current := s.ProcOf(n); current != p {
 				continue // migrated away by an earlier step
@@ -76,54 +82,23 @@ func runBSA(g *dag.Graph, topo *machine.Topology, speeds []float64) (*machine.Sc
 			if bestProc < 0 {
 				continue
 			}
-			candidate := moveNode(seqs, n, p, bestProc, rank)
-			ns, err := machine.ReplaySequencesHet(g, topo, candidate, speeds)
-			if err != nil || ns.StartOf(n) >= s.StartOf(n) || ns.Length() > s.Length() {
-				// The estimate was optimistic, or bubbling this node
-				// earlier pushed its successors' messages onto busier
-				// links and lengthened the schedule: keep the old state.
-				// (The published BSA's incremental update reconsiders
-				// displaced successors later; with whole-schedule
-				// replays the makespan guard plays that role.)
-				continue
+			// Insert by CPN-dominant rank, so every per-processor
+			// sequence stays a subsequence of the global order. Migrate
+			// keeps the old state when the estimate was optimistic, or
+			// when bubbling this node earlier pushed its successors'
+			// messages onto busier links and lengthened the schedule.
+			// (The published BSA's incremental update reconsiders
+			// displaced successors later; with replays the makespan
+			// guard plays that role.)
+			dst := r.Sequence(bestProc)
+			pos := slices.IndexFunc(dst, func(m dag.NodeID) bool { return rank[n] < rank[m] })
+			if pos < 0 {
+				pos = len(dst)
 			}
-			seqs = candidate
-			s = ns
+			r.Migrate(n, bestProc, pos)
 		}
 	}
 	return s, nil
-}
-
-// moveNode returns a copy of seqs with n moved from processor from to
-// processor to, inserted by CPN-dominant rank so every per-processor
-// sequence stays a subsequence of the global order.
-func moveNode(seqs [][]dag.NodeID, n dag.NodeID, from, to int, rank []int) [][]dag.NodeID {
-	out := make([][]dag.NodeID, len(seqs))
-	for i := range seqs {
-		switch i {
-		case from:
-			for _, m := range seqs[i] {
-				if m != n {
-					out[i] = append(out[i], m)
-				}
-			}
-		case to:
-			inserted := false
-			for _, m := range seqs[i] {
-				if !inserted && rank[n] < rank[m] {
-					out[i] = append(out[i], n)
-					inserted = true
-				}
-				out[i] = append(out[i], m)
-			}
-			if !inserted {
-				out[i] = append(out[i], n)
-			}
-		default:
-			out[i] = append([]dag.NodeID(nil), seqs[i]...)
-		}
-	}
-	return out
 }
 
 // bfsProcs returns the processors in breadth-first order from the pivot.

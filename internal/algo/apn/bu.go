@@ -29,10 +29,16 @@ func BU(g *dag.Graph, topo *machine.Topology) (*machine.Schedule, error) {
 // the fixed assignment is replayed into a schedule (the assignment pass
 // itself is load- and distance-driven, not time-driven).
 func runBU(g *dag.Graph, topo *machine.Topology, speeds []float64) (*machine.Schedule, error) {
-	n := g.NumNodes()
-	if n == 0 {
+	if g.NumNodes() == 0 {
 		return newSchedule(g, topo, speeds)
 	}
+	return machine.ReplaySequencesHet(g, topo, buSequences(g, topo), speeds)
+}
+
+// buSequences returns BU's fixed assignment of a non-empty graph as one
+// execution sequence per processor, each in global b-level order.
+func buSequences(g *dag.Graph, topo *machine.Topology) [][]dag.NodeID {
+	n := g.NumNodes()
 	assign := make([]int, n)
 	for i := range assign {
 		assign[i] = -1
@@ -80,7 +86,7 @@ func runBU(g *dag.Graph, topo *machine.Topology, speeds []float64) (*machine.Sch
 	for _, v := range algo.PriorityOrder(g, dag.BLevels(g)) {
 		seqs[assign[v]] = append(seqs[assign[v]], v)
 	}
-	return machine.ReplaySequencesHet(g, topo, seqs, speeds)
+	return seqs
 }
 
 // bestConnectedProc returns the processor with the highest degree,

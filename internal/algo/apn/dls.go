@@ -1,6 +1,9 @@
 package apn
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/algo"
 	"repro/internal/dag"
 	"repro/internal/machine"
@@ -12,15 +15,37 @@ import (
 // the contended network links.
 //
 // At each step the (ready node, processor) pair maximizing the dynamic
-// level DL(n,p) = SL(n) − EST(n,p) is committed. The exhaustive pair
-// scan, with a message-routing query per pair, makes DLS the slowest
-// APN algorithm in the paper's running-time comparison (section 6.4.3)
-// while keeping its schedule quality stable across graph sizes.
+// level DL(n,p) = SL(n) − EST(n,p) is committed, ties toward the lower
+// node and then the lower processor. The paper's exhaustive pair scan,
+// with a message-routing query per pair, makes DLS the slowest APN
+// algorithm in its running-time comparison (section 6.4.3) while
+// keeping its schedule quality stable across graph sizes.
+//
+// Implementation note: the scan here is exact but pruned. Every pair
+// gets the routing-free bound SL(n) − ESTLowerBound(n,p) ≥ DL(n,p);
+// pairs are visited by descending bound, then node, then processor,
+// and a pair's messages are routed (ESTOn) only while its bound can
+// still win the (DL, node, processor) tie-break against the best pair
+// so far. The committed pair is the exhaustive scan's.
 func DLS(g *dag.Graph, topo *machine.Topology) (*machine.Schedule, error) {
 	if err := checkArgs(g, topo); err != nil {
 		return nil, err
 	}
 	return runDLS(g, topo, nil)
+}
+
+// dlsPair is one (ready node, processor) candidate with the upper bound
+// on its dynamic level.
+type dlsPair struct {
+	node dag.NodeID
+	proc int
+	ub   int64
+}
+
+// beats reports whether a pair with dynamic level dl beats the pair
+// (node, proc) at level best under DLS's tie-break.
+func beats(dl int64, n dag.NodeID, p int, best int64, node dag.NodeID, proc int) bool {
+	return dl > best || (dl == best && (n < node || (n == node && p < proc)))
 }
 
 // runDLS is APN DLS with an optional heterogeneous speed vector.
@@ -31,21 +56,37 @@ func runDLS(g *dag.Graph, topo *machine.Topology, speeds []float64) (*machine.Sc
 		return nil, err
 	}
 	ready := algo.NewReadySet(g)
+	var pairs []dlsPair
 	for !ready.Empty() {
-		bestNode := dag.None
-		bestProc := -1
-		var bestDL, bestEST int64
+		pairs = pairs[:0]
 		for _, n := range ready.Ready() {
 			for p := 0; p < topo.NumProcs(); p++ {
-				est, ok := s.ESTOn(n, p, false)
+				lb, ok := s.ESTLowerBound(n, p)
 				if !ok {
 					panic("apn: DLS ready node has unscheduled parent")
 				}
-				dl := sl[n] - est
-				if bestNode == dag.None || dl > bestDL ||
-					(dl == bestDL && (n < bestNode || (n == bestNode && p < bestProc))) {
-					bestNode, bestProc, bestDL, bestEST = n, p, dl, est
-				}
+				pairs = append(pairs, dlsPair{node: n, proc: p, ub: sl[n] - lb})
+			}
+		}
+		slices.SortFunc(pairs, func(a, b dlsPair) int {
+			if c := cmp.Compare(b.ub, a.ub); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.node, b.node); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.proc, b.proc)
+		})
+		bestNode := dag.None
+		bestProc := -1
+		var bestDL, bestEST int64
+		for _, c := range pairs {
+			if bestNode != dag.None && !beats(c.ub, c.node, c.proc, bestDL, bestNode, bestProc) {
+				break // the bound order puts no later pair ahead either
+			}
+			est, _ := s.ESTOn(c.node, c.proc, false)
+			if dl := sl[c.node] - est; bestNode == dag.None || beats(dl, c.node, c.proc, bestDL, bestNode, bestProc) {
+				bestNode, bestProc, bestDL, bestEST = c.node, c.proc, dl, est
 			}
 		}
 		ready.Pop(bestNode)

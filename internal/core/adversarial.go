@@ -111,27 +111,32 @@ func AdversarialSearch(cfg Config, opts adversarial.Options, algA, algB string) 
 	// fault-effective makespans (FaultEffective); otherwise they are the
 	// static makespans the paper compares.
 	faulty := opts.Objective != nil && opts.Objective.Name() == adversarial.FaultObjective{}.Name()
-	measure := func(alg Algorithm, g *dag.Graph) (int64, error) {
+	measure := func(alg Algorithm, g *dag.Graph, instance string) (int64, error) {
 		if faulty {
-			return FaultEffective(alg, g, adversarialProcs, topo)
+			length, err := FaultEffective(alg, g, adversarialProcs, topo)
+			if err != nil {
+				return 0, fmt.Errorf("adversarial: %s on %s: %w", alg.Name, instance, err)
+			}
+			return length, nil
 		}
-		res, err := alg.Run(g, adversarialProcs, topo)
+		// Labelled, so a traced run header names the generation and the
+		// candidate it scheduled.
+		res, err := runLabelled("adversarial", alg, instance, g, adversarialProcs, nil, topo)
 		return res.Length, err
 	}
+	// Search calls eval once per generation, in order (skipping only a
+	// generation none of whose candidates builds), with the buildable
+	// candidates in population order.
+	generation := 0
 	eval := func(graphs []*dag.Graph) ([][2]int64, error) {
 		var p plan[int64]
-		for _, g := range graphs {
+		for i, g := range graphs {
+			instance := fmt.Sprintf("gen%d-cand%d", generation, i)
 			for _, alg := range []Algorithm{a, b} {
-				p.add(func() (int64, error) {
-					length, err := measure(alg, g)
-					if err != nil {
-						return 0, fmt.Errorf("adversarial: %s on a %d-node candidate: %w",
-							alg.Name, g.NumNodes(), err)
-					}
-					return length, nil
-				})
+				p.add(func() (int64, error) { return measure(alg, g, instance) })
 			}
 		}
+		generation++
 		results, err := p.run(cfg)
 		if err != nil {
 			return nil, err

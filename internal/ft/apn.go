@@ -2,6 +2,7 @@ package ft
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -58,19 +59,9 @@ type apnRuntime struct {
 // processor, and link outages delay the start of message transfers on
 // the affected channel while in-flight transfers complete.
 func runAPN(plan *sim.Plan, opts *Options, trial int) Result {
-	m := plan.Jobs()
+	rt := apnPool.Get().(*apnRuntime)
+	rt.reset(plan)
 	tasks := plan.Tasks()
-	rt := &apnRuntime{
-		plan:     plan,
-		deps:     append([]int32(nil), plan.InDegrees()...),
-		ready:    make([]int64, m),
-		startAt:  make([]int64, m),
-		epoch:    make([]int32, m),
-		released: make([]bool, m),
-		finished: make([]bool, tasks),
-		alive:    make([]bool, tasks),
-		gens:     make([]outGen, len(plan.Channels())),
-	}
 	rt.start(opts, trial, plan.Static(), plan.NumProcs(), tasks)
 	if opts.Sim.Policy == sim.PolicyTimetable {
 		for j := range rt.ready {
@@ -80,9 +71,9 @@ func runAPN(plan *sim.Plan, opts *Options, trial int) Result {
 	for v := range rt.alive {
 		rt.alive[v] = true
 	}
-	for j := int32(0); j < int32(m); j++ {
+	for j := range rt.deps {
 		if rt.deps[j] == 0 {
-			rt.release(j)
+			rt.release(int32(j))
 		}
 	}
 	for rt.remaining > 0 && rt.pending > 0 {
@@ -98,7 +89,49 @@ func runAPN(plan *sim.Plan, opts *Options, trial int) Result {
 			rt.repair(int(ev.id))
 		}
 	}
-	return rt.result(false)
+	res := rt.result(false)
+	rt.plan, rt.opts = nil, nil // do not pin while pooled
+	apnPool.Put(rt)
+	return res
+}
+
+// apnPool recycles the APN runtime across trials, as sim pools its
+// engine: the per-job, per-task and per-channel arrays and the clock's
+// event heap.
+var apnPool = sync.Pool{New: func() any { return new(apnRuntime) }}
+
+// reset sizes the runtime's arrays for plan and empties them, reusing
+// every backing array that is large enough.
+func (rt *apnRuntime) reset(plan *sim.Plan) {
+	m, tasks := plan.Jobs(), plan.Tasks()
+	rt.plan = plan
+	rt.deps = append(rt.deps[:0], plan.InDegrees()...)
+	rt.ready = resize(rt.ready, m)
+	rt.startAt = resize(rt.startAt, m)
+	rt.epoch = resize(rt.epoch, m)
+	rt.released = resize(rt.released, m)
+	rt.finished = resize(rt.finished, tasks)
+	rt.alive = resize(rt.alive, tasks)
+	if ch := len(plan.Channels()); cap(rt.gens) < ch {
+		rt.gens = make([]outGen, ch)
+	} else {
+		rt.gens = rt.gens[:ch]
+	}
+	for i := range rt.gens {
+		// Keep each channel's window capacity.
+		rt.gens[i] = outGen{wins: rt.gens[i].wins[:0]}
+	}
+}
+
+// resize returns s with length n, zeroed, reusing its backing array
+// when the capacity allows.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // release starts job j at its accumulated ready time — pushed past any

@@ -65,18 +65,29 @@ type procClock struct {
 }
 
 // start resets the clock for one execution of tasks tasks on numProcs
-// processors and draws every processor's first crash.
+// processors and draws every processor's first crash. A clock reused
+// across runs keeps its event heap and per-processor draw state
+// arrays; the busy and down accounting is fresh, because the Result of
+// the previous run holds it.
 func (c *procClock) start(opts *Options, trial int, static int64, numProcs, tasks int) {
-	c.opts = opts
-	c.trial = sim.TrialSeed(opts.Sim.Seed, trial)
-	c.static = static
-	c.heap = pq.New[event](eventLess)
-	c.downAt = make([]int64, numProcs)
-	c.repairAt = make([]int64, numProcs)
-	c.faultK = make([]int, numProcs)
-	c.busy = make([]int64, numProcs)
-	c.down = make([]int64, numProcs)
-	c.remaining = tasks
+	heap := c.heap
+	if heap == nil {
+		heap = pq.New[event](eventLess)
+	} else {
+		heap.Reset()
+	}
+	*c = procClock{
+		opts:      opts,
+		trial:     sim.TrialSeed(opts.Sim.Seed, trial),
+		static:    static,
+		heap:      heap,
+		downAt:    resize(c.downAt, numProcs),
+		repairAt:  resize(c.repairAt, numProcs),
+		faultK:    resize(c.faultK, numProcs),
+		busy:      make([]int64, numProcs),
+		down:      make([]int64, numProcs),
+		remaining: tasks,
+	}
 	for p := range c.downAt {
 		c.downAt[p] = -1
 		c.repairAt[p] = never

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/algo/apn"
@@ -624,5 +625,73 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if _, err := x.Run(ft.Options{Sim: sim.Options{Speed: bad}}, 0); err == nil {
 		t.Fatal("mis-sized speed vector accepted")
+	}
+}
+
+// TestAPNConcurrentRunsMatchSerial runs the trials of the APN fault
+// instance from several goroutines at once and requires every result
+// to equal the serial run's: the pooled runtime belongs to one run at a
+// time, and no state leaks from one trial into the next.
+func TestAPNConcurrentRunsMatchSerial(t *testing.T) {
+	const trials, workers = 12, 4
+	x, opts := apnFaultExec(t)
+	want := make([]ft.Result, trials)
+	for trial := range want {
+		res, err := x.Run(opts, trial)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want[trial] = res
+	}
+	got := make([][]ft.Result, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = make([]ft.Result, trials)
+			for i := 0; i < trials; i++ {
+				trial := (i + w*trials/workers) % trials
+				res, err := x.Run(opts, trial)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				got[w][trial] = res
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		if !reflect.DeepEqual(got[w], want) {
+			t.Fatalf("worker %d: concurrent results differ from serial", w)
+		}
+	}
+}
+
+// TestAPNRunAllocs requires a warm APN trial to reuse its per-job,
+// per-task and per-channel arrays and its event heap: what is left is
+// the Result's per-processor busy, down and idle slices, a handful of
+// allocations whatever the plan's job and channel counts.
+func TestAPNRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are not meaningful")
+	}
+	x, opts := apnFaultExec(t)
+	if _, err := x.Run(opts, 0); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := x.Run(opts, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per trial", allocs)
+	if allocs > 6 {
+		t.Fatalf("%.0f allocations per APN trial, want at most 6", allocs)
 	}
 }

@@ -191,6 +191,28 @@ func (s *Schedule) ESTOn(n dag.NodeID, p int, insertion bool) (int64, bool) {
 	return s.EarliestFit(p, drt, s.ExecTime(n, p), insertion), true
 }
 
+// ESTLowerBound returns a lower bound on ESTOn(n, p, false) that routes
+// no message: the later of p's last finish and, over n's parents, the
+// parent's finish plus the edge cost times the hop count from its
+// processor to p. Under store-and-forward every hop of a message takes
+// the full edge cost and starts only after the previous hop ends, so no
+// routing delivers a message sooner; a co-located parent or a zero-cost
+// edge contributes the parent's bare finish. ok is false when some
+// parent is unscheduled, exactly as for ESTOn.
+func (s *Schedule) ESTLowerBound(n dag.NodeID, p int) (int64, bool) {
+	lb := s.LastFinish(p)
+	for _, pr := range s.Graph().Preds(n) {
+		src := s.ProcOf(pr.To)
+		if src < 0 {
+			return 0, false
+		}
+		if t := s.FinishOf(pr.To) + pr.Weight*int64(s.topo.Dist(src, p)); t > lb {
+			lb = t
+		}
+	}
+	return lb, true
+}
+
 // BestEST returns the processor with the smallest EST for n, ties toward
 // lower processor indices.
 func (s *Schedule) BestEST(n dag.NodeID, insertion bool) (proc int, est int64, ok bool) {
@@ -211,11 +233,18 @@ func (s *Schedule) BestEST(n dag.NodeID, insertion bool) (proc int, est int64, o
 // the message reservations of all inbound edges. The start time must be
 // at or after the planned data-ready time.
 func (s *Schedule) Place(n dag.NodeID, p int, start int64) error {
+	return s.place(n, p, start, true)
+}
+
+// place is Place with the decision record optional: a replay that
+// restores placements it already committed once (see Replay.Migrate)
+// does not trace them again.
+func (s *Schedule) place(n dag.NodeID, p int, start int64, trace bool) error {
 	if err := s.CheckPlace(n, p, start); err != nil {
 		return err
 	}
 	finish := start + s.ExecTime(n, p)
-	if t := obs.ActiveTracer(); t != nil && t.InRun() {
+	if t := obs.ActiveTracer(); trace && t != nil && t.InRun() {
 		// Must precede planInbound: candidate probing reuses the query
 		// scratch the committed plan aliases, and it must not see this
 		// placement's own reservations.

@@ -164,6 +164,10 @@ func (t *Tasks) StartOf(n dag.NodeID) int64 { return t.start[n] }
 // FinishOf returns the finish time of a scheduled node.
 func (t *Tasks) FinishOf(n dag.NodeID) int64 { return t.finish[n] }
 
+// LastFinish returns the finish time of processor p's last slot, 0
+// when p is idle: the earliest start of a non-insertion placement there.
+func (t *Tasks) LastFinish(p int) int64 { return t.lastFin[p] }
+
 // Slots returns the timeline of processor p, sorted by start time. The
 // returned slice is shared with the schedule and must not be modified.
 func (t *Tasks) Slots(p int) []Slot { return t.procs[p].Slots() }
