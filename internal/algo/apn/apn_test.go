@@ -305,3 +305,36 @@ func TestDenseTopologyNoWorse(t *testing.T) {
 		}
 	}
 }
+
+// TestFinishedSchedulesReadConcurrently reads every finished APN
+// schedule from two goroutines at once. Every entry point drops the
+// plan its last EST query left pending, so the reads write nothing,
+// which the race detector checks.
+func TestFinishedSchedulesReadConcurrently(t *testing.T) {
+	rng := rand.New(rand.NewSource(808))
+	for _, topo := range []*machine.Topology{machine.Chain(2), machine.Ring(3), machine.Mesh(2, 3)} {
+		for i := 0; i < 4; i++ {
+			g := randomGraph(rng, 2+rng.Intn(20), 1+rng.Int63n(40))
+			for _, tc := range allAlgorithms() {
+				s, err := tc.run(g, topo)
+				if err != nil {
+					t.Fatalf("%s on %s: %v", tc.name, topo.Name(), err)
+				}
+				errs := make(chan error, 2)
+				for range 2 {
+					go func() {
+						for c := 0; c < topo.NumChannels(); c++ {
+							s.LinkSlots(topo.Ends(c))
+						}
+						errs <- s.Validate()
+					}()
+				}
+				for range 2 {
+					if err := <-errs; err != nil {
+						t.Fatalf("%s on %s: %v", tc.name, topo.Name(), err)
+					}
+				}
+			}
+		}
+	}
+}

@@ -98,6 +98,7 @@ func runBSA(g *dag.Graph, topo *machine.Topology, speeds []float64) (*machine.Sc
 			r.Migrate(n, bestProc, pos)
 		}
 	}
+	s.DiscardPlan() // the last neighbor probe may have left one
 	return s, nil
 }
 

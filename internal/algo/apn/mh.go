@@ -21,6 +21,11 @@ import (
 // The paper observes MH "yields fairly long schedule lengths for large
 // graphs" (section 6.4.1) — priorities ignore communication, and no
 // insertion is attempted.
+//
+// Implementation note: the processor scan is exact but pruned, like APN
+// DLS's pair scan (see machine.Schedule.BestEST): a processor's messages
+// are routed only while its routing-free lower bound can still beat the
+// best start so far.
 func MH(g *dag.Graph, topo *machine.Topology) (*machine.Schedule, error) {
 	if err := checkArgs(g, topo); err != nil {
 		return nil, err
@@ -36,7 +41,7 @@ func runMH(g *dag.Graph, topo *machine.Topology, speeds []float64) (*machine.Sch
 		return nil, err
 	}
 	for _, n := range algo.PriorityOrder(g, sl) {
-		p, est, ok := s.BestEST(n, false)
+		p, est, ok := s.BestEST(n)
 		if !ok {
 			panic("apn: MH popped node with unscheduled parent")
 		}

@@ -12,8 +12,8 @@ import (
 )
 
 // The oracles below are the whole-replay BSA loop and the exhaustive
-// APN DLS scan the pruned kernels replaced. They survive only as the
-// references the pruned kernels are pinned to.
+// APN DLS and MH scans the pruned kernels replaced. They survive only as
+// the references the pruned kernels are pinned to.
 
 // oracleReplay replays per-processor sequences with the exhaustive head
 // scan: every eligible head's messages are routed at every step.
@@ -159,6 +159,30 @@ func oracleDLS(g *dag.Graph, topo *machine.Topology, speeds []float64) (*machine
 	return s, nil
 }
 
+// oracleMH is MH routing the messages of every processor for each
+// node, ties toward the lower processor.
+func oracleMH(g *dag.Graph, topo *machine.Topology, speeds []float64) (*machine.Schedule, error) {
+	s, err := newSchedule(g, topo, speeds)
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range algo.PriorityOrder(g, dag.StaticLevels(g)) {
+		bestProc := -1
+		var bestEST int64
+		for p := 0; p < topo.NumProcs(); p++ {
+			est, ok := s.ESTOn(n, p, false)
+			if !ok {
+				return nil, fmt.Errorf("oracle MH: node %d has an unscheduled parent", n)
+			}
+			if bestProc == -1 || est < bestEST {
+				bestProc, bestEST = p, est
+			}
+		}
+		s.MustPlace(n, bestProc, bestEST)
+	}
+	return s, nil
+}
+
 // oracleBU is BU with its sequences replayed by the exhaustive scan.
 func oracleBU(g *dag.Graph, topo *machine.Topology, speeds []float64) (*machine.Schedule, error) {
 	if g.NumNodes() == 0 {
@@ -176,6 +200,7 @@ var prunedCases = []struct {
 	{"BSA", runBSA, oracleBSA},
 	{"DLS", runDLS, oracleDLS},
 	{"BU", runBU, oracleBU},
+	{"MH", runMH, oracleMH},
 }
 
 // hopsOf lists the committed link reservations of edge (u, v).

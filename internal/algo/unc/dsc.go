@@ -46,6 +46,14 @@ func runDSC(g *dag.Graph, speeds []float64) (*sched.Schedule, error) {
 	tl := make([]int64, n)
 	prio := append([]int64(nil), bl...) // entry nodes: t-level 0
 	clusterEnd := make([]int64, n)
+	// local[c] is the latest finish of the examined node's parents in
+	// cluster c while the join scan runs, -1 otherwise; clusters lists
+	// the parent clusters the scan met.
+	local := make([]int64, n)
+	for c := range local {
+		local[c] = -1
+	}
+	var clusters []int
 	nextCluster := 0
 
 	free := algo.AcquireReadyHeap(g, prio)
@@ -55,25 +63,44 @@ func runDSC(g *dag.Graph, speeds []float64) (*sched.Schedule, error) {
 
 		// Starting a fresh cluster keeps every incoming edge unzeroed.
 		newEST := tl[node]
-		// Joining a parent's cluster zeroes the edges from co-located
-		// parents but must wait for the cluster to drain.
-		bestCluster := -1
-		var bestEST int64
+		// Joining a parent's cluster c zeroes the edges from c's parents
+		// but must wait for c to drain: c starts node at the latest of
+		// clusterEnd[c], the finishes of node's parents in c, and the
+		// arrivals (finish + edge cost) of its parents elsewhere. One pass
+		// keeps each parent cluster's latest local finish and the two
+		// latest arrivals from distinct clusters; the latest arrival from
+		// outside c is the top one unless c holds it.
+		clusters = clusters[:0]
+		var top1, top2 int64
+		top1c := -1
 		for _, pr := range g.Preds(node) {
 			c := s.ProcOf(pr.To)
 			if c < 0 {
 				panic("unc: DSC free node has unexamined parent")
 			}
-			est := clusterEnd[c]
-			for _, q := range g.Preds(node) {
-				arrival := s.FinishOf(q.To)
-				if s.ProcOf(q.To) != c {
-					arrival += q.Weight
-				}
-				if arrival > est {
-					est = arrival
-				}
+			f := s.FinishOf(pr.To)
+			if local[c] < 0 {
+				clusters = append(clusters, c)
 			}
+			local[c] = max(local[c], f)
+			switch arr := f + pr.Weight; {
+			case c == top1c:
+				top1 = max(top1, arr)
+			case arr > top1:
+				top1, top2, top1c = arr, top1, c
+			default:
+				top2 = max(top2, arr)
+			}
+		}
+		bestCluster := -1
+		var bestEST int64
+		for _, c := range clusters {
+			remote := top1
+			if c == top1c {
+				remote = top2
+			}
+			est := max(clusterEnd[c], local[c], remote)
+			local[c] = -1
 			if bestCluster == -1 || est < bestEST || (est == bestEST && c < bestCluster) {
 				bestCluster, bestEST = c, est
 			}

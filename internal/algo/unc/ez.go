@@ -1,6 +1,7 @@
 package unc
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/algo"
@@ -19,6 +20,11 @@ import (
 // EZ is non-greedy (it does not minimize individual start times) and not
 // critical-path driven; the paper finds it and LC generally behind the
 // greedy BNP algorithms (section 6.1), at O(e·(e+v)) cost.
+//
+// Implementation note: a merge is scored by the schedule-free length
+// kernel (clusterTimes), which stops as soon as the partial length
+// exceeds the best one; only the final assignment is built into a
+// schedule, so a decision trace holds one placement record per node.
 func EZ(g *dag.Graph) (*sched.Schedule, error) {
 	if err := checkGraph(g); err != nil {
 		return nil, err
@@ -62,12 +68,7 @@ func runEZ(g *dag.Graph, speeds []float64) (*sched.Schedule, error) {
 		assign[v] = v
 		members[v] = []dag.NodeID{dag.NodeID(v)}
 	}
-	estimate := func() int64 {
-		s := scheduleAssignment(g, order, assign, n, speeds)
-		l := s.Length()
-		s.Release() // estimates are per-edge; recycle the trial schedule
-		return l
-	}
+	k := newClusterTimes(g, order, n, speeds)
 	merge := func(dst, src int) {
 		for _, m := range members[src] {
 			assign[m] = dst
@@ -76,7 +77,7 @@ func runEZ(g *dag.Graph, speeds []float64) (*sched.Schedule, error) {
 		members[src] = nil
 	}
 
-	best := estimate()
+	best, _ := k.run(assign, math.MaxInt64)
 	for _, e := range edges {
 		cu, cv := assign[e.from], assign[e.to]
 		if cu == cv {
@@ -88,7 +89,7 @@ func runEZ(g *dag.Graph, speeds []float64) (*sched.Schedule, error) {
 		}
 		moved := len(members[cv])
 		merge(cu, cv)
-		if l := estimate(); l <= best {
+		if l, ok := k.run(assign, best); ok {
 			best = l // keep the merge
 			continue
 		}
@@ -100,5 +101,5 @@ func runEZ(g *dag.Graph, speeds []float64) (*sched.Schedule, error) {
 		members[cv] = append(members[cv], tail...)
 		members[cu] = members[cu][:len(members[cu])-moved]
 	}
-	return scheduleAssignment(g, order, assign, n, speeds), nil
+	return k.schedule(assign), nil
 }

@@ -112,5 +112,5 @@ func runLC(g *dag.Graph, speeds []float64) (*sched.Schedule, error) {
 			cur = next
 		}
 	}
-	return scheduleAssignment(g, algo.PriorityOrder(g, dag.BLevels(g)), assign, nextCluster, speeds), nil
+	return newClusterTimes(g, algo.PriorityOrder(g, dag.BLevels(g)), nextCluster, speeds).schedule(assign), nil
 }

@@ -59,7 +59,7 @@ type snapshot struct {
 	start, finish []int64
 	slots         [][]sched.Slot
 	links         [][]sched.Slot
-	msgs          map[edgeKey][]hopRes
+	msgs          [][]hopRes
 	length        int64
 }
 
@@ -68,7 +68,7 @@ func snap(s *Schedule) snapshot {
 	n := s.Graph().NumNodes()
 	sn := snapshot{
 		proc: make([]int, n), start: make([]int64, n), finish: make([]int64, n),
-		links: linkState(s), msgs: map[edgeKey][]hopRes{}, length: s.Length(),
+		links: linkState(s), msgs: make([][]hopRes, len(s.msgs)), length: s.Length(),
 	}
 	for v := 0; v < n; v++ {
 		sn.proc[v] = s.ProcOf(dag.NodeID(v))
@@ -79,7 +79,9 @@ func snap(s *Schedule) snapshot {
 		sn.slots = append(sn.slots, append([]sched.Slot(nil), s.Slots(p)...))
 	}
 	for k, hops := range s.msgs {
-		sn.msgs[k] = slices.Clone(hops)
+		if len(hops) > 0 {
+			sn.msgs[k] = slices.Clone(hops)
+		}
 	}
 	return sn
 }

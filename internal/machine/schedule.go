@@ -8,11 +8,6 @@ import (
 	"repro/internal/sched"
 )
 
-// edgeKey identifies one task-graph edge whose message has been committed.
-type edgeKey struct {
-	parent, child dag.NodeID
-}
-
 // hopRes is one committed or planned reservation of a message on a
 // topology channel.
 type hopRes struct {
@@ -28,28 +23,57 @@ type hopRes struct {
 // message occupies each directed link channel on its (deterministic
 // shortest) route for the full edge cost, store-and-forward, with
 // insertion-based slot search.
+//
+// An EST query routes the node's inbound messages and leaves their
+// reservations on the links as the one pending plan, so the Place that
+// usually follows commits the plan instead of routing the messages a
+// second time. Every other call that changes or reads the links drops
+// the plan first, so it is never observable.
 type Schedule struct {
 	sched.Tasks
 	topo  *Topology
 	links []sched.Timeline // indexed by the topology's channel
-	msgs  map[edgeKey][]hopRes
+
+	// msgs is the dense message store: the committed hops of the message
+	// on in-arc i of node n, Preds(n)[i], are msgs[inOff[n]+i]. An
+	// uncommitted message has an empty slice, whose backing array the
+	// next commit on the arc reuses.
+	inOff []int32
+	msgs  [][]hopRes
 
 	// Query scratch, reused across planInbound calls so the hot
 	// ready×processor EST scans of the APN schedulers allocate nothing.
-	// A plan's hop slices point into qHops and stay readable until the
-	// next query; Place copies the hops it commits.
-	qOrder []dag.Arc
-	qPlan  []edgePlan
-	qHops  []hopRes
+	// qPlan and qHops hold the pending plan; its reservations are on the
+	// links while pend is not dag.None.
+	qOrder   []int32 // in-arc indices of the queried node, in routing order
+	qPlan    []edgePlan
+	qHops    []hopRes
+	qProcs   []procBound // BestEST's visiting order
+	pend     dag.NodeID
+	pendProc int
+	pendDRT  int64
+}
+
+// edgePlan is the planned reservation chain of one inbound message: the
+// hops qHops[first:end] for the dense store's arc.
+type edgePlan struct {
+	arc        int32
+	first, end int32
 }
 
 // NewSchedule returns an empty schedule for g on the given topology.
 func NewSchedule(g *dag.Graph, topo *Topology) *Schedule {
+	inOff := make([]int32, g.NumNodes()+1)
+	for v := 0; v < g.NumNodes(); v++ {
+		inOff[v+1] = inOff[v] + int32(g.InDegree(dag.NodeID(v)))
+	}
 	return &Schedule{
 		Tasks: sched.NewTasks(g, topo.NumProcs()),
 		topo:  topo,
 		links: make([]sched.Timeline, topo.NumChannels()),
-		msgs:  make(map[edgeKey][]hopRes),
+		inOff: inOff,
+		msgs:  make([][]hopRes, g.NumEdges()),
+		pend:  dag.None,
 	}
 }
 
@@ -71,12 +95,19 @@ type LinkHop struct {
 // EachMessageHop calls fn for every committed link reservation of the
 // message on edge (parent → child), in route order. It calls fn zero
 // times when the edge needs no link time (co-located endpoints or a
-// zero-cost edge) or when the edge is not committed. The callback
-// style avoids allocating a hop slice per query.
+// zero-cost edge), when the edge is not committed, or when there is no
+// such edge. The callback style avoids allocating a hop slice per
+// query.
 func (s *Schedule) EachMessageHop(parent, child dag.NodeID, fn func(LinkHop)) {
-	for _, h := range s.msgs[edgeKey{parent, child}] {
-		from, to := s.topo.Ends(int(h.ch))
-		fn(LinkHop{Link: int(h.ch), From: from, To: to, Start: h.start, Finish: h.finish})
+	for i, pr := range s.Graph().Preds(child) {
+		if pr.To != parent {
+			continue
+		}
+		for _, h := range s.msgs[s.inOff[child]+int32(i)] {
+			from, to := s.topo.Ends(int(h.ch))
+			fn(LinkHop{Link: int(h.ch), From: from, To: to, Start: h.start, Finish: h.finish})
+		}
+		return
 	}
 }
 
@@ -85,6 +116,7 @@ func (s *Schedule) EachMessageHop(parent, child dag.NodeID, fn func(LinkHop)) {
 // channel carries no messages or u and v are not linked. The Slot.Node
 // field holds the receiving task of each message.
 func (s *Schedule) LinkSlots(u, v int) []sched.Slot {
+	s.DiscardPlan()
 	c := s.topo.Channel(u, v)
 	if c < 0 {
 		return nil
@@ -92,20 +124,32 @@ func (s *Schedule) LinkSlots(u, v int) []sched.Slot {
 	return s.links[c].Slots()
 }
 
+// DiscardPlan removes the pending plan of the last EST query from the
+// links. Every method that changes or reads the links calls it first;
+// the APN schedulers call it before they return a schedule, so reading
+// a finished schedule writes nothing. It is a no-op without a plan.
+func (s *Schedule) DiscardPlan() {
+	if s.pend == dag.None {
+		return
+	}
+	for _, h := range s.qHops {
+		s.links[h.ch].Remove(s.pend, h.start)
+	}
+	s.pend = dag.None
+}
+
 // planEdge routes the message for edge (parent -> child of weight c) to
 // destination processor dst, reserving each hop on its channel as soon
 // as it is planned, so that the hops of messages planned later in the
 // same query see it as an ordinary slot. The reserved hops are appended
-// to the qHops arena; the returned pair is the data arrival time at dst
-// and the arena index the hops start at (len(qHops) when no link time is
-// needed). A shortest route never visits a channel twice, so the hops
-// of one message cannot conflict with each other.
-func (s *Schedule) planEdge(parent, child dag.NodeID, c int64, dst int) (int64, int) {
+// to the qHops arena; the result is the data arrival time at dst. A
+// shortest route never visits a channel twice, so the hops of one
+// message cannot conflict with each other.
+func (s *Schedule) planEdge(parent, child dag.NodeID, c int64, dst int) int64 {
 	src := s.ProcOf(parent)
 	ready := s.FinishOf(parent)
-	first := len(s.qHops)
 	if src == dst || c == 0 {
-		return ready, first
+		return ready
 	}
 	for _, ch := range s.topo.route(src, dst) {
 		tl := &s.links[ch]
@@ -116,78 +160,67 @@ func (s *Schedule) planEdge(parent, child dag.NodeID, c int64, dst int) (int64, 
 		s.qHops = append(s.qHops, hopRes{ch: ch, start: start, finish: start + c})
 		ready = start + c
 	}
-	return ready, first
+	return ready
 }
 
-// unreserve removes the link reservations in hops, all of which carry
-// messages to n.
-func (s *Schedule) unreserve(n dag.NodeID, hops []hopRes) {
-	for _, h := range hops {
-		s.links[h.ch].Remove(n, h.start)
+// plan makes the messages from all of n's parents to processor p the
+// pending plan and returns their data-ready time. It keeps the pending
+// plan when that is already (n, p); otherwise it discards it and routes
+// the messages in a deterministic order (parents by ascending finish
+// time, then ID), reserving their hops on the link timelines. ok is
+// false, and nothing is pending, when some parent is unscheduled.
+func (s *Schedule) plan(n dag.NodeID, p int) (drt int64, ok bool) {
+	if s.pend == n && s.pendProc == p {
+		return s.pendDRT, true
 	}
-}
-
-// edgePlan is the planned reservation chain of one inbound edge.
-type edgePlan struct {
-	key  edgeKey
-	hops []hopRes
-}
-
-// planInbound plans the messages from all of n's parents to processor p
-// in a deterministic order (parents by ascending finish time, then ID),
-// reserving their hops on the link timelines, and returns the overall
-// data-ready time plus the per-edge hop plan. ok is false, and nothing
-// is reserved, when some parent is unscheduled. The caller either keeps
-// the reservations (Place) or unreserves s.qHops. The plan aliases the
-// schedule's query scratch and is valid until the next planInbound
-// call; Place copies what it commits.
-func (s *Schedule) planInbound(n dag.NodeID, p int) (drt int64, plan []edgePlan, ok bool) {
+	s.DiscardPlan()
 	preds := s.Graph().Preds(n)
 	for _, pr := range preds {
 		if !s.IsScheduled(pr.To) {
-			return 0, nil, false
+			return 0, false
 		}
 	}
 	// Insertion sort into the reused order scratch. The (finish, ID) key
 	// is a total order — IDs are unique — so the result is the same
 	// permutation any sort would produce.
 	order := s.qOrder[:0]
-	for _, pr := range preds {
-		i := len(order)
-		order = append(order, pr)
-		for i > 0 {
-			fi, fj := s.FinishOf(order[i-1].To), s.FinishOf(order[i].To)
-			if fi < fj || (fi == fj && order[i-1].To < order[i].To) {
+	for i, pr := range preds {
+		j := len(order)
+		order = append(order, int32(i))
+		fi := s.FinishOf(pr.To)
+		for ; j > 0; j-- {
+			prev := preds[order[j-1]].To
+			if fp := s.FinishOf(prev); fp < fi || (fp == fi && prev < pr.To) {
 				break
 			}
-			order[i-1], order[i] = order[i], order[i-1]
-			i--
+			order[j-1], order[j] = order[j], order[j-1]
 		}
 	}
 	s.qOrder = order
-	plan = s.qPlan[:0]
+	plan := s.qPlan[:0]
 	s.qHops = s.qHops[:0]
-	for _, pr := range order {
-		arrival, first := s.planEdge(pr.To, n, pr.Weight, p)
-		if hops := s.qHops[first:]; len(hops) > 0 {
-			plan = append(plan, edgePlan{key: edgeKey{pr.To, n}, hops: hops})
+	for _, i := range order {
+		pr := preds[i]
+		first := int32(len(s.qHops))
+		arrival := s.planEdge(pr.To, n, pr.Weight, p)
+		if end := int32(len(s.qHops)); end > first {
+			plan = append(plan, edgePlan{arc: s.inOff[n] + i, first: first, end: end})
 		}
-		if arrival > drt {
-			drt = arrival
-		}
+		drt = max(drt, arrival)
 	}
 	s.qPlan = plan
-	return drt, plan, true
+	s.pend, s.pendProc, s.pendDRT = n, p, drt
+	return drt, true
 }
 
 // ESTOn returns the earliest start time of n on processor p under the
-// routed message model.
+// routed message model. The routed messages stay reserved as the
+// pending plan, which a following Place of n on p commits.
 func (s *Schedule) ESTOn(n dag.NodeID, p int, insertion bool) (int64, bool) {
-	drt, _, ok := s.planInbound(n, p)
+	drt, ok := s.plan(n, p)
 	if !ok {
 		return 0, false
 	}
-	s.unreserve(n, s.qHops)
 	return s.EarliestFit(p, drt, s.ExecTime(n, p), insertion), true
 }
 
@@ -213,25 +246,50 @@ func (s *Schedule) ESTLowerBound(n dag.NodeID, p int) (int64, bool) {
 	return lb, true
 }
 
-// BestEST returns the processor with the smallest EST for n, ties toward
-// lower processor indices.
-func (s *Schedule) BestEST(n dag.NodeID, insertion bool) (proc int, est int64, ok bool) {
-	proc = -1
+// procBound is a processor with the lower bound on a node's start there.
+type procBound struct {
+	proc int
+	lb   int64
+}
+
+// BestEST returns the processor with the smallest non-insertion EST for
+// n, ties toward lower processor indices. It visits the processors by
+// ascending (ESTLowerBound, index) and routes n's messages to one only
+// while its bound can still beat the best (EST, index) so far, so the
+// result is the exhaustive scan's and the winner is often the last plan
+// routed, which the following Place commits. ok is false when some
+// parent is unscheduled.
+func (s *Schedule) BestEST(n dag.NodeID) (proc int, est int64, ok bool) {
+	ps := s.qProcs[:0]
 	for p := 0; p < s.NumProcs(); p++ {
-		e, k := s.ESTOn(n, p, insertion)
+		lb, k := s.ESTLowerBound(n, p)
 		if !k {
 			return -1, 0, false
 		}
-		if proc == -1 || e < est {
-			proc, est = p, e
+		i := len(ps)
+		ps = append(ps, procBound{proc: p, lb: lb})
+		for ; i > 0 && ps[i-1].lb > lb; i-- {
+			ps[i-1], ps[i] = ps[i], ps[i-1]
+		}
+	}
+	s.qProcs = ps
+	proc = -1
+	for _, c := range ps {
+		if proc >= 0 && (c.lb > est || (c.lb == est && c.proc > proc)) {
+			break // neither this processor nor a later one can win
+		}
+		e, _ := s.ESTOn(n, c.proc, false)
+		if proc < 0 || e < est || (e == est && c.proc < proc) {
+			proc, est = c.proc, e
 		}
 	}
 	return proc, est, true
 }
 
 // Place schedules n on processor p at the given start time, committing
-// the message reservations of all inbound edges. The start time must be
-// at or after the planned data-ready time.
+// the message reservations of all inbound edges: the pending plan when
+// the last EST query was for n on p, freshly routed ones otherwise. The
+// start time must be at or after the data-ready time.
 func (s *Schedule) Place(n dag.NodeID, p int, start int64) error {
 	return s.place(n, p, start, true)
 }
@@ -241,32 +299,33 @@ func (s *Schedule) Place(n dag.NodeID, p int, start int64) error {
 // does not trace them again.
 func (s *Schedule) place(n dag.NodeID, p int, start int64, trace bool) error {
 	if err := s.CheckPlace(n, p, start); err != nil {
+		s.DiscardPlan()
 		return err
 	}
 	finish := start + s.ExecTime(n, p)
 	if t := obs.ActiveTracer(); trace && t != nil && t.InRun() {
-		// Must precede planInbound: candidate probing reuses the query
-		// scratch the committed plan aliases, and it must not see this
-		// placement's own reservations.
+		// Candidate probing replaces the pending plan; plan below routes
+		// n's messages again unless the last probe was for p.
 		s.TracePlacement(t, n, p, start, finish, s.ESTOn)
 	}
-	drt, plan, ok := s.planInbound(n, p)
+	drt, ok := s.plan(n, p)
 	if !ok {
 		return fmt.Errorf("machine: node %d has unscheduled parents", n)
 	}
 	if start < drt {
-		s.unreserve(n, s.qHops)
+		s.DiscardPlan()
 		return fmt.Errorf("machine: node %d start %d before data-ready %d on P%d", n, start, drt, p)
 	}
 	if err := s.Tasks.Place(n, p, start, finish); err != nil {
-		s.unreserve(n, s.qHops)
+		s.DiscardPlan()
 		return err
 	}
-	// The plan's reservations stay on the links; commit an owned copy of
-	// its hops, which alias the query scratch.
-	for _, ep := range plan {
-		s.msgs[ep.key] = append([]hopRes(nil), ep.hops...)
+	// The plan's reservations stay on the links as the committed
+	// messages; copy their hops into the store's reused slots.
+	for _, ep := range s.qPlan {
+		s.msgs[ep.arc] = append(s.msgs[ep.arc][:0], s.qHops[ep.first:ep.end]...)
 	}
+	s.pend = dag.None
 	return nil
 }
 
@@ -290,10 +349,12 @@ func (s *Schedule) Unplace(n dag.NodeID) error {
 			return fmt.Errorf("machine: cannot unplace node %d: child %d is scheduled", n, a.To)
 		}
 	}
-	for _, pr := range s.Graph().Preds(n) {
-		key := edgeKey{pr.To, n}
-		s.unreserve(n, s.msgs[key])
-		delete(s.msgs, key)
+	s.DiscardPlan()
+	for k := s.inOff[n]; k < s.inOff[n+1]; k++ {
+		for _, h := range s.msgs[k] {
+			s.links[h.ch].Remove(n, h.start)
+		}
+		s.msgs[k] = s.msgs[k][:0]
 	}
 	s.Tasks.Unplace(n)
 	return nil
@@ -305,6 +366,7 @@ func (s *Schedule) Unplace(n dag.NodeID) error {
 // complete, route-consistent chain of link reservations for remote
 // parents.
 func (s *Schedule) Validate() error {
+	s.DiscardPlan()
 	if err := s.Tasks.Validate(); err != nil {
 		return err
 	}
@@ -320,11 +382,11 @@ func (s *Schedule) Validate() error {
 		if !s.IsScheduled(n) {
 			continue
 		}
-		for _, pr := range g.Preds(n) {
+		for i, pr := range g.Preds(n) {
 			if !s.IsScheduled(pr.To) {
 				return fmt.Errorf("machine: node %d scheduled before parent %d", n, pr.To)
 			}
-			if err := s.validateEdge(pr.To, n, pr.Weight); err != nil {
+			if err := s.validateEdge(pr.To, n, pr.Weight, s.msgs[s.inOff[n]+int32(i)]); err != nil {
 				return err
 			}
 		}
@@ -332,7 +394,9 @@ func (s *Schedule) Validate() error {
 	return nil
 }
 
-func (s *Schedule) validateEdge(parent, child dag.NodeID, c int64) error {
+// validateEdge checks the message on edge (parent -> child of weight c)
+// whose committed hops are hops.
+func (s *Schedule) validateEdge(parent, child dag.NodeID, c int64, hops []hopRes) error {
 	srcP, dstP := s.ProcOf(parent), s.ProcOf(child)
 	if srcP == dstP || c == 0 {
 		if s.StartOf(child) < s.FinishOf(parent) {
@@ -340,7 +404,6 @@ func (s *Schedule) validateEdge(parent, child dag.NodeID, c int64) error {
 		}
 		return nil
 	}
-	hops := s.msgs[edgeKey{parent, child}]
 	route := s.topo.route(srcP, dstP)
 	if len(hops) != len(route) {
 		return fmt.Errorf("machine: edge (%d,%d) has %d hops, route needs %d",

@@ -187,7 +187,7 @@ func TestBestESTPrefersLocal(t *testing.T) {
 	g, u, v := pair(t, 50)
 	s := NewSchedule(g, Ring(4))
 	s.MustPlace(u, 2, 0)
-	p, est, ok := s.BestEST(v, false)
+	p, est, ok := s.BestEST(v)
 	if !ok || p != 2 || est != 3 {
 		t.Errorf("BestEST = P%d@%d,%v want P2@3,true", p, est, ok)
 	}
@@ -263,9 +263,9 @@ func TestRandomAPNSchedulesValidate(t *testing.T) {
 		topo := topos[trial%len(topos)]
 		s := NewSchedule(g, topo)
 		for _, n := range g.TopoOrder() {
-			p, est, ok := s.BestEST(n, rng.Intn(2) == 0)
+			p, est, ok := scanEST(s, n, rng.Intn(2) == 0)
 			if !ok {
-				t.Fatal("BestEST failed in topo order")
+				t.Fatal("EST scan failed in topo order")
 			}
 			s.MustPlace(n, p, est)
 		}
@@ -297,6 +297,22 @@ func TestReplayMatchesRandomAssignments(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
+}
+
+// scanEST returns the processor with the smallest EST for n over every
+// processor, ties toward the lower index, with or without insertion.
+func scanEST(s *Schedule, n dag.NodeID, insertion bool) (proc int, est int64, ok bool) {
+	proc = -1
+	for p := 0; p < s.NumProcs(); p++ {
+		e, k := s.ESTOn(n, p, insertion)
+		if !k {
+			return -1, 0, false
+		}
+		if proc == -1 || e < est {
+			proc, est = p, e
+		}
+	}
+	return proc, est, true
 }
 
 func randomGraph(rng *rand.Rand, n int) *dag.Graph {

@@ -61,7 +61,7 @@ func TestExtraTopologiesSchedule(t *testing.T) {
 	for _, topo := range []*Topology{Torus(3, 3), BinaryTree(3)} {
 		s := NewSchedule(g, topo)
 		s.MustPlace(u, 0, 0)
-		p, est, ok := s.BestEST(v, false)
+		p, est, ok := s.BestEST(v)
 		if !ok {
 			t.Fatalf("%s: BestEST failed", topo.Name())
 		}

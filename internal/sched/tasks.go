@@ -133,11 +133,18 @@ func (t *Tasks) Speeds() []float64 {
 // ExecTime returns the execution time of node n on processor p:
 // ceil(Weight(n)/speed[p]), or exactly the weight under uniform speeds.
 func (t *Tasks) ExecTime(n dag.NodeID, p int) int64 {
-	w := t.g.Weight(n)
-	if len(t.speed) == 0 {
+	return ScaledTime(t.g.Weight(n), t.speed, p)
+}
+
+// ScaledTime returns the execution time of work w on processor p under
+// the speed vector speeds: ceil(w/speeds[p]), or exactly w when speeds
+// is empty (uniform unit speeds). It is the rounding rule of ExecTime,
+// shared with kernels that compute start times without a schedule.
+func ScaledTime(w int64, speeds []float64, p int) int64 {
+	if len(speeds) == 0 {
 		return w
 	}
-	return int64(math.Ceil(float64(w) / t.speed[p]))
+	return int64(math.Ceil(float64(w) / speeds[p]))
 }
 
 // Graph returns the task graph this schedule is for.
