@@ -12,16 +12,19 @@
 // processor and all unstarted work placed there, and a RecoveryPolicy
 // decides what happens next.
 //
-// # Engines
+// # Engine
 //
-// The APN engine walks the sim.Plan that sim.CompileAPN compiles, so
-// the fault-free simulator and the fault path share one job graph. The
-// clique engine replays per-processor task queues over the task graph,
-// because recovery policies re-place and replicate tasks at runtime;
-// only it still needs sim's exported entity helpers to derive its
-// durations and lags. Both embed one processor fault clock (procClock):
-// the event heap, crash and repair draws, utilization accounting,
-// Result assembly and the ft.* metrics.
+// One runtime executes both schedule models. An Exec is a graph of
+// units, each bound to a resource with a static queue: for a clique
+// schedule the units are the tasks and the resources the processors;
+// an APN schedule is converted from the plan sim.CompileAPN compiles,
+// so its units are also the per-hop message transfers and its
+// resources also the directed link channels, numbered after the
+// processors. Channels never crash, take no runtime speed factor and
+// no busy accounting; a transfer's start is pushed past the outage
+// windows of its channel. Recovery policies re-place and replicate
+// units at runtime, which is why the runtime replays queues over a
+// graph instead of sim's fixed job arcs.
 //
 // # Determinism contract
 //
@@ -33,7 +36,7 @@
 // algorithm and every recovery policy (paired comparisons), and results
 // are byte-reproducible at any worker count.
 //
-// With the zero fault model the engines reproduce sim.Plan.Run
+// With the zero fault model the runtime reproduces sim.Plan.Run
 // byte-identically for every schedule, policy, perturbation, and
 // heterogeneous speed vector — the fault path is provably a superset of
 // the fault-free simulator (pinned by the invariant tests).
@@ -73,11 +76,11 @@ type RecoveryPolicy interface {
 	prepare(rt *runtime)
 
 	// onCrash reacts to the crash of processor p at the runtime's
-	// current clock, after the engine has killed the processor's work.
+	// current clock, after the runtime has killed the processor's work.
 	onCrash(rt *runtime, p int)
 
 	// interval returns the checkpoint period, or 0 when the policy does
-	// not checkpoint. The engine credits completed intervals of a killed
+	// not checkpoint. The runtime credits completed intervals of a killed
 	// task's progress against its re-execution.
 	interval() int64
 }

@@ -124,7 +124,7 @@ func zeroFaultOptions(numProcs int, runtimeSpeeds bool) []sim.Options {
 	return opts
 }
 
-// checkCliqueZeroFault compiles a clique schedule for both engines and
+// checkCliqueZeroFault compiles a clique schedule for sim and ft and
 // checks the invariant under every option set.
 func checkCliqueZeroFault(t *testing.T, label string, s interface {
 	Makespan() int64
@@ -137,7 +137,7 @@ func checkCliqueZeroFault(t *testing.T, label string, s interface {
 }
 
 // TestZeroFaultMatchesSim is the invariant the whole package hangs on:
-// with the zero fault model the fault-capable engines reproduce
+// with the zero fault model the ft runtime reproduces
 // sim.Plan.Run byte-identically for all 15 algorithms over every
 // registered generator family, clique and APN, homogeneous and
 // heterogeneous, under every perturbation/policy combination.
@@ -471,7 +471,7 @@ func apnFaultExec(t *testing.T) (*ft.Exec, ft.Options) {
 	}
 }
 
-// TestAPNFaultRuns exercises the APN engine under processor crashes
+// TestAPNFaultRuns exercises an APN execution under processor crashes
 // and link outages: utilization must balance and recovery policies
 // other than none must be rejected.
 func TestAPNFaultRuns(t *testing.T) {
@@ -508,7 +508,7 @@ func TestAPNFaultRuns(t *testing.T) {
 // apnOutcomePin is the SHA-256 of the 20 per-trial outcomes of
 // apnFaultExec (see apnOutcomeDigest), captured at commit
 // c1ca7d34fa1bbda2eaec15cb07135cfde0e21c3e. It pins the exact crash,
-// repair and link-outage behaviour of the APN engine.
+// repair and link-outage behaviour of APN executions.
 const apnOutcomePin = "4b01e181601a2dcc6f99ea84174a1073818803e9b2b761e8acf5d5ed89bc338c"
 
 // apnOutcomeDigest hashes the Finished, Makespan, Horizon, Crashes,

@@ -116,7 +116,10 @@ func TestRepairZeroWeightTasks(t *testing.T) {
 // to reuse their scratch: as the crash rate rises, one resubmit trial
 // of HLFET on 32 processors (rgnos v=80) may allocate more only where a
 // slice outgrows its capacity, which is at most a few dozen times a
-// run, not once or more per crash.
+// run, not once or more per crash. A warm trial reuses the pooled
+// runtime and repair schedule whole, so it also stays under an absolute
+// bound: the Result's busy, down and idle slices and the options the
+// runtime points at.
 func TestRepairAllocsFlatInCrashes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are not meaningful")
@@ -161,6 +164,11 @@ func TestRepairAllocsFlatInCrashes(t *testing.T) {
 		if extra := allocs[i] - allocs[0]; extra*10 > float64(crashes[i]-crashes[0]) {
 			t.Fatalf("%v allocations at %v crashes: %.0f more for %d more crashes",
 				allocs, crashes, extra, crashes[i]-crashes[0])
+		}
+	}
+	for i, a := range allocs {
+		if a > 8 {
+			t.Fatalf("%.0f allocations per warm resubmit trial at %d crashes, want at most 8", a, crashes[i])
 		}
 	}
 }

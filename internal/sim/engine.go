@@ -54,9 +54,9 @@ func (p *Plan) Static() int64 { return p.static }
 // per committed link transfer for APN schedules.
 func (p *Plan) Jobs() int { return len(p.jobs) }
 
-// The read-only plan view below lets other execution engines replay
-// the same compiled job graph. Returned slices alias the plan and must
-// not be modified.
+// The read-only plan view below lets ft convert the same compiled job
+// graph into its own runtime form. Returned slices alias the plan and
+// must not be modified.
 
 // Tasks returns the number of task jobs; they occupy job IDs
 // 0..Tasks()-1, job ID == NodeID.
@@ -70,9 +70,6 @@ func (p *Plan) Job(j int32) Job { return p.jobs[j] }
 
 // Arcs returns the release arcs out of job j.
 func (p *Plan) Arcs(j int32) []Arc { return p.arcs[p.arcOff[j]:p.arcOff[j+1]] }
-
-// InDegrees returns every job's number of incoming arcs.
-func (p *Plan) InDegrees() []int32 { return p.indeg }
 
 // Channels returns the endpoints (from, to) of every directed channel of
 // an APN plan's topology, indexed by Job.Chan in the topology's own

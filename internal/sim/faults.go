@@ -87,13 +87,12 @@ func (f *FaultModel) Validate() error {
 }
 
 // The exported counter-based randomness surface: internal/ft replays
-// schedules under faults with its own event loops and must draw
+// schedules under faults with its own event loop and must draw
 // byte-identical multipliers for the same (seed, trial, entity) as this
 // package's engine, so the zero-fault path reproduces Plan.Run exactly.
-// Its APN engine walks a compiled Plan and reads each job's entity from
-// it; only its clique engine, which replays the task graph rather than
-// a Plan, still derives durations and lags through TaskEntity and
-// CommEntity.
+// It reads an APN execution's entities off the compiled Plan; for a
+// clique execution, which it replays over the task graph, it derives
+// durations and lags through TaskEntity and CommEntity.
 
 // TrialSeed mixes the base seed with a trial number into the 64-bit
 // stream selector shared by every entity of that trial.

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 	"unsafe"
 
@@ -137,10 +136,10 @@ func TestPerturbedExecutionStaysValidOrdered(t *testing.T) {
 	}
 }
 
-// TestPlanView checks the read-only plan view an APN fault engine
-// replays: task jobs carry a processor and no channel, message jobs a
-// valid channel and no processor, channels are distinct endpoint
-// pairs, and the in-degrees count the arcs exactly. Job stays 32 bytes.
+// TestPlanView checks the read-only plan view ft converts APN
+// executions from: task jobs carry a processor and no channel, message
+// jobs a valid channel and no processor, and channels are distinct
+// endpoint pairs. Job stays 32 bytes.
 func TestPlanView(t *testing.T) {
 	if size := unsafe.Sizeof(Job{}); size != 32 {
 		t.Fatalf("Job is %d bytes, want 32", size)
@@ -191,7 +190,6 @@ func TestPlanView(t *testing.T) {
 	if int(j) != plan.Jobs() {
 		t.Fatalf("%d message jobs for %d committed hops", plan.Jobs()-plan.Tasks(), int(j)-plan.Tasks())
 	}
-	indeg := make([]int32, plan.Jobs())
 	for j := int32(0); j < int32(plan.Jobs()); j++ {
 		jb := plan.Job(j)
 		if int(j) < plan.Tasks() {
@@ -201,11 +199,5 @@ func TestPlanView(t *testing.T) {
 		} else if jb.Proc != -1 || jb.Chan < 0 || int(jb.Chan) >= len(plan.Channels()) {
 			t.Fatalf("message job %d: proc %d chan %d", j, jb.Proc, jb.Chan)
 		}
-		for _, a := range plan.Arcs(j) {
-			indeg[a.To]++
-		}
-	}
-	if !reflect.DeepEqual(indeg, plan.InDegrees()) {
-		t.Fatal("InDegrees does not count the arcs")
 	}
 }
