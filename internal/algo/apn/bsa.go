@@ -71,11 +71,10 @@ func runBSA(g *dag.Graph, topo *machine.Topology, speeds []float64) (*machine.Sc
 			bestProc := -1
 			bestEst := s.StartOf(n)
 			for _, nb := range topo.Neighbors(p) {
-				est, ok := s.ESTOn(n, int(nb), true)
-				if !ok {
-					continue
-				}
-				if est < bestEst {
+				// Only a strictly earlier start counts, so the probe
+				// stops routing once it cannot reach bestEst-1.
+				est, ok := s.ESTWithin(n, int(nb), true, bestEst-1)
+				if ok && est < bestEst {
 					bestEst, bestProc = est, int(nb)
 				}
 			}

@@ -25,7 +25,7 @@ import (
 // Implementation note: the processor scan is exact but pruned, like APN
 // DLS's pair scan (see machine.Schedule.BestEST): a processor's messages
 // are routed only while its routing-free lower bound can still beat the
-// best start so far.
+// best start so far, and only until they show that it cannot.
 func MH(g *dag.Graph, topo *machine.Topology) (*machine.Schedule, error) {
 	if err := checkArgs(g, topo); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dag"
+	"repro/internal/sched"
 )
 
 // allHops lists every committed link reservation through
@@ -215,5 +216,125 @@ func TestWarmPlaceUnplaceAllocatesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("warm Place/Unplace cycle allocates %.1f times", allocs)
+	}
+}
+
+// rawLinks copies every channel's slots as they are, pending plan
+// included; LinkSlots would drop the plan first.
+func rawLinks(s *Schedule) [][]sched.Slot {
+	out := make([][]sched.Slot, len(s.links))
+	for c := range s.links {
+		out[c] = append([]sched.Slot{}, s.links[c].Slots()...)
+	}
+	return out
+}
+
+// TestESTWithinBounded checks the bounded EST probe on random partial
+// schedules with and without speeds. For nodes whose parents are all
+// placed, ready ones and, as BSA probes, placed ones, and limits around
+// the exact EST, ESTWithin equals ESTOn and leaves the plan pending
+// when that is at most the limit; otherwise it exceeds the limit,
+// leaves every link exactly as before, its partial reservations
+// dropped, and no plan. A Place after a burst of bounded probes must
+// then commit the same hops as on a never-probed twin.
+func TestESTWithinBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	within, aborted, midRoute := 0, 0, 0
+	for _, topo := range replayTopologies() {
+		for _, het := range []bool{false, true} {
+			for trial := 0; trial < 6; trial++ {
+				label := fmt.Sprintf("%s het=%v trial %d", topo.Name(), het, trial)
+				g := replayGraph(rng, 2+rng.Intn(20))
+				speeds := randomSpeeds(rng, het, topo.NumProcs())
+				s, twin := NewSchedule(g, topo), NewSchedule(g, topo)
+				if speeds != nil {
+					if err := s.SetSpeeds(speeds); err != nil {
+						t.Fatal(err)
+					}
+					if err := twin.SetSpeeds(speeds); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for !s.Complete() {
+					var ready, eligible []dag.NodeID
+					for v := 0; v < g.NumNodes(); v++ {
+						n := dag.NodeID(v)
+						if _, ok := s.ESTLowerBound(n, 0); ok {
+							eligible = append(eligible, n)
+							if !s.IsScheduled(n) {
+								ready = append(ready, n)
+							}
+						}
+					}
+					for q := 0; q < 1+rng.Intn(8); q++ {
+						n, p, ins := eligible[rng.Intn(len(eligible))], rng.Intn(topo.NumProcs()), rng.Intn(2) == 0
+						s.DiscardPlan()
+						before := rawLinks(s)
+						exact, _ := s.ESTOn(n, p, ins)
+						full, kept := len(s.qHops), rng.Intn(2) == 0
+						if !kept {
+							s.DiscardPlan() // else the probe finds its plan pending
+						}
+						limit := exact + rng.Int63n(21) - 10
+						if rng.Intn(4) == 0 {
+							limit = rng.Int63n(exact + 1)
+						}
+						got, ok := s.ESTWithin(n, p, ins, limit)
+						switch {
+						case !ok:
+							t.Fatalf("%s: ESTWithin(n%d, P%d) not ok with every parent placed", label, n, p)
+						case exact <= limit:
+							within++
+							if got != exact || s.pend != n || s.pendProc != p {
+								t.Fatalf("%s: ESTWithin(n%d, P%d, limit %d) = %d (pending n%d), ESTOn says %d",
+									label, n, p, limit, got, s.pend, exact)
+							}
+						default:
+							aborted++
+							if got <= limit {
+								t.Fatalf("%s: ESTWithin(n%d, P%d, limit %d) = %d, but ESTOn says %d",
+									label, n, p, limit, got, exact)
+							}
+							if s.pend != dag.None {
+								t.Fatalf("%s: an aborted probe left a plan pending", label)
+							}
+							if !kept && len(s.qHops) > 0 && len(s.qHops) < full {
+								midRoute++ // it stopped after reserving some hops
+							}
+							if !reflect.DeepEqual(rawLinks(s), before) {
+								t.Fatalf("%s: an aborted probe changed the links", label)
+							}
+						}
+					}
+					if leaf := placedLeaf(rng, s); leaf != dag.None && rng.Intn(4) == 0 {
+						if err := s.Unplace(leaf); err != nil {
+							t.Fatal(err)
+						}
+						if err := twin.Unplace(leaf); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						n, p := ready[rng.Intn(len(ready))], rng.Intn(topo.NumProcs())
+						est, _ := twin.ESTOn(n, p, rng.Intn(2) == 0)
+						for q := 0; q < rng.Intn(3); q++ {
+							s.ESTWithin(n, p, false, est+rng.Int63n(7)-5)
+						}
+						s.MustPlace(n, p, est)
+						twin.MustPlace(n, p, est)
+					}
+					if !reflect.DeepEqual(snap(s), snap(twin)) {
+						t.Fatalf("%s: the probed schedule differs from its never-probed twin", label)
+					}
+				}
+				if err := s.Validate(); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			}
+		}
+	}
+	t.Logf("%d probes within the limit, %d aborted, %d of them after routing", within, aborted, midRoute)
+	if within == 0 || aborted == 0 || midRoute == 0 {
+		t.Fatalf("%d probes within the limit, %d aborted, %d of them after routing: every path needs coverage",
+			within, aborted, midRoute)
 	}
 }

@@ -220,9 +220,9 @@ func (r *Replay) advance(watch dag.NodeID, watchStart, maxLen int64) (stopped bo
 
 // next returns the placement of the next replay step: the eligible head
 // with the smallest (EST, node ID). It visits the heads by ascending
-// (ESTLowerBound, node ID) and routes a head's messages (ESTOn) only
-// while its bound can still beat the best so far; ok is false when no
-// head is eligible.
+// (ESTLowerBound, node ID) and routes a head's messages only while its
+// bound can still beat the best so far, bounded (ESTWithin) by the start
+// it must reach to win; ok is false when no head is eligible.
 func (r *Replay) next() (e step, ok bool) {
 	hs := r.heads[:0]
 	for p, q := range r.seqs {
@@ -242,11 +242,17 @@ func (r *Replay) next() (e step, ok bool) {
 	}
 	r.heads = hs
 	for _, h := range hs {
-		if ok && (h.lb > e.start || (h.lb == e.start && h.node > e.node)) {
-			break // neither this head nor a later one can win
+		limit := int64(math.MaxInt64)
+		if ok {
+			if h.lb > e.start || (h.lb == e.start && h.node > e.node) {
+				break // neither this head nor a later one can win
+			}
+			limit = e.start - 1 // h must start earlier, or tie with a lower ID
+			if h.node < e.node {
+				limit = e.start
+			}
 		}
-		est, _ := r.s.ESTOn(h.node, h.proc, false)
-		if !ok || est < e.start || (est == e.start && h.node < e.node) {
+		if est, _ := r.s.ESTWithin(h.node, h.proc, false, limit); est <= limit {
 			e, ok = step{node: h.node, proc: h.proc, start: est}, true
 		}
 	}

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/dag"
 	"repro/internal/obs"
@@ -9,9 +10,12 @@ import (
 )
 
 // hopRes is one committed or planned reservation of a message on a
-// topology channel.
+// topology channel. idx is the slot's index on the channel's timeline
+// when it was reserved: the hint for its removal, exact whenever the
+// reservations made after it are gone.
 type hopRes struct {
 	ch     int32
+	idx    int32
 	start  int64
 	finish int64
 }
@@ -29,6 +33,15 @@ type hopRes struct {
 // usually follows commits the plan instead of routing the messages a
 // second time. Every other call that changes or reads the links drops
 // the plan first, so it is never observable.
+//
+// A bounded query (ESTWithin) serves the pruned scans, which only need
+// to know whether a probe beats the best so far: it stops routing once
+// the messages routed so far put the data-ready time past its limit,
+// drops their reservations and leaves no plan. Reservations are always
+// dropped in the reverse order they were made (a plan last-first, a
+// node's committed messages in reverse routing order), so under the
+// last-in first-out order of probes and replay rewinds every removal
+// finds its slot at the index it was reserved at.
 type Schedule struct {
 	sched.Tasks
 	topo  *Topology
@@ -40,6 +53,10 @@ type Schedule struct {
 	// next commit on the arc reuses.
 	inOff []int32
 	msgs  [][]hopRes
+	// routed[inOff[n]:inOff[n]+nRouted[n]] are the arcs of n whose
+	// committed messages hold hops, in routing order.
+	routed  []int32
+	nRouted []int32
 
 	// Query scratch, reused across planInbound calls so the hot
 	// ready×processor EST scans of the APN schedulers allocate nothing.
@@ -68,12 +85,14 @@ func NewSchedule(g *dag.Graph, topo *Topology) *Schedule {
 		inOff[v+1] = inOff[v] + int32(g.InDegree(dag.NodeID(v)))
 	}
 	return &Schedule{
-		Tasks: sched.NewTasks(g, topo.NumProcs()),
-		topo:  topo,
-		links: make([]sched.Timeline, topo.NumChannels()),
-		inOff: inOff,
-		msgs:  make([][]hopRes, g.NumEdges()),
-		pend:  dag.None,
+		Tasks:   sched.NewTasks(g, topo.NumProcs()),
+		topo:    topo,
+		links:   make([]sched.Timeline, topo.NumChannels()),
+		inOff:   inOff,
+		msgs:    make([][]hopRes, g.NumEdges()),
+		routed:  make([]int32, g.NumEdges()),
+		nRouted: make([]int32, g.NumNodes()),
+		pend:    dag.None,
 	}
 }
 
@@ -132,32 +151,26 @@ func (s *Schedule) DiscardPlan() {
 	if s.pend == dag.None {
 		return
 	}
-	for _, h := range s.qHops {
-		s.links[h.ch].Remove(s.pend, h.start)
+	for k := len(s.qHops) - 1; k >= 0; k-- {
+		h := s.qHops[k]
+		s.links[h.ch].RemoveHinted(s.pend, h.start, int(h.idx))
 	}
 	s.pend = dag.None
 }
 
-// planEdge routes the message for edge (parent -> child of weight c) to
-// destination processor dst, reserving each hop on its channel as soon
-// as it is planned, so that the hops of messages planned later in the
-// same query see it as an ordinary slot. The reserved hops are appended
-// to the qHops arena; the result is the data arrival time at dst. A
-// shortest route never visits a channel twice, so the hops of one
-// message cannot conflict with each other.
-func (s *Schedule) planEdge(parent, child dag.NodeID, c int64, dst int) int64 {
-	src := s.ProcOf(parent)
+// planEdge routes the message for edge (parent -> child of weight c),
+// which needs link time, from processor src to destination processor
+// dst, reserving each hop on its channel as soon as it is planned, so
+// that the hops of messages planned later in the same query see it as an
+// ordinary slot. The reserved hops are appended to the qHops arena; the
+// result is the data arrival time at dst. A shortest route never visits
+// a channel twice, so the hops of one message cannot conflict with each
+// other.
+func (s *Schedule) planEdge(parent, child dag.NodeID, c int64, src, dst int) int64 {
 	ready := s.FinishOf(parent)
-	if src == dst || c == 0 {
-		return ready
-	}
 	for _, ch := range s.topo.route(src, dst) {
-		tl := &s.links[ch]
-		start := tl.EarliestFit(ready, c, true)
-		if err := tl.Insert(sched.Slot{Node: child, Start: start, Finish: start + c}); err != nil {
-			panic(fmt.Sprintf("machine: internal link conflict: %v", err))
-		}
-		s.qHops = append(s.qHops, hopRes{ch: ch, start: start, finish: start + c})
+		start, idx := s.links[ch].Reserve(child, ready, c)
+		s.qHops = append(s.qHops, hopRes{ch: ch, idx: int32(idx), start: start, finish: start + c})
 		ready = start + c
 	}
 	return ready
@@ -166,28 +179,39 @@ func (s *Schedule) planEdge(parent, child dag.NodeID, c int64, dst int) int64 {
 // plan makes the messages from all of n's parents to processor p the
 // pending plan and returns their data-ready time. It keeps the pending
 // plan when that is already (n, p); otherwise it discards it and routes
-// the messages in a deterministic order (parents by ascending finish
-// time, then ID), reserving their hops on the link timelines. ok is
-// false, and nothing is pending, when some parent is unscheduled.
-func (s *Schedule) plan(n dag.NodeID, p int) (drt int64, ok bool) {
+// the messages that take link time in a deterministic order (parents by
+// ascending finish time, then ID), reserving their hops on the link
+// timelines. A co-located parent or a zero-cost edge contributes its
+// bare finish. ok is false, and nothing is pending, when some parent is
+// unscheduled.
+//
+// Routing stops as soon as the messages routed so far put the data-ready
+// time past limit: the reservations made so far are dropped, nothing is
+// pending, and the result is that partial data-ready time, which exceeds
+// limit.
+func (s *Schedule) plan(n dag.NodeID, p int, limit int64) (drt int64, ok bool) {
 	if s.pend == n && s.pendProc == p {
 		return s.pendDRT, true
 	}
 	s.DiscardPlan()
 	preds := s.Graph().Preds(n)
-	for _, pr := range preds {
-		if !s.IsScheduled(pr.To) {
-			return 0, false
-		}
-	}
-	// Insertion sort into the reused order scratch. The (finish, ID) key
-	// is a total order — IDs are unique — so the result is the same
-	// permutation any sort would produce.
+	// Insertion sort the routed in-arcs into the reused order scratch.
+	// The (finish, ID) key is a total order — IDs are unique — so the
+	// result is the same permutation any sort would produce.
 	order := s.qOrder[:0]
 	for i, pr := range preds {
+		src := s.ProcOf(pr.To)
+		if src < 0 {
+			s.qOrder = order
+			return 0, false
+		}
+		fi := s.FinishOf(pr.To)
+		if src == p || pr.Weight == 0 {
+			drt = max(drt, fi)
+			continue
+		}
 		j := len(order)
 		order = append(order, int32(i))
-		fi := s.FinishOf(pr.To)
 		for ; j > 0; j-- {
 			prev := preds[order[j-1]].To
 			if fp := s.FinishOf(prev); fp < fi || (fp == fi && prev < pr.To) {
@@ -199,17 +223,22 @@ func (s *Schedule) plan(n dag.NodeID, p int) (drt int64, ok bool) {
 	s.qOrder = order
 	plan := s.qPlan[:0]
 	s.qHops = s.qHops[:0]
+	s.pend, s.pendProc = n, p // DiscardPlan drops a partial plan
 	for _, i := range order {
+		if drt > limit {
+			break
+		}
 		pr := preds[i]
 		first := int32(len(s.qHops))
-		arrival := s.planEdge(pr.To, n, pr.Weight, p)
-		if end := int32(len(s.qHops)); end > first {
-			plan = append(plan, edgePlan{arc: s.inOff[n] + i, first: first, end: end})
-		}
-		drt = max(drt, arrival)
+		drt = max(drt, s.planEdge(pr.To, n, pr.Weight, s.ProcOf(pr.To), p))
+		plan = append(plan, edgePlan{arc: s.inOff[n] + i, first: first, end: int32(len(s.qHops))})
 	}
 	s.qPlan = plan
-	s.pend, s.pendProc, s.pendDRT = n, p, drt
+	if drt > limit {
+		s.DiscardPlan()
+		return drt, true
+	}
+	s.pendDRT = drt
 	return drt, true
 }
 
@@ -217,33 +246,57 @@ func (s *Schedule) plan(n dag.NodeID, p int) (drt int64, ok bool) {
 // routed message model. The routed messages stay reserved as the
 // pending plan, which a following Place of n on p commits.
 func (s *Schedule) ESTOn(n dag.NodeID, p int, insertion bool) (int64, bool) {
-	drt, ok := s.plan(n, p)
+	return s.ESTWithin(n, p, insertion, math.MaxInt64)
+}
+
+// ESTWithin is ESTOn bounded by limit, for scans that only need a probe
+// that beats the best so far: it returns the exact EST, with the plan
+// pending, when that is at most limit. Otherwise it returns some value
+// above limit and leaves no plan, and it stops routing as soon as the
+// messages routed so far put the data-ready time past limit.
+func (s *Schedule) ESTWithin(n dag.NodeID, p int, insertion bool, limit int64) (int64, bool) {
+	est, ok := s.plan(n, p, limit)
 	if !ok {
 		return 0, false
 	}
-	return s.EarliestFit(p, drt, s.ExecTime(n, p), insertion), true
+	if est <= limit {
+		est = s.EarliestFit(p, est, s.ExecTime(n, p), insertion)
+	}
+	if est > limit {
+		s.DiscardPlan() // a kept plan for (n, p) can lose too
+	}
+	return est, true
 }
 
 // ESTLowerBound returns a lower bound on ESTOn(n, p, false) that routes
-// no message: the later of p's last finish and, over n's parents, the
-// parent's finish plus the edge cost times the hop count from its
-// processor to p. Under store-and-forward every hop of a message takes
+// no message: the later of p's last finish and DataReadyLowerBound(n,
+// p). ok is false when some parent is unscheduled, exactly as for ESTOn.
+func (s *Schedule) ESTLowerBound(n dag.NodeID, p int) (int64, bool) {
+	drt, ok := s.DataReadyLowerBound(n, p)
+	if !ok {
+		return 0, false
+	}
+	return max(s.LastFinish(p), drt), true
+}
+
+// DataReadyLowerBound returns a lower bound on n's data-ready time on p
+// that routes no message: over n's parents, the latest parent finish
+// plus the edge cost times the hop count from its processor to p, 0
+// without parents. Under store-and-forward every hop of a message takes
 // the full edge cost and starts only after the previous hop ends, so no
 // routing delivers a message sooner; a co-located parent or a zero-cost
-// edge contributes the parent's bare finish. ok is false when some
-// parent is unscheduled, exactly as for ESTOn.
-func (s *Schedule) ESTLowerBound(n dag.NodeID, p int) (int64, bool) {
-	lb := s.LastFinish(p)
+// edge contributes the parent's bare finish. It depends only on the
+// parents' placements. ok is false when some parent is unscheduled.
+func (s *Schedule) DataReadyLowerBound(n dag.NodeID, p int) (int64, bool) {
+	var drt int64
 	for _, pr := range s.Graph().Preds(n) {
 		src := s.ProcOf(pr.To)
 		if src < 0 {
 			return 0, false
 		}
-		if t := s.FinishOf(pr.To) + pr.Weight*int64(s.topo.Dist(src, p)); t > lb {
-			lb = t
-		}
+		drt = max(drt, s.FinishOf(pr.To)+pr.Weight*int64(s.topo.Dist(src, p)))
 	}
-	return lb, true
+	return drt, true
 }
 
 // procBound is a processor with the lower bound on a node's start there.
@@ -255,10 +308,11 @@ type procBound struct {
 // BestEST returns the processor with the smallest non-insertion EST for
 // n, ties toward lower processor indices. It visits the processors by
 // ascending (ESTLowerBound, index) and routes n's messages to one only
-// while its bound can still beat the best (EST, index) so far, so the
-// result is the exhaustive scan's and the winner is often the last plan
-// routed, which the following Place commits. ok is false when some
-// parent is unscheduled.
+// while its bound can still beat the best (EST, index) so far, and only
+// until they show that it cannot (ESTWithin), so the result is the
+// exhaustive scan's and the winner is often the last plan routed, which
+// the following Place commits. ok is false when some parent is
+// unscheduled.
 func (s *Schedule) BestEST(n dag.NodeID) (proc int, est int64, ok bool) {
 	ps := s.qProcs[:0]
 	for p := 0; p < s.NumProcs(); p++ {
@@ -275,11 +329,18 @@ func (s *Schedule) BestEST(n dag.NodeID) (proc int, est int64, ok bool) {
 	s.qProcs = ps
 	proc = -1
 	for _, c := range ps {
-		if proc >= 0 && (c.lb > est || (c.lb == est && c.proc > proc)) {
-			break // neither this processor nor a later one can win
+		limit := int64(math.MaxInt64)
+		if proc >= 0 {
+			if c.lb > est || (c.lb == est && c.proc > proc) {
+				break // neither this processor nor a later one can win
+			}
+			limit = est - 1 // c must start earlier, or tie from a lower index
+			if c.proc < proc {
+				limit = est
+			}
 		}
-		e, _ := s.ESTOn(n, c.proc, false)
-		if proc < 0 || e < est || (e == est && c.proc < proc) {
+		e, _ := s.ESTWithin(n, c.proc, false, limit)
+		if e <= limit {
 			proc, est = c.proc, e
 		}
 	}
@@ -308,7 +369,7 @@ func (s *Schedule) place(n dag.NodeID, p int, start int64, trace bool) error {
 		// n's messages again unless the last probe was for p.
 		s.TracePlacement(t, n, p, start, finish, s.ESTOn)
 	}
-	drt, ok := s.plan(n, p)
+	drt, ok := s.plan(n, p, math.MaxInt64)
 	if !ok {
 		return fmt.Errorf("machine: node %d has unscheduled parents", n)
 	}
@@ -322,9 +383,11 @@ func (s *Schedule) place(n dag.NodeID, p int, start int64, trace bool) error {
 	}
 	// The plan's reservations stay on the links as the committed
 	// messages; copy their hops into the store's reused slots.
-	for _, ep := range s.qPlan {
+	for j, ep := range s.qPlan {
 		s.msgs[ep.arc] = append(s.msgs[ep.arc][:0], s.qHops[ep.first:ep.end]...)
+		s.routed[s.inOff[n]+int32(j)] = ep.arc
 	}
+	s.nRouted[n] = int32(len(s.qPlan))
 	s.pend = dag.None
 	return nil
 }
@@ -350,12 +413,16 @@ func (s *Schedule) Unplace(n dag.NodeID) error {
 		}
 	}
 	s.DiscardPlan()
-	for k := s.inOff[n]; k < s.inOff[n+1]; k++ {
-		for _, h := range s.msgs[k] {
-			s.links[h.ch].Remove(n, h.start)
+	// Drop the hops in the reverse of the order they were reserved.
+	for j := s.inOff[n] + s.nRouted[n] - 1; j >= s.inOff[n]; j-- {
+		arc := s.routed[j]
+		hops := s.msgs[arc]
+		for k := len(hops) - 1; k >= 0; k-- {
+			s.links[hops[k].ch].RemoveHinted(n, hops[k].start, int(hops[k].idx))
 		}
-		s.msgs[k] = s.msgs[k][:0]
+		s.msgs[arc] = hops[:0]
 	}
+	s.nRouted[n] = 0
 	s.Tasks.Unplace(n)
 	return nil
 }

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dag"
 )
@@ -43,25 +42,59 @@ func (tl *Timeline) EarliestFit(ready, duration int64, insertion bool) int64 {
 		}
 		return ready
 	}
+	start, _ := tl.fit(ready, duration)
+	return start
+}
+
+// fit is EarliestFit in insertion mode. It also returns the index of the
+// first slot after the gap it found, len(slots) for the open end.
+func (tl *Timeline) fit(ready, duration int64) (start int64, i int) {
+	if len(tl.slots) == 0 {
+		return ready, 0
+	}
 	// Slots finishing at or before ready cannot bound the search: the
 	// gap start is clamped to ready and a usable gap must begin at or
 	// after it. Binary-search past them; timelines are finish-sorted.
 	prevFinish := int64(0)
-	first := sort.Search(len(tl.slots), func(i int) bool { return tl.slots[i].Finish > ready })
-	for i := first; i < len(tl.slots); i++ {
-		gapStart := prevFinish
-		if gapStart < ready {
-			gapStart = ready
-		}
+	for i = tl.firstFinishAfter(ready); i < len(tl.slots); i++ {
+		gapStart := max(prevFinish, ready)
 		if tl.slots[i].Start-gapStart >= duration {
-			return gapStart
+			return gapStart, i
 		}
 		prevFinish = tl.slots[i].Finish
 	}
-	if prevFinish < ready {
-		return ready
+	return max(prevFinish, ready), i
+}
+
+// firstFinishAfter returns the index of the first slot finishing after t.
+// Finish times never decrease along a timeline, so a binary search finds
+// it; the loop is sort.Search without the closure call per probe.
+func (tl *Timeline) firstFinishAfter(t int64) int {
+	lo, hi := 0, len(tl.slots)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if tl.slots[m].Finish > t {
+			hi = m
+		} else {
+			lo = m + 1
+		}
 	}
-	return prevFinish
+	return lo
+}
+
+// firstStartAtLeast returns the index of the first slot starting at or
+// after t, by the same closure-free binary search.
+func (tl *Timeline) firstStartAtLeast(t int64) int {
+	lo, hi := 0, len(tl.slots)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if tl.slots[m].Start >= t {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }
 
 // Insert adds a slot, keeping the timeline sorted. It returns an error if
@@ -72,24 +105,49 @@ func (tl *Timeline) EarliestFit(ready, duration int64, insertion bool) int64 {
 // topological, so replaying a processor's slots in order never runs a
 // zero-weight child before its co-located zero-weight parent.
 func (tl *Timeline) Insert(s Slot) error {
-	i := sort.Search(len(tl.slots), func(i int) bool { return tl.slots[i].Start >= s.Start })
+	_, err := tl.insertFrom(tl.firstStartAtLeast(s.Start), s)
+	return err
+}
+
+// Reserve adds a slot of the given duration for node at the start
+// EarliestFit(ready, duration, true) returns, placed exactly where Insert
+// of that slot would put it, with one search instead of two. It returns
+// the start and the slot's index, which RemoveHinted takes as its hint.
+// It panics if the slot overlaps one, which a fitted slot never does.
+func (tl *Timeline) Reserve(node dag.NodeID, ready, duration int64) (start int64, index int) {
+	start, i := tl.fit(ready, duration)
+	// Every slot before i finishes by start, so Insert's search for the
+	// first slot starting at or after start ends at i or earlier, on
+	// zero-length slots at start that insertFrom skips from i too.
+	i, err := tl.insertFrom(i, Slot{Node: node, Start: start, Finish: start + duration})
+	if err != nil {
+		panic(err)
+	}
+	return start, i
+}
+
+// insertFrom inserts s at index i, after the zero-length slots at s's
+// start that follow i, and returns the index it used. The slots before
+// i must start before s or be zero-length at its start. It returns an
+// error, inserting nothing, if s overlaps a neighbour.
+func (tl *Timeline) insertFrom(i int, s Slot) (int, error) {
 	for i < len(tl.slots) && tl.slots[i].Finish == s.Start {
 		i++
 	}
 	if i > 0 && tl.slots[i-1].Finish > s.Start {
 		prev := tl.slots[i-1]
-		return fmt.Errorf("sched: slot n%d[%d,%d) overlaps n%d[%d,%d)",
+		return i, fmt.Errorf("sched: slot n%d[%d,%d) overlaps n%d[%d,%d)",
 			s.Node, s.Start, s.Finish, prev.Node, prev.Start, prev.Finish)
 	}
 	if i < len(tl.slots) && tl.slots[i].Start < s.Finish {
 		next := tl.slots[i]
-		return fmt.Errorf("sched: slot n%d[%d,%d) overlaps n%d[%d,%d)",
+		return i, fmt.Errorf("sched: slot n%d[%d,%d) overlaps n%d[%d,%d)",
 			s.Node, s.Start, s.Finish, next.Node, next.Start, next.Finish)
 	}
 	tl.slots = append(tl.slots, Slot{})
 	copy(tl.slots[i+1:], tl.slots[i:])
 	tl.slots[i] = s
-	return nil
+	return i, nil
 }
 
 // Remove deletes the slot identified by (node, start) and reports whether
@@ -97,14 +155,25 @@ func (tl *Timeline) Insert(s Slot) error {
 // time; only zero-duration slots can share a start, so at most a couple
 // of entries are inspected after the search.
 func (tl *Timeline) Remove(node dag.NodeID, start int64) bool {
-	i := sort.Search(len(tl.slots), func(i int) bool { return tl.slots[i].Start >= start })
-	for ; i < len(tl.slots) && tl.slots[i].Start == start; i++ {
+	for i := tl.firstStartAtLeast(start); i < len(tl.slots) && tl.slots[i].Start == start; i++ {
 		if tl.slots[i].Node == node {
 			tl.slots = append(tl.slots[:i], tl.slots[i+1:]...)
 			return true
 		}
 	}
 	return false
+}
+
+// RemoveHinted is Remove given the slot's likely index, as Reserve
+// returned it: removals in the reverse order of the reservations find
+// every slot at its hint without a search. A stale or out-of-range hint
+// falls back to Remove.
+func (tl *Timeline) RemoveHinted(node dag.NodeID, start int64, hint int) bool {
+	if hint >= 0 && hint < len(tl.slots) && tl.slots[hint].Node == node && tl.slots[hint].Start == start {
+		tl.slots = append(tl.slots[:hint], tl.slots[hint+1:]...)
+		return true
+	}
+	return tl.Remove(node, start)
 }
 
 // reset empties the timeline, keeping the slot capacity for reuse.

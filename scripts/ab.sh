@@ -17,8 +17,11 @@
 # verdict against the metric's bound: "WORSE" when the change median is
 # worse than the base median by more than the bound, "gain" when there
 # are at least ten pairs, the change won nine in ten and its median is
-# better by more than the base IQR, "ok" otherwise. The script exits 1
-# when the runs' digests differ or an op failed.
+# better by more than the base IQR, "ok" otherwise. With fewer than ten
+# pairs, a metric whose base IQR exceeds half its bound's share of the
+# base median gets "noisy: rerun with --pairs 10" after its verdict: its
+# spread alone can then reach the bound. The script exits 1 when the
+# runs' digests differ or an op failed.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
@@ -118,8 +121,9 @@ for w in $workloads; do
 			gain = better[name] == "lower" ? bm - cm : cm - bm
 			share = bm != 0 ? sprintf("%+.1f%%", 100 * (cm - bm) / bm) : "-"
 			verdict = -gain > bound[name] * bm ? "WORSE" : pairs >= 10 && 10 * won >= 9 * pairs && gain > iqr ? "gain" : "ok"
-			printf "  %-14s %12.4g %12.4g %8s %10.3g %3d/%-2d %5.0f%%  %s\n",
-				name, bm, cm, share, iqr, won, pairs, 100 * bound[name], verdict
+			note = pairs < 10 && iqr > bound[name] * (bm < 0 ? -bm : bm) / 2 ? "  noisy: rerun with --pairs 10" : ""
+			printf "  %-14s %12.4g %12.4g %8s %10.3g %3d/%-2d %5.0f%%  %s%s\n",
+				name, bm, cm, share, iqr, won, pairs, 100 * bound[name], verdict, note
 		}
 		exit nd != 1 || tally["base", "failed"] + tally["change", "failed"] > 0
 	}' <(echo "$bounds") - || status=1
