@@ -1,45 +1,58 @@
-// Package ft executes static schedules on machines that fail: a
-// fault-capable replay of the discrete-event execution model of
-// internal/sim, extended with fail-stop processor crashes, transient
-// link outages, and pluggable recovery policies that react to failures
-// at runtime.
+// Package ft executes static schedules: a deterministic, seeded
+// discrete-event runtime that replays a completed sched.Schedule
+// (clique model) or machine.Schedule (arbitrary processor network)
+// under perturbed task durations and communication costs, fail-stop
+// processor crashes, transient link outages, and pluggable recovery
+// policies that react to failures at runtime. It is the one execution
+// engine of the repository: internal/sim is its fault-free face, a
+// Plan wrapping an Exec whose runs go through Exec.Makespan.
 //
-// The paper's benchmark — and the simulator of internal/sim — assume
-// every processor survives the execution. This package closes that
-// gap: a compiled Exec replays a clique schedule (sched.Schedule) or an
-// APN schedule (machine.Schedule) under the fault model of
-// sim.FaultModel, where a crash kills the task running on the
-// processor and all unstarted work placed there, and a RecoveryPolicy
-// decides what happens next.
+// The paper's benchmark assumes every processor survives the execution
+// and every duration is exact. This package closes both gaps: a crash
+// kills the task running on the processor and all unstarted work placed
+// there, and a RecoveryPolicy decides what happens next.
 //
 // # Engine
 //
-// One runtime executes both schedule models. An Exec is a graph of
-// units, each bound to a resource with a static queue: for a clique
-// schedule the units are the tasks and the resources the processors;
-// an APN schedule is converted from the plan sim.CompileAPN compiles,
-// so its units are also the per-hop message transfers and its
-// resources also the directed link channels, numbered after the
-// processors. Channels never crash, take no runtime speed factor and
-// no busy accounting; a transfer's start is pushed past the outage
-// windows of its channel. Recovery policies re-place and replicate
-// units at runtime, which is why the runtime replays queues over a
-// graph instead of sim's fixed job arcs.
+// A schedule is compiled once into an Exec: a graph of units, each
+// bound to a resource with a static queue. For a clique schedule the
+// units are the tasks and the resources the processors; an APN schedule
+// adds one unit per committed link reservation (a message hop) and one
+// resource per directed link channel, numbered after the processors.
+// The runtime releases a unit when its resource is free, the units
+// ahead of it in the resource's queue have finished, and its
+// predecessors' data has arrived: precedence with communication delay,
+// processor exclusivity in static start order, and, for APN schedules,
+// link exclusivity in static reservation order, store-and-forward along
+// the committed route. Channels never crash, take no runtime speed
+// factor and no busy accounting; a transfer's start is pushed past the
+// outage windows of its channel. Recovery policies re-place and
+// replicate units at runtime, which is why the runtime replays queues
+// over a graph instead of a fixed release order.
+//
+// Two dispatch policies are supported. DispatchTimetable (the default)
+// releases every unit no earlier than its planned static start, so
+// delays right-shift through the dependency chains while the plan's
+// ordering decisions are preserved exactly: with zero perturbation and
+// no faults an execution reproduces every static start time, and hence
+// the static makespan, for any valid schedule. DispatchEager starts a
+// unit as soon as its dependencies clear, which can only move work
+// earlier under zero perturbation.
 //
 // # Determinism contract
 //
 // Every random quantity of a run — duration multipliers, uptimes,
 // downtimes, outage windows — is a counter-based hash of
-// (seed, trial, entity), exactly as in internal/sim: failure traces are
-// a property of the machine and the trial, not of the schedule being
-// executed, so the same trial presents the same failures to every
-// algorithm and every recovery policy (paired comparisons), and results
-// are byte-reproducible at any worker count.
+// (seed, trial, entity): none, uniform over [1-s, 1+s], or mean-one
+// lognormal multipliers with log-stddev s, and exponential fault
+// durations. Failure traces are a property of the machine and the
+// trial, not of the schedule being executed, so the same trial presents
+// the same failures to every algorithm and every recovery policy
+// (paired comparisons), and results are byte-reproducible at any
+// worker count. All hops of one message share the edge's multiplier.
 //
-// With the zero fault model the runtime reproduces sim.Plan.Run
-// byte-identically for every schedule, policy, perturbation, and
-// heterogeneous speed vector — the fault path is provably a superset of
-// the fault-free simulator (pinned by the invariant tests).
+// Runtimes are pooled: a warm fault-free execution through
+// Exec.Makespan allocates nothing.
 //
 // # Recovery policies
 //
@@ -60,8 +73,6 @@ package ft
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/sim"
 )
 
 // RecoveryPolicy reacts to processor failures during a simulated
@@ -168,11 +179,10 @@ func PolicyNames() []string { return []string{"none", "resubmit", "checkpoint", 
 // Options parameterizes one fault-injected execution.
 type Options struct {
 	// Sim carries the perturbation model, dispatch policy, base seed,
-	// and optional runtime speed factors, exactly as in sim.Options.
-	Sim sim.Options
-	// Faults is the failure model; the zero value injects no faults and
-	// reproduces sim.Plan.Run byte-identically.
-	Faults sim.FaultModel
+	// and optional runtime speed factors.
+	Sim SimOptions
+	// Faults is the failure model; the zero value injects no faults.
+	Faults FaultModel
 	// Recovery selects the failure response; nil means None.
 	Recovery RecoveryPolicy
 	// Deadline, when positive, is the SLO used by MonteCarlo's survival
@@ -183,7 +193,7 @@ type Options struct {
 
 // validate checks the options against a processor count.
 func (o *Options) validate(numProcs int) error {
-	if err := o.Sim.Validate(numProcs); err != nil {
+	if err := o.Sim.validate(numProcs); err != nil {
 		return err
 	}
 	if err := o.Faults.Validate(); err != nil {
@@ -232,8 +242,7 @@ type Result struct {
 	Busy, Idle, Down []int64
 }
 
-// ratio divides realized by static makespan, defining 0/0 as 1, as in
-// internal/sim.
+// ratio divides realized by static makespan, defining 0/0 as 1.
 func ratio(makespan, static int64) float64 {
 	if static == 0 {
 		return 1

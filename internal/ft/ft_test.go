@@ -17,6 +17,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -72,24 +73,79 @@ func altSpeeds(n int) []float64 {
 	return sp
 }
 
-// checkZeroFault runs a fault-free ft execution against the plain
-// simulator for trials 0..2 and requires byte-identical makespans.
-func checkZeroFault(t *testing.T, label string, plan *sim.Plan, x *ft.Exec, opts sim.Options) {
+// compiled is one schedule compiled into the arc-engine oracle and,
+// independently, into the runtime: as an Exec and as a sim.Plan.
+type compiled struct {
+	label string
+	procs int
+	o     *ft.Oracle
+	x     *ft.Exec
+	plan  *sim.Plan
+}
+
+// compileClique compiles a clique schedule both ways and releases it.
+func compileClique(t *testing.T, label string, s *sched.Schedule) compiled {
+	t.Helper()
+	defer s.Release()
+	o, err := ft.OracleCompile(s)
+	if err != nil {
+		t.Fatalf("%s: compile oracle: %v", label, err)
+	}
+	x, err := ft.Compile(s)
+	if err != nil {
+		t.Fatalf("%s: compile: %v", label, err)
+	}
+	plan, err := sim.Compile(s)
+	if err != nil {
+		t.Fatalf("%s: compile sim: %v", label, err)
+	}
+	return compiled{label, s.NumProcs(), o, x, plan}
+}
+
+// compileAPN compiles an APN schedule both ways.
+func compileAPN(t *testing.T, label string, s *machine.Schedule) compiled {
+	t.Helper()
+	o, err := ft.OracleCompileAPN(s)
+	if err != nil {
+		t.Fatalf("%s: compile oracle: %v", label, err)
+	}
+	x, err := ft.CompileAPN(s)
+	if err != nil {
+		t.Fatalf("%s: compile: %v", label, err)
+	}
+	plan, err := sim.CompileAPN(s)
+	if err != nil {
+		t.Fatalf("%s: compile sim: %v", label, err)
+	}
+	return compiled{label, s.NumProcs(), o, x, plan}
+}
+
+// checkZeroFault runs the runtime without faults against the oracle
+// for trials 0..2, through both Exec.Makespan and Exec.Run, and
+// requires byte-identical makespans.
+func checkZeroFault(t *testing.T, label string, o *ft.Oracle, x *ft.Exec, opts ft.SimOptions) {
 	t.Helper()
 	for trial := 0; trial < 3; trial++ {
-		want, err := plan.Run(opts, trial)
+		want, _, err := o.Run(opts, trial)
 		if err != nil {
-			t.Fatalf("%s trial %d: sim: %v", label, trial, err)
+			t.Fatalf("%s trial %d: oracle: %v", label, trial, err)
+		}
+		mk, err := x.Makespan(opts, trial)
+		if err != nil {
+			t.Fatalf("%s trial %d: makespan: %v", label, trial, err)
+		}
+		if mk != want {
+			t.Fatalf("%s trial %d: fault-free makespan %d, oracle makespan %d", label, trial, mk, want)
 		}
 		res, err := x.Run(ft.Options{Sim: opts}, trial)
 		if err != nil {
-			t.Fatalf("%s trial %d: ft: %v", label, trial, err)
+			t.Fatalf("%s trial %d: run: %v", label, trial, err)
 		}
 		if !res.Finished {
 			t.Fatalf("%s trial %d: fault-free run did not finish", label, trial)
 		}
 		if res.Makespan != want {
-			t.Fatalf("%s trial %d: ft makespan %d, sim makespan %d", label, trial, res.Makespan, want)
+			t.Fatalf("%s trial %d: run makespan %d, oracle makespan %d", label, trial, res.Makespan, want)
 		}
 		if res.Crashes != 0 || res.Lost != 0 {
 			t.Fatalf("%s trial %d: fault-free run reports %d crashes, %d lost", label, trial, res.Crashes, res.Lost)
@@ -99,24 +155,24 @@ func checkZeroFault(t *testing.T, label string, plan *sim.Plan, x *ft.Exec, opts
 				t.Fatalf("%s trial %d: processor %d has downtime %d without faults", label, trial, p, d)
 			}
 		}
-		if res.Static != plan.Static() {
-			t.Fatalf("%s trial %d: static %d vs plan %d", label, trial, res.Static, plan.Static())
+		if res.Static != o.Static() {
+			t.Fatalf("%s trial %d: static %d vs oracle %d", label, trial, res.Static, o.Static())
 		}
 	}
 }
 
-// zeroFaultOptions returns the simulator option sets the invariant is
-// checked under: deterministic replay, lognormal noise with eager
-// dispatch, and uniform noise with an optional runtime speed vector.
-func zeroFaultOptions(numProcs int, runtimeSpeeds bool) []sim.Options {
-	opts := []sim.Options{
+// zeroFaultOptions returns the option sets the invariant is checked
+// under: deterministic replay, lognormal noise with eager dispatch, and
+// uniform noise with an optional runtime speed vector.
+func zeroFaultOptions(numProcs int, runtimeSpeeds bool) []ft.SimOptions {
+	opts := []ft.SimOptions{
 		{},
-		{Perturb: sim.Perturbation{Dist: sim.DistLognormal, TaskSpread: 0.3, CommSpread: 0.3}, Policy: sim.PolicyEager, Seed: 11},
-		{Perturb: sim.Perturbation{Dist: sim.DistUniform, TaskSpread: 0.4, CommSpread: 0.4}, Seed: 5},
+		{Perturb: ft.Perturbation{Dist: ft.DistLognormal, TaskSpread: 0.3, CommSpread: 0.3}, Policy: ft.DispatchEager, Seed: 11},
+		{Perturb: ft.Perturbation{Dist: ft.DistUniform, TaskSpread: 0.4, CommSpread: 0.4}, Seed: 5},
 	}
 	if runtimeSpeeds {
-		opts = append(opts, sim.Options{
-			Perturb: sim.Perturbation{Dist: sim.DistLognormal, TaskSpread: 0.2, CommSpread: 0.2},
+		opts = append(opts, ft.SimOptions{
+			Perturb: ft.Perturbation{Dist: ft.DistLognormal, TaskSpread: 0.2, CommSpread: 0.2},
 			Seed:    23,
 			Speed:   altSpeeds(numProcs),
 		})
@@ -124,135 +180,117 @@ func zeroFaultOptions(numProcs int, runtimeSpeeds bool) []sim.Options {
 	return opts
 }
 
-// checkCliqueZeroFault compiles a clique schedule for sim and ft and
-// checks the invariant under every option set.
-func checkCliqueZeroFault(t *testing.T, label string, s interface {
-	Makespan() int64
-	NumProcs() int
-}, plan *sim.Plan, x *ft.Exec) {
+// zeroFaultCorpus compiles all 15 algorithms over every registered
+// generator family, clique and APN.
+func zeroFaultCorpus(t *testing.T) []compiled {
 	t.Helper()
-	for oi, opts := range zeroFaultOptions(s.NumProcs(), true) {
-		checkZeroFault(t, fmt.Sprintf("%s opts[%d]", label, oi), plan, x, opts)
-	}
-}
-
-// TestZeroFaultMatchesSim is the invariant the whole package hangs on:
-// with the zero fault model the ft runtime reproduces
-// sim.Plan.Run byte-identically for all 15 algorithms over every
-// registered generator family, clique and APN, homogeneous and
-// heterogeneous, under every perturbation/policy combination.
-func TestZeroFaultMatchesSim(t *testing.T) {
-	fams := familyGraphs(t)
 	topo := machine.Hypercube(3)
-	for _, ng := range fams {
-		procs := 8
+	var out []compiled
+	for _, ng := range familyGraphs(t) {
 		for _, name := range bnpNames {
-			s, err := bnp.ScheduleHet(name, ng.G, procs, nil)
+			s, err := bnp.ScheduleHet(name, ng.G, 8, nil)
 			if err != nil {
 				t.Fatalf("bnp %s on %s: %v", name, ng.Name, err)
 			}
-			plan, err := sim.Compile(s)
-			if err != nil {
-				t.Fatalf("bnp %s on %s: compile sim: %v", name, ng.Name, err)
-			}
-			x, err := ft.Compile(s)
-			if err != nil {
-				t.Fatalf("bnp %s on %s: compile ft: %v", name, ng.Name, err)
-			}
-			checkCliqueZeroFault(t, fmt.Sprintf("BNP %s on %s", name, ng.Name), s, plan, x)
-			s.Release()
+			out = append(out, compileClique(t, fmt.Sprintf("BNP %s on %s", name, ng.Name), s))
 		}
 		for _, name := range uncNames {
 			s, err := unc.ScheduleHet(name, ng.G, nil)
 			if err != nil {
 				t.Fatalf("unc %s on %s: %v", name, ng.Name, err)
 			}
-			plan, err := sim.Compile(s)
-			if err != nil {
-				t.Fatalf("unc %s on %s: compile sim: %v", name, ng.Name, err)
-			}
-			x, err := ft.Compile(s)
-			if err != nil {
-				t.Fatalf("unc %s on %s: compile ft: %v", name, ng.Name, err)
-			}
-			checkCliqueZeroFault(t, fmt.Sprintf("UNC %s on %s", name, ng.Name), s, plan, x)
-			s.Release()
+			out = append(out, compileClique(t, fmt.Sprintf("UNC %s on %s", name, ng.Name), s))
 		}
 		for _, name := range apnNames {
 			s, err := apn.ScheduleHet(name, ng.G, topo, nil)
 			if err != nil {
 				t.Fatalf("apn %s on %s: %v", name, ng.Name, err)
 			}
-			plan, err := sim.CompileAPN(s)
-			if err != nil {
-				t.Fatalf("apn %s on %s: compile sim: %v", name, ng.Name, err)
-			}
-			x, err := ft.CompileAPN(s)
-			if err != nil {
-				t.Fatalf("apn %s on %s: compile ft: %v", name, ng.Name, err)
-			}
-			for oi, opts := range zeroFaultOptions(s.NumProcs(), true) {
-				checkZeroFault(t, fmt.Sprintf("APN %s on %s opts[%d]", name, ng.Name, oi), plan, x, opts)
-			}
+			out = append(out, compileAPN(t, fmt.Sprintf("APN %s on %s", name, ng.Name), s))
 		}
 	}
+	return out
+}
+
+// checkCorpus checks the zero-fault invariant for every compiled case
+// under every option set.
+func checkCorpus(t *testing.T, cases []compiled) {
+	t.Helper()
+	for _, c := range cases {
+		for oi, opts := range zeroFaultOptions(c.procs, true) {
+			checkZeroFault(t, fmt.Sprintf("%s opts[%d]", c.label, oi), c.o, c.x, opts)
+		}
+	}
+}
+
+// TestZeroFaultMatchesSim is the invariant the simulator hangs on: with
+// the zero fault model the runtime reproduces the independently
+// compiled arc-engine oracle byte-identically for all 15 algorithms
+// over every registered generator family, clique and APN, under every
+// perturbation/policy combination and runtime speed vector.
+func TestZeroFaultMatchesSim(t *testing.T) {
+	checkCorpus(t, zeroFaultCorpus(t))
 }
 
 // TestZeroFaultMatchesSimHetSchedules repeats the invariant for
 // schedules built with per-processor speed vectors (speed-aware static
 // plans), one algorithm per class.
 func TestZeroFaultMatchesSimHetSchedules(t *testing.T) {
-	fams := familyGraphs(t)
 	topo := machine.Hypercube(3)
-	for _, ng := range fams {
-		{
-			s, err := bnp.ScheduleHet("MCP", ng.G, 8, altSpeeds(8))
-			if err != nil {
-				t.Fatalf("bnp MCP het on %s: %v", ng.Name, err)
-			}
-			plan, err := sim.Compile(s)
-			if err != nil {
-				t.Fatalf("bnp MCP het on %s: %v", ng.Name, err)
-			}
-			x, err := ft.Compile(s)
-			if err != nil {
-				t.Fatalf("bnp MCP het on %s: %v", ng.Name, err)
-			}
-			checkCliqueZeroFault(t, "BNP MCP het on "+ng.Name, s, plan, x)
-			s.Release()
+	var cases []compiled
+	for _, ng := range familyGraphs(t) {
+		s, err := bnp.ScheduleHet("MCP", ng.G, 8, altSpeeds(8))
+		if err != nil {
+			t.Fatalf("bnp MCP het on %s: %v", ng.Name, err)
 		}
-		{
-			n := ng.G.NumNodes()
-			s, err := unc.ScheduleHet("DCP", ng.G, altSpeeds(max(n, 1)))
-			if err != nil {
-				t.Fatalf("unc DCP het on %s: %v", ng.Name, err)
-			}
-			plan, err := sim.Compile(s)
-			if err != nil {
-				t.Fatalf("unc DCP het on %s: %v", ng.Name, err)
-			}
-			x, err := ft.Compile(s)
-			if err != nil {
-				t.Fatalf("unc DCP het on %s: %v", ng.Name, err)
-			}
-			checkCliqueZeroFault(t, "UNC DCP het on "+ng.Name, s, plan, x)
-			s.Release()
+		cases = append(cases, compileClique(t, "BNP MCP het on "+ng.Name, s))
+		s, err = unc.ScheduleHet("DCP", ng.G, altSpeeds(max(ng.G.NumNodes(), 1)))
+		if err != nil {
+			t.Fatalf("unc DCP het on %s: %v", ng.Name, err)
 		}
-		{
-			s, err := apn.ScheduleHet("MH", ng.G, topo, altSpeeds(topo.NumProcs()))
-			if err != nil {
-				t.Fatalf("apn MH het on %s: %v", ng.Name, err)
+		cases = append(cases, compileClique(t, "UNC DCP het on "+ng.Name, s))
+		ms, err := apn.ScheduleHet("MH", ng.G, topo, altSpeeds(topo.NumProcs()))
+		if err != nil {
+			t.Fatalf("apn MH het on %s: %v", ng.Name, err)
+		}
+		cases = append(cases, compileAPN(t, "APN MH het on "+ng.Name, ms))
+	}
+	checkCorpus(t, cases)
+}
+
+// TestSimCountersMatchOracle requires sim.MonteCarlo, with metrics on,
+// to count one sim.runs per trial, the oracle's job count per trial in
+// sim.events and the oracle's stalls in sim.stalls, over the
+// zero-fault corpus, and to leave the ft.* counters alone.
+func TestSimCountersMatchOracle(t *testing.T) {
+	const trials = 3
+	cases := zeroFaultCorpus(t)
+	obs.ResetMetrics()
+	obs.EnableMetrics(true)
+	t.Cleanup(func() { obs.EnableMetrics(false); obs.ResetMetrics() })
+	for _, c := range cases {
+		for oi, opts := range zeroFaultOptions(c.procs, true) {
+			var stalls int64
+			for trial := 0; trial < trials; trial++ {
+				_, st, err := c.o.Run(opts, trial)
+				if err != nil {
+					t.Fatalf("%s opts[%d]: oracle: %v", c.label, oi, err)
+				}
+				stalls += st
 			}
-			plan, err := sim.CompileAPN(s)
-			if err != nil {
-				t.Fatalf("apn MH het on %s: %v", ng.Name, err)
+			obs.ResetMetrics()
+			if _, err := sim.MonteCarlo(c.plan, opts, trials); err != nil {
+				t.Fatalf("%s opts[%d]: %v", c.label, oi, err)
 			}
-			x, err := ft.CompileAPN(s)
-			if err != nil {
-				t.Fatalf("apn MH het on %s: %v", ng.Name, err)
+			got := map[string]int64{}
+			for _, s := range obs.SnapshotMetrics() {
+				got[s.Name] = s.Value
 			}
-			for oi, opts := range zeroFaultOptions(s.NumProcs(), true) {
-				checkZeroFault(t, fmt.Sprintf("APN MH het on %s opts[%d]", ng.Name, oi), plan, x, opts)
+			want := map[string]int64{"sim.runs": trials, "sim.events": int64(trials * c.o.Jobs()), "sim.stalls": stalls, "ft.runs": 0, "ft.events": 0}
+			for name, w := range want {
+				if got[name] != w {
+					t.Fatalf("%s opts[%d]: %s = %d, want %d", c.label, oi, name, got[name], w)
+				}
 			}
 		}
 	}
@@ -282,7 +320,7 @@ func faultyExec(t *testing.T) *ft.Exec {
 func faultyOptions(x *ft.Exec, pol ft.RecoveryPolicy) ft.Options {
 	static := x.Static()
 	return ft.Options{
-		Faults: sim.FaultModel{
+		Faults: ft.FaultModel{
 			MTBF:       max(1, static/2),
 			MeanRepair: max(1, static/10),
 		},
@@ -410,7 +448,7 @@ func TestReplicateSurvivesPrimaryCrash(t *testing.T) {
 		t.Fatalf("compile: %v", err)
 	}
 	opts := ft.Options{
-		Faults: sim.FaultModel{MTBF: 60}, // no repair: a crash is permanent
+		Faults: ft.FaultModel{MTBF: 60}, // no repair: a crash is permanent
 	}
 	var noneMiss, replicateSave int
 	for trial := 0; trial < 60; trial++ {
@@ -462,7 +500,7 @@ func apnFaultExec(t *testing.T) (*ft.Exec, ft.Options) {
 	}
 	static := x.Static()
 	return x, ft.Options{
-		Faults: sim.FaultModel{
+		Faults: ft.FaultModel{
 			MTBF:       max(1, static),
 			MeanRepair: max(1, static/10),
 			LinkMTBF:   max(1, static),
@@ -610,10 +648,10 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := x.Run(ft.Options{Deadline: -1}, 0); err == nil {
 		t.Fatal("negative deadline accepted")
 	}
-	if _, err := x.Run(ft.Options{Faults: sim.FaultModel{MTBF: -1}}, 0); err == nil {
+	if _, err := x.Run(ft.Options{Faults: ft.FaultModel{MTBF: -1}}, 0); err == nil {
 		t.Fatal("negative MTBF accepted")
 	}
-	if _, err := x.Run(ft.Options{Faults: sim.FaultModel{LinkMTBF: 5}}, 0); err == nil {
+	if _, err := x.Run(ft.Options{Faults: ft.FaultModel{LinkMTBF: 5}}, 0); err == nil {
 		t.Fatal("link faults without a mean outage accepted")
 	}
 	if _, err := ft.MonteCarlo(x, ft.Options{}, 0); err == nil {
@@ -623,8 +661,21 @@ func TestOptionValidation(t *testing.T) {
 	for i := range bad {
 		bad[i] = 1
 	}
-	if _, err := x.Run(ft.Options{Sim: sim.Options{Speed: bad}}, 0); err == nil {
+	if _, err := x.Run(ft.Options{Sim: ft.SimOptions{Speed: bad}}, 0); err == nil {
 		t.Fatal("mis-sized speed vector accepted")
+	}
+	bad = bad[:x.NumProcs()]
+	for _, sp := range []float64{math.NaN(), math.Inf(1), 0} {
+		bad[0] = sp
+		if _, err := x.Run(ft.Options{Sim: ft.SimOptions{Speed: bad}}, 0); err == nil {
+			t.Fatalf("speed factor %g accepted", sp)
+		}
+	}
+	for _, sp := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		opts := ft.SimOptions{Perturb: ft.Perturbation{Dist: ft.DistLognormal, CommSpread: sp}}
+		if _, err := x.Makespan(opts, 0); err == nil {
+			t.Fatalf("communication spread %g accepted", sp)
+		}
 	}
 }
 

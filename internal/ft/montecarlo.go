@@ -2,9 +2,8 @@ package ft
 
 import (
 	"fmt"
+	"math"
 	"sort"
-
-	"repro/internal/sim"
 )
 
 // Stats summarizes a Monte-Carlo fault-injection study of one compiled
@@ -47,7 +46,7 @@ type Stats struct {
 // MonteCarlo executes the schedule for the given number of independent
 // trials (trial numbers 0..trials-1) and returns the fault-injection
 // statistics. Results are deterministic in (opts, trials) and
-// byte-reproducible at any concurrency, exactly as sim.MonteCarlo.
+// byte-reproducible at any concurrency.
 func MonteCarlo(x *Exec, opts Options, trials int) (Stats, error) {
 	if trials < 1 {
 		return Stats{}, fmt.Errorf("ft: MonteCarlo needs at least one trial, got %d", trials)
@@ -99,10 +98,25 @@ func MonteCarlo(x *Exec, opts Options, trials int) (Stats, error) {
 	}
 	sorted := append([]float64(nil), st.Ratios...)
 	sort.Float64s(sorted)
-	st.P99Ratio = sorted[sim.PercentileIndex(trials, 0.99)]
+	st.P99Ratio = sorted[PercentileIndex(trials, 0.99)]
 	st.MeanCrashes = float64(sumCrashes) / float64(trials)
 	st.MeanBusyFrac = sumBusy / float64(trials)
 	st.MeanIdleFrac = sumIdle / float64(trials)
 	st.MeanDownFrac = sumDown / float64(trials)
 	return st, nil
+}
+
+// PercentileIndex returns the index of the q-th percentile in a
+// sorted sample of n values: the smallest index covering at least q
+// of the mass (nearest-rank method). Exported so consumers pooling
+// ratios across several studies use the same method as the studies.
+func PercentileIndex(n int, q float64) int {
+	i := int(math.Ceil(float64(n)*q)) - 1
+	if i < 0 {
+		return 0
+	}
+	if i >= n {
+		return n - 1
+	}
+	return i
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/algo/bnp"
 	"repro/internal/ft"
 	"repro/internal/gen"
-	"repro/internal/sim"
 )
 
 // cliqueExecOn compiles MCP on procs processors for an rgnos v=60 graph.
@@ -54,7 +53,7 @@ func TestPooledRunsInterleaved(t *testing.T) {
 		opts  ft.Options
 	}
 	var jobs []job
-	dispatch := []sim.Policy{sim.PolicyTimetable, sim.PolicyEager}
+	dispatch := []ft.Dispatch{ft.DispatchTimetable, ft.DispatchEager}
 	apnX, apnOpts := apnFaultExec(t)
 	linksOnly := apnOpts
 	linksOnly.Faults.MTBF, linksOnly.Faults.MeanRepair = 0, 0 // outages decide every makespan

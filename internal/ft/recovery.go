@@ -3,7 +3,6 @@ package ft
 import (
 	"repro/internal/dag"
 	"repro/internal/sched"
-	"repro/internal/sim"
 )
 
 // resubmit is the repair pass of the resubmit and checkpoint policies:
@@ -50,7 +49,8 @@ func (rt *runtime) resubmit() {
 	}
 	for v := 0; v < n; v++ {
 		if rt.done[v] && rt.onFrontier(dag.NodeID(v)) {
-			if err := s.PlaceFixed(dag.NodeID(v), int(rt.finProc[v]), rt.finStart[v], rt.finTime[v]); err != nil {
+			w := &rt.copies[rt.won[v]]
+			if err := s.PlaceFixed(dag.NodeID(v), int(w.proc), w.start, w.finish); err != nil {
 				panic(err)
 			}
 		}
@@ -112,17 +112,18 @@ func (rt *runtime) resubmit() {
 	// Swap the runtime over to the repaired schedule: fresh queues from
 	// the repaired slot order, floors from the repaired starts, ready
 	// times refolded from the arrivals already realized.
-	eager := rt.opts.Sim.Policy == sim.PolicyEager
+	eager := rt.opts.Sim.Policy == DispatchEager
 	for p := 0; p < rt.x.numProcs; p++ {
-		rt.queue[p] = rt.queue[p][:0]
+		q := rt.editQueue(p)[:0]
 		rt.qpos[p] = 0
 		for _, sl := range s.Slots(p) {
 			v := int32(sl.Node)
 			if rt.done[v] || rt.running[v] {
 				continue
 			}
-			rt.queue[p] = append(rt.queue[p], v)
+			q = append(q, v)
 		}
+		rt.setQueue(p, q)
 	}
 	for v := int32(0); v < int32(n); v++ {
 		if !rt.inRest(v) {
@@ -146,9 +147,10 @@ func (rt *runtime) resubmit() {
 				deps++
 				continue
 			}
-			arr := rt.finTime[u]
-			if rt.finProc[u] != c.proc {
-				arr += rt.commLag(dag.NodeID(u), dag.Arc{To: pr.To, Weight: pr.Weight})
+			w := &rt.copies[rt.won[u]]
+			arr := w.finish
+			if w.proc != c.proc {
+				arr = later(arr, rt.commLag(u, dag.Arc{To: pr.To, Weight: pr.Weight}))
 			}
 			if arr > c.ready {
 				c.ready = arr
@@ -166,6 +168,7 @@ func (rt *runtime) resubmit() {
 // flags and counts keep their storage across passes and runs.
 func (rt *runtime) repairScratch() *sched.Schedule {
 	x := rt.x
+	x.levels()
 	if rt.repairSched == nil {
 		rt.repairSched = sched.Acquire(x.g, x.numProcs)
 	} else {
@@ -212,6 +215,7 @@ func (rt *runtime) addReplicas(k int) {
 	if k > n {
 		k = n
 	}
+	x.levels()
 	staticFin := func(v int32) int64 { return x.floor[v] + x.execTime(v, int(x.res[v])) }
 	lastFin := resize(rt.lastFin, x.numProcs)
 	for v := int32(0); v < int32(n); v++ {
@@ -220,8 +224,7 @@ func (rt *runtime) addReplicas(k int) {
 		}
 	}
 	rt.lastFin = lastFin
-	rt.pairs = resize(rt.pairs, k)
-	for i, v := range x.byLevel[:k] {
+	for _, v := range x.byLevel[:k] {
 		primary := int(x.res[v])
 		best := -1
 		var bestStart, bestFin int64
@@ -249,10 +252,9 @@ func (rt *runtime) addReplicas(k int) {
 			}
 		}
 		ci := int32(len(rt.copies))
-		rt.copies = append(rt.copies, copyRec{task: v, proc: int32(best), floor: bestStart})
-		rt.pairs[i] = [2]int32{v, ci}
-		rt.copiesOf[v] = rt.pairs[i][:]
-		rt.queue[best] = append(rt.queue[best], ci)
+		rt.copies = append(rt.copies, copyRec{task: v, proc: int32(best), floor: bestStart, next: -1})
+		rt.copies[v].next = ci
+		rt.setQueue(best, append(rt.editQueue(best), ci))
 		lastFin[best] = bestFin
 	}
 }

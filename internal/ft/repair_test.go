@@ -9,7 +9,6 @@ import (
 	"repro/internal/algo/bnp"
 	"repro/internal/ft"
 	"repro/internal/gen"
-	"repro/internal/sim"
 )
 
 // cliqueFaultCase is one compiled clique schedule of the repair pin.
@@ -78,14 +77,14 @@ func cliqueOutcomeDigest(t *testing.T, cases []cliqueFaultCase) (digest string, 
 	for _, c := range cases {
 		static := c.x.Static()
 		for _, pol := range []ft.RecoveryPolicy{ft.Resubmit(), ft.Checkpoint(max(1, static/16))} {
-			for si, so := range []sim.Options{
+			for si, so := range []ft.SimOptions{
 				{},
-				{Perturb: sim.Perturbation{Dist: sim.DistLognormal, TaskSpread: 0.3, CommSpread: 0.3}, Policy: sim.PolicyEager, Seed: 11},
+				{Perturb: ft.Perturbation{Dist: ft.DistLognormal, TaskSpread: 0.3, CommSpread: 0.3}, Policy: ft.DispatchEager, Seed: 11},
 			} {
 				for _, repair := range []int64{max(1, static/10), 0} {
 					opts := ft.Options{
 						Sim:      so,
-						Faults:   sim.FaultModel{MTBF: max(1, static/2), MeanRepair: repair},
+						Faults:   ft.FaultModel{MTBF: max(1, static/2), MeanRepair: repair},
 						Recovery: pol,
 					}
 					for trial := 0; trial < 10; trial++ {

@@ -10,13 +10,13 @@ import (
 	"repro/internal/dag"
 	"repro/internal/ft"
 	"repro/internal/gen"
-	"repro/internal/sim"
 )
 
 // zeroWeightExec compiles HLFET on 8 processors for an rgnos graph in
 // which every third task weighs nothing and every edge out of such a
 // task is free, so repair passes keep landing tasks on the finish of a
-// zero-length slot. It checks the fault-free run against sim first.
+// zero-length slot. It checks the fault-free run against the oracle
+// first.
 func zeroWeightExec(t *testing.T) *ft.Exec {
 	t.Helper()
 	src, err := gen.Generate("rgnos", 5, gen.Params{"v": "80", "ccr": "1"})
@@ -43,27 +43,19 @@ func zeroWeightExec(t *testing.T) *ft.Exec {
 	return compileZeroFault(t, "zero-weight rgnos", b.MustBuild(), 8)
 }
 
-// compileZeroFault schedules g with HLFET, compiles it for sim and ft,
-// and requires fault-free ft runs to finish at sim's makespans.
+// compileZeroFault schedules g with HLFET, compiles it, and requires
+// fault-free runs to finish at the oracle's makespans.
 func compileZeroFault(t *testing.T, label string, g *dag.Graph, procs int) *ft.Exec {
 	t.Helper()
 	s, err := bnp.ScheduleHet("HLFET", g, procs, nil)
 	if err != nil {
 		t.Fatalf("%s: schedule: %v", label, err)
 	}
-	defer s.Release()
-	plan, err := sim.Compile(s)
-	if err != nil {
-		t.Fatalf("%s: sim compile: %v", label, err)
-	}
-	x, err := ft.Compile(s)
-	if err != nil {
-		t.Fatalf("%s: compile: %v", label, err)
-	}
+	c := compileClique(t, label, s)
 	for oi, opts := range zeroFaultOptions(procs, false) {
-		checkZeroFault(t, fmt.Sprintf("%s opts[%d]", label, oi), plan, x, opts)
+		checkZeroFault(t, fmt.Sprintf("%s opts[%d]", label, oi), c.o, c.x, opts)
 	}
-	return x
+	return c.x
 }
 
 // TestZeroWeightChainReplays runs a co-located chain of zero-weight
@@ -90,7 +82,7 @@ func TestRepairZeroWeightTasks(t *testing.T) {
 	repaired := 0
 	for _, pol := range []ft.RecoveryPolicy{ft.Resubmit(), ft.Checkpoint(max(1, static/16))} {
 		for _, repair := range []int64{max(1, static/10), 0} {
-			opts := ft.Options{Faults: sim.FaultModel{MTBF: max(1, static/2), MeanRepair: repair}, Recovery: pol}
+			opts := ft.Options{Faults: ft.FaultModel{MTBF: max(1, static/2), MeanRepair: repair}, Recovery: pol}
 			for trial := 0; trial < 40; trial++ {
 				res, err := x.Run(opts, trial)
 				if err != nil {
@@ -142,7 +134,7 @@ func TestRepairAllocsFlatInCrashes(t *testing.T) {
 	var allocs []float64
 	for _, div := range []int64{1, 4, 16} {
 		opts := ft.Options{
-			Faults:   sim.FaultModel{MTBF: max(1, static/div), MeanRepair: max(1, static/10)},
+			Faults:   ft.FaultModel{MTBF: max(1, static/div), MeanRepair: max(1, static/10)},
 			Recovery: ft.Resubmit(),
 		}
 		res, err := x.Run(opts, 0)
@@ -182,7 +174,7 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 	for _, c := range cliqueFaultCases(t) {
 		static := c.x.Static()
 		for _, pol := range []ft.RecoveryPolicy{ft.Resubmit(), ft.Checkpoint(max(1, static/16))} {
-			opts := ft.Options{Faults: sim.FaultModel{MTBF: max(1, static/2), MeanRepair: max(1, static/10)}, Recovery: pol}
+			opts := ft.Options{Faults: ft.FaultModel{MTBF: max(1, static/2), MeanRepair: max(1, static/10)}, Recovery: pol}
 			want := make([]ft.Result, trials)
 			for trial := range want {
 				res, err := c.x.Run(opts, trial)

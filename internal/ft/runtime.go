@@ -8,36 +8,74 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pq"
 	"repro/internal/sched"
-	"repro/internal/sim"
 )
 
 // Event kinds, in tie-break order: completions before crashes before
 // repairs at the same instant, so a unit finishing exactly when its
 // processor dies survives, and work never starts on a processor in the
-// instant before its crash is processed.
+// instant before its crash is processed. A kind occupies the top two
+// bits of an event's key, above the copy index or processor, so one
+// comparison orders by kind and then by index.
 const (
-	evComplete int8 = iota
+	evComplete uint32 = iota << 30
 	evCrash
 	evRepair
+	evIndex = 1<<30 - 1
 )
 
 // event is one entry on the simulation clock: a copy completion, a
 // processor crash, or a processor repair.
 type event struct {
 	t     int64
-	kind  int8
-	id    int32 // copy index for completions, processor for crash/repair
-	epoch int32 // completion validity stamp, see copyRec.epoch
+	key   uint32 // kind | copy index for completions, processor for crash/repair
+	epoch int32  // completion validity stamp, see copyRec.epoch
 }
 
+func (e event) kind() uint32 { return e.key &^ evIndex }
+func (e event) id() int32    { return int32(e.key & evIndex) }
+
 func eventLess(a, b event) bool {
-	if a.t != b.t {
-		return a.t < b.t
+	return a.t < b.t || a.t == b.t && a.key < b.key
+}
+
+// eventHeap is a binary min-heap of events in eventLess order, kept
+// apart from internal/pq so the comparisons inline into the hot loop.
+// Two live events never tie, so the pop order is the order itself.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	s := append(*h, e)
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !eventLess(s[i], s[p]) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
 	}
-	if a.kind != b.kind {
-		return a.kind < b.kind
+	*h = s
+}
+
+func (h *eventHeap) pop() event {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0], s = s[n], s[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && eventLess(s[r], s[m]) {
+			m = r
+		}
+		if !eventLess(s[m], s[i]) {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
 	}
-	return a.id < b.id
+	*h = s
+	return top
 }
 
 // copyRec is one scheduled execution attempt of a unit: its primary
@@ -57,19 +95,21 @@ type copyRec struct {
 	// killing a released copy bumps it, so the stale heap entry is
 	// skipped when popped.
 	epoch int32
+	next  int32 // the unit's next copy (its replica), -1 at the end
 }
 
-// outGen lazily materializes the outage-window sequence of one directed
+// outGen lazily draws the outage-window sequence of one directed
 // channel: alternating exponential up and outage draws along the draw
-// counter, generated strictly in time order so the realized windows are
-// independent of the order transfers query them.
+// counter, in time order, so the realized windows do not depend on when
+// transfers query them. A channel starts its transfers in queue order,
+// each after the previous one finished, so queries never go back in
+// time and only the latest window is kept.
 type outGen struct {
-	wins [][2]int64
-	k    int   // next draw index
-	t    int64 // end of the last generated window
+	ws, we int64 // the latest window [ws, we)
+	k      int   // next draw index
 }
 
-// runtime is the mutable state of one fault-injected execution: the
+// runtime is the mutable state of one execution: the
 // event heap and clock, the per-processor fail-stop draws (every uptime
 // and downtime is a counter-based draw along the processor's fault
 // sequence), the per-resource queues, the per-channel outage
@@ -77,14 +117,15 @@ type outGen struct {
 // readies one for a run, reusing every backing array.
 type runtime struct {
 	x     *Exec
-	opts  *Options
+	opts  Options // a copy, so a caller's options never escape
 	pol   RecoveryPolicy
 	trial uint64
 
-	heap    *pq.Heap[event]
+	heap    eventHeap
 	now     int64
 	horizon int64
 	events  int64
+	stalls  int64 // releases later than the unit's static start
 
 	crashes   int
 	pending   int // completion events in flight
@@ -92,25 +133,24 @@ type runtime struct {
 	makespan  int64
 	aborted   bool
 
-	// Per processor. busy and down are fresh each run: the Result of
-	// the previous run holds them.
+	// Per processor.
 	repairAt   []int64 // scheduled repair while down, never otherwise
 	faultK     []int   // fault draw counter
 	busy, down []int64
 
 	// Per unit.
-	copies   []copyRec
-	copiesOf [][]int32 // unit -> copy indices (usually exactly one)
-	prim     []int32   // backs copiesOf's one-copy entries
-	deps     []int32   // unfinished predecessors per unit
-	done     []bool
-	finTime  []int64 // realized finish of the first finisher
-	finStart []int64 // realized start of the first finisher
-	finProc  []int32
-	saved    []int64 // checkpoint credit per unit
+	copies []copyRec // copy v is unit v's primary, the head of its copy list
+	deps   []int32   // unfinished predecessors per unit
+	done   []bool
+	won    []int32 // the copy that finished each unit first
+	saved  []int64 // checkpoint credit per unit
 
-	// Per resource; channels are never down.
+	// Per resource; channels are never down. A run reads the Exec's
+	// static queues in place until a recovery policy edits one, which
+	// first moves it into the run's own buffer (editQueue).
 	queue     [][]int32 // copy indices in execution order
+	own       [][]int32 // the run's queue buffers, kept across runs
+	owned     []bool    // queue[p] is own[p]
 	qpos      []int
 	runningOn []int32 // released copy occupying the resource, -1 if none
 	freeAt    []int64 // last realized completion
@@ -126,14 +166,13 @@ type runtime struct {
 	running     []bool  // unit has a copy in flight at the pass
 	remPreds    []int32 // unplaced rest predecessors per rest unit
 	ready       *pq.Heap[int32]
-	lastFin     []int64    // replicate's static finish per processor
-	pairs       [][2]int32 // backs copiesOf's replicated entries
+	lastFin     []int64 // replicate's static finish per processor
 }
 
-// runtimePool recycles runtimes across trials and Execs, as sim pools
-// its engine.
+// runtimePool recycles runtimes across trials and Execs, so a warm
+// trial allocates nothing for its own state.
 var runtimePool = sync.Pool{New: func() any {
-	rt := &runtime{heap: pq.New[event](eventLess)}
+	rt := &runtime{}
 	// The repair pass orders ready units by descending static b-level,
 	// then ID; the closure reads the Exec of the current run.
 	rt.ready = pq.New[int32](func(a, b int32) bool {
@@ -150,56 +189,62 @@ var runtimePool = sync.Pool{New: func() any {
 // primary copy on its static resource, every resource its static
 // queue, every processor its first crash drawn.
 func (rt *runtime) reset(x *Exec, opts *Options, pol RecoveryPolicy, trial int) {
-	n, r, procs := x.g.NumNodes(), len(x.queue), x.numProcs
-	rt.x, rt.opts, rt.pol = x, opts, pol
-	rt.trial = sim.TrialSeed(opts.Sim.Seed, trial)
-	rt.heap.Reset()
-	rt.now, rt.horizon, rt.events = 0, 0, 0
+	n, r, procs := len(x.res), len(x.queue), x.numProcs
+	rt.x, rt.opts, rt.pol = x, *opts, pol
+	rt.trial = trialSeed(opts.Sim.Seed, trial)
+	rt.heap = rt.heap[:0]
+	rt.now, rt.horizon, rt.events, rt.stalls = 0, 0, 0, 0
 	rt.crashes, rt.pending, rt.remaining, rt.makespan, rt.aborted = 0, 0, x.tasks, 0, false
 
 	rt.repairAt = resize(rt.repairAt, procs)
 	rt.faultK = resize(rt.faultK, procs)
-	rt.busy = make([]int64, procs)
-	rt.down = make([]int64, procs)
+	rt.busy = resize(rt.busy, procs)
+	rt.down = resize(rt.down, procs)
 
 	rt.copies = resize(rt.copies, n)
-	rt.copiesOf = resize(rt.copiesOf, n)
-	rt.prim = resize(rt.prim, n)
 	rt.deps = resize(rt.deps, n)
 	rt.done = resize(rt.done, n)
-	rt.finTime = resize(rt.finTime, n)
-	rt.finStart = resize(rt.finStart, n)
-	rt.finProc = resize(rt.finProc, n)
+	rt.won = resize(rt.won, n)
 	rt.saved = resize(rt.saved, n)
 	for v := 0; v < n; v++ {
-		rt.copies[v] = copyRec{task: int32(v), proc: x.res[v], floor: x.floor[v]}
-		rt.prim[v] = int32(v)
-		rt.copiesOf[v] = rt.prim[v : v+1 : v+1]
-		rt.deps[v] = int32(x.g.InDegree(dag.NodeID(v)))
+		rt.copies[v] = copyRec{task: int32(v), proc: x.res[v], floor: x.floor[v], next: -1}
+		rt.deps[v] = x.inDegree(int32(v))
 	}
 
-	rt.queue = grow(rt.queue, r)
+	rt.queue = resize(rt.queue, r)
+	rt.own = grow(rt.own, r)
+	rt.owned = resize(rt.owned, r)
 	rt.qpos = resize(rt.qpos, r)
 	rt.runningOn = resize(rt.runningOn, r)
 	rt.freeAt = resize(rt.freeAt, r)
 	rt.upAt = resize(rt.upAt, r)
 	rt.downAt = resize(rt.downAt, r)
 	for p := range rt.queue {
-		rt.queue[p] = append(rt.queue[p][:0], x.queue[p]...)
+		rt.queue[p] = x.queue[p]
 		rt.runningOn[p] = -1
 		rt.downAt[p] = -1
 	}
-	rt.gens = grow(rt.gens, len(x.chans))
-	for i := range rt.gens {
-		rt.gens[i] = outGen{wins: rt.gens[i].wins[:0]}
-	}
+	rt.gens = resize(rt.gens, len(x.chans))
 	for p := 0; p < procs; p++ {
 		rt.repairAt[p] = never
 		if opts.Faults.MTBF > 0 {
-			rt.heap.Push(event{t: rt.nextFault(p, opts.Faults.MTBF), kind: evCrash, id: int32(p)})
+			rt.heap.push(event{t: rt.nextFault(p, opts.Faults.MTBF), key: evCrash | uint32(p)})
 		}
 	}
 }
+
+// editQueue returns resource p's queue as the run's own copy, for a
+// recovery policy to change and store back with setQueue.
+func (rt *runtime) editQueue(p int) []int32 {
+	if !rt.owned[p] {
+		rt.own[p] = append(rt.own[p][:0], rt.queue[p]...)
+		rt.owned[p] = true
+	}
+	return rt.own[p]
+}
+
+// setQueue installs q, built on editQueue(p), as resource p's queue.
+func (rt *runtime) setQueue(p int, q []int32) { rt.own[p], rt.queue[p] = q, q }
 
 // resize returns s with length n, zeroed, reusing its backing array
 // when the capacity allows.
@@ -221,20 +266,27 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// run executes the compiled schedule once. The runtime releases a copy
-// when its resource is up and free, the copies ahead of it in the
-// resource's queue are finished, and its unfinished-predecessor count
-// is zero; its start is the max of its ready time (floor plus realized
-// data arrivals), the resource's last completion, and the processor's
-// last repair, pushed past any outage window on a channel. With the
-// zero fault model this reproduces sim.Plan.Run byte-identically: the
-// same durations, lags, and max-folds, just grouped per resource
-// instead of per arc.
+// run executes the compiled schedule once and returns its Result.
 func (x *Exec) run(opts *Options, pol RecoveryPolicy, trial int) Result {
+	rt := x.execute(opts, pol, trial)
+	res := rt.result()
+	rt.release()
+	return res
+}
+
+// execute takes a runtime from the pool and runs the compiled schedule
+// on it to the end. The runtime releases a copy when its resource is up
+// and free, the copies ahead of it in the resource's queue are
+// finished, and its unfinished-predecessor count is zero; its start is
+// the max of its ready time (floor plus realized data arrivals), the
+// resource's last completion, and the processor's last repair, pushed
+// past any outage window on a channel. The caller reads the outcome
+// off the runtime and then releases it.
+func (x *Exec) execute(opts *Options, pol RecoveryPolicy, trial int) *runtime {
 	rt := runtimePool.Get().(*runtime)
 	rt.reset(x, opts, pol, trial)
 	pol.prepare(rt)
-	if opts.Sim.Policy == sim.PolicyEager {
+	if opts.Sim.Policy == DispatchEager {
 		for i := range rt.copies {
 			rt.copies[i].floor = 0
 		}
@@ -249,28 +301,32 @@ func (x *Exec) run(opts *Options, pol RecoveryPolicy, trial int) Result {
 		if rt.pending == 0 && !rt.repairCanUnblock() {
 			break // lost tasks block all remaining work forever
 		}
-		if rt.heap.Len() == 0 {
+		if len(rt.heap) == 0 {
 			break
 		}
-		switch ev := rt.next(); ev.kind {
+		switch ev := rt.next(); ev.kind() {
 		case evComplete:
 			rt.complete(ev)
 		case evCrash:
-			rt.crash(int(ev.id))
+			rt.crash(int(ev.id()))
 		case evRepair:
-			rt.repairProc(int(ev.id))
+			rt.repairProc(int(ev.id()))
 		}
 	}
-	res := rt.result()
+	return rt
+}
+
+// release returns the runtime to the pool, dropping every reference to
+// the run's inputs so the pool pins none of them.
+func (rt *runtime) release() {
 	rt.repairSched.Release()
-	rt.repairSched, rt.x, rt.opts, rt.pol = nil, nil, nil, nil // do not pin while pooled
+	rt.repairSched, rt.x, rt.pol, rt.opts = nil, nil, nil, Options{}
 	runtimePool.Put(rt)
-	return res
 }
 
 // next pops the earliest event and advances the clock to it.
 func (rt *runtime) next() event {
-	ev := rt.heap.Pop()
+	ev := rt.heap.pop()
 	rt.events++
 	rt.now = ev.t
 	if ev.t > rt.horizon {
@@ -282,22 +338,22 @@ func (rt *runtime) next() event {
 // nextFault draws the next duration along processor p's fault
 // sequence: uptimes and downtimes alternate.
 func (rt *runtime) nextFault(p int, mean int64) int64 {
-	d := sim.ExpDuration(mean, rt.trial, sim.ProcFaultEntity(p, rt.faultK[p]))
+	d := expDuration(mean, rt.trial, procFaultEnt(p, rt.faultK[p]))
 	rt.faultK[p]++
 	return d
 }
 
 // execDur returns the realized duration of one execution attempt of
 // unit v on resource p: the static estimate, scaled by the unit's
-// perturbation multiplier and a processor's runtime speed factor
-// exactly as sim's engine does, minus any checkpoint credit.
+// perturbation multiplier and a processor's runtime speed factor,
+// minus any checkpoint credit.
 func (rt *runtime) execDur(v int32, p int) int64 {
 	dur := rt.x.execTime(v, p)
-	if rt.opts.Sim.Perturb.Dist != sim.DistNone {
-		dur = sim.ScaleDur(dur, rt.opts.Sim.Perturb.Multiplier(rt.trial, rt.x.ent[v]))
+	if rt.opts.Sim.Perturb.Dist != DistNone {
+		dur = scaleDur(dur, rt.opts.Sim.Perturb.multiplier(rt.trial, rt.x.ent[v]))
 	}
 	if rt.opts.Sim.Speed != nil && p < rt.x.numProcs {
-		dur = sim.ScaleDur(dur, rt.opts.Sim.Speed[p])
+		dur = scaleDur(dur, rt.opts.Sim.Speed[p])
 	}
 	if rt.saved[v] > 0 {
 		dur -= rt.saved[v]
@@ -308,17 +364,13 @@ func (rt *runtime) execDur(v int32, p int) int64 {
 	return dur
 }
 
-// commLag returns the realized communication lag of edge a out of u,
-// scaled by the edge's multiplier when the arc carries weight — the
-// same entity and scaling as sim's engine, so co-located copies read
-// data for free and remote copies pay the perturbed cost.
-func (rt *runtime) commLag(u dag.NodeID, a dag.Arc) int64 {
-	if a.Weight == 0 {
-		return 0
-	}
+// commLag returns the realized communication lag of edge a out of u:
+// its weight scaled by the edge's multiplier. Co-located copies read
+// data for free; only remote copies pay it.
+func (rt *runtime) commLag(u int32, a dag.Arc) int64 {
 	lag := a.Weight
-	if rt.opts.Sim.Perturb.Dist != sim.DistNone {
-		lag = sim.ScaleDur(lag, rt.opts.Sim.Perturb.Multiplier(rt.trial, sim.CommEntity(u, a.To)))
+	if lag > 0 && rt.opts.Sim.Perturb.Dist != DistNone {
+		lag = scaleDur(lag, rt.opts.Sim.Perturb.multiplier(rt.trial, commEnt(dag.NodeID(u), a.To)))
 	}
 	return lag
 }
@@ -345,44 +397,41 @@ func (rt *runtime) tryRelease(p int) {
 		if p >= rt.x.numProcs && rt.opts.Faults.LinkMTBF > 0 {
 			start = rt.pushPastOutages(p-rt.x.numProcs, start)
 		}
+		if start > rt.x.floor[c.task] {
+			rt.stalls++
+		}
 		c.released = true
 		c.start = start
-		c.finish = start + rt.execDur(c.task, p)
+		c.finish = later(start, rt.execDur(c.task, p))
 		rt.runningOn[p] = ci
-		rt.heap.Push(event{t: c.finish, kind: evComplete, id: ci, epoch: c.epoch})
+		rt.heap.push(event{t: c.finish, key: evComplete | uint32(ci), epoch: c.epoch})
 		rt.pending++
 		return
 	}
 }
 
 // pushPastOutages returns the earliest time at or after r not covered
-// by an outage window of channel ch, generating windows on demand.
-// Windows are drawn per channel endpoint pair, so they do not depend
-// on the plan's channel numbering.
+// by an outage window of channel ch, drawing windows on demand. Windows
+// are drawn per channel endpoint pair, so they do not depend on the
+// topology's channel numbering; consecutive windows are at least one
+// tick apart, so one push clears r. A release at never stays there.
 func (rt *runtime) pushPastOutages(ch int, r int64) int64 {
 	g := &rt.gens[ch]
-	u, v := rt.x.chans[ch][0], rt.x.chans[ch][1]
-	for {
-		for g.t <= r {
-			up := sim.ExpDuration(rt.opts.Faults.LinkMTBF, rt.trial, sim.LinkFaultEntity(u, v, g.k))
-			g.k++
-			out := sim.ExpDuration(rt.opts.Faults.MeanOutage, rt.trial, sim.LinkFaultEntity(u, v, g.k))
-			g.k++
-			ws := g.t + up
-			g.t = ws + out
-			g.wins = append(g.wins, [2]int64{ws, g.t})
-		}
-		moved := false
-		for i := range g.wins {
-			if r >= g.wins[i][0] && r < g.wins[i][1] {
-				r = g.wins[i][1]
-				moved = true
-			}
-		}
-		if !moved {
-			return r
-		}
+	if r == never {
+		return never
 	}
+	u, v := rt.x.chans[ch][0], rt.x.chans[ch][1]
+	for g.we <= r {
+		up := expDuration(rt.opts.Faults.LinkMTBF, rt.trial, linkFaultEnt(u, v, g.k))
+		out := expDuration(rt.opts.Faults.MeanOutage, rt.trial, linkFaultEnt(u, v, g.k+1))
+		g.k += 2
+		g.ws = later(g.we, up)
+		g.we = later(g.ws, out)
+	}
+	if g.ws <= r {
+		return g.we
+	}
+	return r
 }
 
 // complete processes one copy completion: the first finisher of a unit
@@ -391,7 +440,7 @@ func (rt *runtime) pushPastOutages(ch int, r int64) int64 {
 // later finishers (a replica racing a survivor) just free their
 // processor.
 func (rt *runtime) complete(ev event) {
-	c := &rt.copies[ev.id]
+	c := &rt.copies[ev.id()]
 	if c.dead || c.epoch != ev.epoch {
 		return // cancelled while in flight; pending was already adjusted
 	}
@@ -408,15 +457,13 @@ func (rt *runtime) complete(ev event) {
 	}
 	if !rt.done[c.task] {
 		rt.done[c.task] = true
-		rt.finTime[c.task] = t
-		rt.finStart[c.task] = c.start
-		rt.finProc[c.task] = c.proc
+		rt.won[c.task] = ev.id()
 		if int(c.task) < rt.x.tasks {
 			rt.remaining--
 			rt.makespan = max(rt.makespan, t)
 		}
-		for _, si := range rt.copiesOf[c.task] {
-			if si == ev.id {
+		for si := c.task; si >= 0; si = rt.copies[si].next {
+			if si == ev.id() {
 				continue
 			}
 			s := &rt.copies[si]
@@ -435,30 +482,34 @@ func (rt *runtime) complete(ev event) {
 			s.dead = true
 			rt.tryRelease(int(s.proc))
 		}
-		node := dag.NodeID(c.task)
-		for _, a := range rt.x.g.Succs(node) {
+		// Fold the data arrival into every live copy of each unfinished
+		// child, and offer the copies to their resources once the child
+		// has no unfinished predecessor left.
+		for _, a := range rt.x.succs(c.task) {
 			child := int32(a.To)
-			if !rt.done[child] {
-				lag := rt.commLag(node, a)
-				for _, cc := range rt.copiesOf[child] {
-					k := &rt.copies[cc]
-					if k.dead {
-						continue
-					}
-					arr := t
-					if k.proc != c.proc {
-						arr += lag
-					}
-					if arr > k.ready {
-						k.ready = arr
-					}
-				}
+			rt.deps[child]--
+			if rt.done[child] {
+				continue
 			}
-			if rt.deps[child]--; rt.deps[child] == 0 && !rt.done[child] {
-				for _, cc := range rt.copiesOf[child] {
-					if !rt.copies[cc].dead {
-						rt.tryRelease(int(rt.copies[cc].proc))
+			ready := rt.deps[child] == 0
+			lag := int64(-1) // drawn for the first remote copy
+			for cc := child; cc >= 0; cc = rt.copies[cc].next {
+				k := &rt.copies[cc]
+				if k.dead {
+					continue
+				}
+				arr := t
+				if k.proc != c.proc {
+					if lag < 0 {
+						lag = rt.commLag(c.task, a)
 					}
+					arr = later(t, lag)
+				}
+				if arr > k.ready {
+					k.ready = arr
+				}
+				if ready {
+					rt.tryRelease(int(k.proc))
 				}
 			}
 		}
@@ -477,8 +528,10 @@ func (rt *runtime) crash(p int) {
 	rt.downAt[p] = tc
 	rt.repairAt[p] = never
 	if rt.opts.Faults.MeanRepair > 0 {
-		rt.repairAt[p] = tc + rt.nextFault(p, rt.opts.Faults.MeanRepair)
-		rt.heap.Push(event{t: rt.repairAt[p], kind: evRepair, id: int32(p)})
+		// A repair drawn past never does not happen.
+		if rt.repairAt[p] = later(tc, rt.nextFault(p, rt.opts.Faults.MeanRepair)); rt.repairAt[p] < never {
+			rt.heap.push(event{t: rt.repairAt[p], key: evRepair | uint32(p)})
+		}
 	}
 	// Kill the copy occupying the processor first: after a repair pass,
 	// running copies are no longer in the rebuilt queues, so the queue
@@ -521,7 +574,7 @@ func (rt *runtime) repairProc(p int) {
 	rt.down[p] += rt.now - rt.downAt[p]
 	rt.downAt[p] = -1
 	rt.repairAt[p] = never
-	rt.heap.Push(event{t: rt.now + rt.nextFault(p, rt.opts.Faults.MTBF), kind: evCrash, id: int32(p)})
+	rt.heap.push(event{t: later(rt.now, rt.nextFault(p, rt.opts.Faults.MTBF)), key: evCrash | uint32(p)})
 	rt.upAt[p] = rt.now
 	rt.tryRelease(p)
 }
@@ -559,16 +612,19 @@ func (rt *runtime) result() Result {
 		ftCrashes.Add(int64(rt.crashes))
 		ftLost.Add(int64(rt.remaining))
 	}
+	procs := len(rt.busy)
+	split := make([]int64, 3*procs) // the Result owns its slices
 	res := Result{
 		Static:  rt.x.static,
 		Horizon: rt.horizon,
 		Crashes: rt.crashes,
 		Lost:    rt.remaining,
-		Busy:    rt.busy,
-		Down:    rt.down,
-		Idle:    make([]int64, len(rt.busy)),
+		Busy:    split[:procs:procs],
+		Idle:    split[procs : 2*procs : 2*procs],
+		Down:    split[2*procs:],
 	}
 	for p := range res.Idle {
+		res.Busy[p], res.Down[p] = rt.busy[p], rt.down[p]
 		if rt.downAt[p] >= 0 && rt.horizon > rt.downAt[p] {
 			res.Down[p] += rt.horizon - rt.downAt[p]
 		}

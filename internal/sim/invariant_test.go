@@ -3,12 +3,10 @@ package sim
 import (
 	"fmt"
 	"testing"
-	"unsafe"
 
 	"repro/internal/algo/apn"
 	"repro/internal/algo/bnp"
 	"repro/internal/algo/unc"
-	"repro/internal/dag"
 	"repro/internal/gen"
 	"repro/internal/machine"
 )
@@ -133,71 +131,5 @@ func TestPerturbedExecutionStaysValidOrdered(t *testing.T) {
 			t.Errorf("mean ratio did not grow with spread: %.3f then %.3f", prev, st.MeanRatio)
 		}
 		prev = st.MeanRatio
-	}
-}
-
-// TestPlanView checks the read-only plan view ft converts APN
-// executions from: task jobs carry a processor and no channel, message
-// jobs a valid channel and no processor, and channels are distinct
-// endpoint pairs. Job stays 32 bytes.
-func TestPlanView(t *testing.T) {
-	if size := unsafe.Sizeof(Job{}); size != 32 {
-		t.Fatalf("Job is %d bytes, want 32", size)
-	}
-	g, err := gen.Generate("layered", 7, gen.Params{"v": "40", "ccr": "2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := apn.ScheduleHet("MH", g, machine.Hypercube(3), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := CompileAPN(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Tasks() != g.NumNodes() || plan.NumProcs() != 8 {
-		t.Fatalf("view reports %d tasks on %d procs", plan.Tasks(), plan.NumProcs())
-	}
-	seen := map[[2]int]bool{}
-	for _, ch := range plan.Channels() {
-		if seen[ch] {
-			t.Fatalf("channel %v listed twice", ch)
-		}
-		seen[ch] = true
-	}
-	if len(seen) == 0 || plan.Jobs() == plan.Tasks() {
-		t.Fatal("instance has no message jobs")
-	}
-	// Message jobs follow the schedule's committed hops in (child,
-	// parent, route) order, and their channel is the topology's.
-	topo := s.Topology()
-	j := int32(plan.Tasks())
-	for v := 0; v < g.NumNodes(); v++ {
-		for _, pr := range g.Preds(dag.NodeID(v)) {
-			s.EachMessageHop(pr.To, dag.NodeID(v), func(h machine.LinkHop) {
-				jb := plan.Job(j)
-				if jb.Planned != h.Start || jb.Base != h.Finish-h.Start {
-					t.Fatalf("message job %d: planned %d base %d, hop [%d,%d)", j, jb.Planned, jb.Base, h.Start, h.Finish)
-				}
-				if plan.Channels()[jb.Chan] != [2]int{h.From, h.To} || int(jb.Chan) != topo.Channel(h.From, h.To) || h.Link != int(jb.Chan) {
-					t.Fatalf("message job %d: chan %d, hop %d->%d on channel %d", j, jb.Chan, h.From, h.To, h.Link)
-				}
-				j++
-			})
-		}
-	}
-	if int(j) != plan.Jobs() {
-		t.Fatalf("%d message jobs for %d committed hops", plan.Jobs()-plan.Tasks(), int(j)-plan.Tasks())
-	}
-	for j := int32(0); j < int32(plan.Jobs()); j++ {
-		jb := plan.Job(j)
-		if int(j) < plan.Tasks() {
-			if jb.Proc < 0 || jb.Chan != -1 {
-				t.Fatalf("task job %d: proc %d chan %d", j, jb.Proc, jb.Chan)
-			}
-		} else if jb.Proc != -1 || jb.Chan < 0 || int(jb.Chan) >= len(plan.Channels()) {
-			t.Fatalf("message job %d: proc %d chan %d", j, jb.Proc, jb.Chan)
-		}
 	}
 }

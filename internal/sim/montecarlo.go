@@ -2,8 +2,9 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"sort"
+
+	"repro/internal/ft"
 )
 
 // Stats summarizes a Monte-Carlo execution study of one compiled
@@ -39,16 +40,17 @@ func MonteCarlo(p *Plan, opts Options, trials int) (Stats, error) {
 	if trials < 1 {
 		return Stats{}, fmt.Errorf("sim: MonteCarlo needs at least one trial, got %d", trials)
 	}
-	if err := opts.validate(p.numProcs); err != nil {
-		return Stats{}, err
-	}
+	static := p.Static()
 	mks := make([]int64, trials)
-	st := Stats{Static: p.static, Trials: trials, Ratios: make([]float64, trials)}
+	st := Stats{Static: static, Trials: trials, Ratios: make([]float64, trials)}
 	var sum, sumRatio float64
 	for t := range mks {
-		mk := p.run(&opts, trialSeed(opts.Seed, t))
+		mk, err := p.Run(opts, t)
+		if err != nil {
+			return Stats{}, err
+		}
 		mks[t] = mk
-		r := ratio(mk, p.static)
+		r := ratio(mk, static)
 		st.Ratios[t] = r
 		sum += float64(mk)
 		sumRatio += r
@@ -59,7 +61,7 @@ func MonteCarlo(p *Plan, opts Options, trials int) (Stats, error) {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	st.P99Makespan = sorted[PercentileIndex(trials, 0.99)]
 	st.MaxMakespan = sorted[trials-1]
-	st.P99Ratio = ratio(st.P99Makespan, p.static)
+	st.P99Ratio = ratio(st.P99Makespan, static)
 	return st, nil
 }
 
@@ -67,13 +69,4 @@ func MonteCarlo(p *Plan, opts Options, trials int) (Stats, error) {
 // sorted sample of n values: the smallest index covering at least q
 // of the mass (nearest-rank method). Exported so consumers pooling
 // ratios across several Stats use the same method as Stats itself.
-func PercentileIndex(n int, q float64) int {
-	i := int(math.Ceil(float64(n)*q)) - 1
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
-}
+func PercentileIndex(n int, q float64) int { return ft.PercentileIndex(n, q) }

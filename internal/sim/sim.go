@@ -1,9 +1,8 @@
-// Package sim executes static schedules under runtime variability: a
-// deterministic, seeded discrete-event engine that replays a completed
-// sched.Schedule (clique model) or machine.Schedule (arbitrary
-// processor network) with perturbed task durations and communication
-// costs, and a Monte-Carlo harness that turns repeated executions into
-// robustness statistics.
+// Package sim executes static schedules under runtime variability: it
+// replays a completed sched.Schedule (clique model) or machine.Schedule
+// (arbitrary processor network) with perturbed task durations and
+// communication costs, and a Monte-Carlo harness turns repeated
+// executions into robustness statistics.
 //
 // The paper ranks algorithms by the static makespan of the schedule
 // they emit; real systems execute those schedules under stochastic task
@@ -12,166 +11,93 @@
 // Distributed Environments"). This package supplies the missing
 // execution axis.
 //
-// # Execution model
-//
-// A schedule is compiled once into a Plan: a dependency graph of jobs
-// (task executions, and per-link message transfers for APN schedules)
-// whose arcs encode the three constraint kinds a static schedule
-// resolves — precedence with communication delay, processor
-// exclusivity (each processor runs its tasks in the static start
-// order), and, for APN schedules, link exclusivity (each directed
-// channel serves its transfers in the static reservation order,
-// store-and-forward along the committed route). Running the plan is a
-// discrete-event simulation over an event heap (internal/pq): when a
-// job's dependencies clear it starts, its perturbed duration elapses,
-// and its completion releases successors.
-//
-// Two dispatch policies are supported. PolicyTimetable (the default)
-// releases every job no earlier than its planned static start, so
-// delays right-shift through the dependency chains while the plan's
-// ordering decisions are preserved exactly — with zero perturbation
-// the simulation reproduces every static start time, and hence the
-// static makespan, exactly, for any valid schedule. PolicyEager starts
-// a job as soon as its dependencies clear, which can only move work
-// earlier under zero perturbation (a work-conserving runtime that
-// keeps the static assignment and ordering but ignores the clock).
-//
-// # Perturbation
-//
-// Durations are scaled by multiplicative factors drawn per entity
-// (task or task-graph edge) from a configurable distribution: none,
-// uniform over [1-s, 1+s], or mean-one lognormal with log-stddev s.
-// Draws are counter-based — a hash of (seed, trial, entity) — so they
-// are independent of event order, identical across algorithms for the
-// same trial (paired comparisons), and byte-reproducible at any worker
-// count. All hops of one message share the edge's multiplier.
-//
-// Compiling once and running many trials is allocation-light: the
-// per-trial engine state lives in a sync.Pool and the event heap is
-// reused, so steady-state trials allocate nothing.
+// It is the fault-free face of internal/ft, which owns the one compiled
+// form and the one event loop: a Plan wraps an ft.Exec, and every run
+// is an ft execution without faults (ft.Exec.Makespan). The execution
+// model, the dispatch policies and the counter-based perturbation are
+// documented there; the names below alias ft's so callers need not
+// import it. With zero perturbation, timetable dispatch reproduces every
+// static start time, and hence the static makespan, exactly, and eager
+// dispatch never exceeds it. Warm trials allocate nothing.
 package sim
 
-import "fmt"
+import (
+	"repro/internal/ft"
+	"repro/internal/machine"
+	"repro/internal/sched"
+)
 
 // Distribution selects the shape of the multiplicative perturbation
 // applied to task durations and communication costs.
-type Distribution int
+type Distribution = ft.Distribution
 
+// The perturbation distributions.
 const (
-	// DistNone applies no perturbation: every multiplier is exactly 1
-	// and no random draws are made.
-	DistNone Distribution = iota
-	// DistUniform draws multipliers uniformly from [1-s, 1+s], where s
-	// is the spread parameter (0 <= s <= 1).
-	DistUniform
-	// DistLognormal draws multipliers from a lognormal distribution
-	// with mean 1 and log-standard-deviation s (the spread parameter).
-	DistLognormal
+	// DistNone applies no perturbation: every multiplier is exactly 1.
+	DistNone = ft.DistNone
+	// DistUniform draws multipliers uniformly from [1-s, 1+s].
+	DistUniform = ft.DistUniform
+	// DistLognormal draws mean-one lognormal multipliers with
+	// log-stddev s.
+	DistLognormal = ft.DistLognormal
 )
-
-// String returns the distribution's name.
-func (d Distribution) String() string {
-	switch d {
-	case DistNone:
-		return "none"
-	case DistUniform:
-		return "uniform"
-	case DistLognormal:
-		return "lognormal"
-	}
-	return fmt.Sprintf("Distribution(%d)", int(d))
-}
 
 // Policy selects when a job may start relative to its static plan.
-type Policy int
+type Policy = ft.Dispatch
 
+// The dispatch policies.
 const (
 	// PolicyTimetable releases each job no earlier than its planned
-	// static start time; delays right-shift through the dependency
-	// chains. With zero perturbation the simulation reproduces the
-	// static schedule — every start time and the makespan — exactly.
-	PolicyTimetable Policy = iota
-	// PolicyEager starts each job as soon as its dependencies clear,
-	// ignoring planned start times (a work-conserving runtime that
-	// keeps the static assignment and ordering). With zero
-	// perturbation the realized makespan never exceeds the static one.
-	PolicyEager
+	// static start time; zero perturbation replays the schedule exactly.
+	PolicyTimetable = ft.DispatchTimetable
+	// PolicyEager starts each job as soon as its dependencies clear.
+	PolicyEager = ft.DispatchEager
 )
 
-// String returns the policy's name.
-func (p Policy) String() string {
-	switch p {
-	case PolicyTimetable:
-		return "timetable"
-	case PolicyEager:
-		return "eager"
-	}
-	return fmt.Sprintf("Policy(%d)", int(p))
-}
-
 // Perturbation configures the stochastic duration model of a run.
-type Perturbation struct {
-	// Dist is the multiplier distribution (none, uniform, lognormal).
-	Dist Distribution
-	// TaskSpread is the spread parameter applied to task durations:
-	// the half-width for DistUniform, the log-stddev for DistLognormal.
-	TaskSpread float64
-	// CommSpread is the spread parameter applied to communication
-	// costs (clique edge delays and APN link transfers).
-	CommSpread float64
+type Perturbation = ft.Perturbation
+
+// Options parameterizes one simulated execution: perturbation,
+// dispatch policy, seed and optional per-processor slowdowns.
+type Options = ft.SimOptions
+
+// FaultModel configures processor crashes and link outages for
+// internal/ft executions.
+type FaultModel = ft.FaultModel
+
+// Plan is a compiled schedule, executable any number of times. It is
+// immutable after compilation and safe for concurrent Run calls.
+type Plan struct{ x *ft.Exec }
+
+// Compile translates a complete clique-model schedule (BNP and UNC
+// classes) into an executable Plan.
+func Compile(s *sched.Schedule) (*Plan, error) { return wrap(ft.Compile(s)) }
+
+// CompileAPN translates a complete APN schedule, tasks plus its
+// committed link reservations, into an executable Plan that replays
+// every message through per-link contention queues.
+func CompileAPN(s *machine.Schedule) (*Plan, error) { return wrap(ft.CompileAPN(s)) }
+
+func wrap(x *ft.Exec, err error) (*Plan, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{x: x}, nil
 }
 
-// Options parameterizes one simulated execution.
-type Options struct {
-	// Perturb is the stochastic duration model. The zero value (no
-	// perturbation) replays the schedule deterministically.
-	Perturb Perturbation
-	// Policy selects the dispatch rule; the zero value is
-	// PolicyTimetable.
-	Policy Policy
-	// Seed is the base random seed. Together with the trial number it
-	// fully determines every multiplier of a run.
-	Seed int64
-	// Speed optionally slows processors non-uniformly: task durations
-	// on processor p are additionally multiplied by Speed[p]. Nil
-	// means all processors run at nominal speed; otherwise the length
-	// must equal the schedule's processor count and every entry must
-	// be positive.
-	Speed []float64
-}
+// Static returns the planned (unperturbed) makespan of the compiled
+// schedule.
+func (p *Plan) Static() int64 { return p.x.Static() }
 
-// validate checks the options against a plan's processor count.
-func (o *Options) validate(numProcs int) error {
-	switch o.Perturb.Dist {
-	case DistNone, DistUniform, DistLognormal:
-	default:
-		return fmt.Errorf("sim: unknown distribution %d", int(o.Perturb.Dist))
-	}
-	switch o.Policy {
-	case PolicyTimetable, PolicyEager:
-	default:
-		return fmt.Errorf("sim: unknown policy %d", int(o.Policy))
-	}
-	for _, s := range [...]float64{o.Perturb.TaskSpread, o.Perturb.CommSpread} {
-		if s < 0 {
-			return fmt.Errorf("sim: negative spread %g", s)
-		}
-		if o.Perturb.Dist == DistUniform && s > 1 {
-			return fmt.Errorf("sim: uniform spread %g > 1 would allow negative durations", s)
-		}
-	}
-	if o.Speed != nil {
-		if len(o.Speed) != numProcs {
-			return fmt.Errorf("sim: %d speed factors for %d processors", len(o.Speed), numProcs)
-		}
-		for p, s := range o.Speed {
-			if s <= 0 {
-				return fmt.Errorf("sim: speed factor %g for processor %d must be positive", s, p)
-			}
-		}
-	}
-	return nil
-}
+// Jobs returns the number of simulated jobs: one per task, plus one
+// per committed link transfer for APN schedules.
+func (p *Plan) Jobs() int { return p.x.Units() }
+
+// Run executes the plan once under the given options and trial number
+// and returns the realized makespan. Runs are deterministic in
+// (Options, trial) and independent of each other; a Plan may be Run
+// concurrently.
+func (p *Plan) Run(opts Options, trial int) (int64, error) { return p.x.Makespan(opts, trial) }
 
 // Result reports one simulated execution of a schedule.
 type Result struct {
@@ -181,6 +107,37 @@ type Result struct {
 	Makespan int64
 	// Ratio is Makespan / Static (1 when Static is 0).
 	Ratio float64
+}
+
+// Simulate compiles and executes a complete clique-model schedule once
+// under the given options (trial 0). For repeated execution compile
+// once with Compile and call Plan.Run or MonteCarlo.
+func Simulate(s *sched.Schedule, opts Options) (Result, error) {
+	plan, err := Compile(s)
+	if err != nil {
+		return Result{}, err
+	}
+	return plan.once(opts)
+}
+
+// SimulateAPN compiles and executes a complete APN schedule once under
+// the given options (trial 0). For repeated execution compile once
+// with CompileAPN and call Plan.Run or MonteCarlo.
+func SimulateAPN(s *machine.Schedule, opts Options) (Result, error) {
+	plan, err := CompileAPN(s)
+	if err != nil {
+		return Result{}, err
+	}
+	return plan.once(opts)
+}
+
+// once runs trial 0 and reports it against the static makespan.
+func (p *Plan) once(opts Options) (Result, error) {
+	mk, err := p.Run(opts, 0)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Static: p.Static(), Makespan: mk, Ratio: ratio(mk, p.Static())}, nil
 }
 
 // ratio divides realized by static makespan, defining 0/0 as 1.

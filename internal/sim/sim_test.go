@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dag"
@@ -238,10 +239,17 @@ func TestOptionsValidation(t *testing.T) {
 		{Perturb: Perturbation{Dist: Distribution(9)}},
 		{Perturb: Perturbation{Dist: DistUniform, TaskSpread: 1.5}},
 		{Perturb: Perturbation{Dist: DistLognormal, CommSpread: -0.1}},
+		{Perturb: Perturbation{Dist: DistLognormal, TaskSpread: math.NaN()}},
+		{Perturb: Perturbation{Dist: DistLognormal, TaskSpread: math.Inf(1)}},
+		{Perturb: Perturbation{Dist: DistLognormal, CommSpread: math.Inf(-1)}},
+		{Perturb: Perturbation{Dist: DistNone, CommSpread: math.NaN()}},
 		{Policy: Policy(7)},
-		{Speed: []float64{1}},          // wrong length
-		{Speed: []float64{1, 0}},       // non-positive factor
-		{Speed: []float64{1, 1, 1, 1}}, // wrong length
+		{Speed: []float64{1}},               // wrong length
+		{Speed: []float64{1, 0}},            // non-positive factor
+		{Speed: []float64{1, 1, 1, 1}},      // wrong length
+		{Speed: []float64{math.NaN(), 1}},   // NaN factor
+		{Speed: []float64{1, math.Inf(1)}},  // infinite factor
+		{Speed: []float64{math.Inf(-1), 1}}, // negative infinite factor
 	}
 	for i, opts := range bad {
 		if _, err := Simulate(s, opts); err == nil {
@@ -272,31 +280,73 @@ func TestPercentileIndex(t *testing.T) {
 	}
 }
 
+// oneEdgeSchedule places a task of weight w on P0 and, when the edge
+// cost c is positive, a zero-weight child on P1 behind a remote edge
+// of cost c: the realized makespan then isolates one task multiplier
+// (c == 0) or one communication multiplier (w == 0, eager dispatch).
+func oneEdgeSchedule(t *testing.T, w, c int64) *sched.Schedule {
+	t.Helper()
+	b := dag.NewBuilder()
+	a := b.AddNode(w)
+	procs := 1
+	if c > 0 {
+		b.AddEdge(a, b.AddNode(0), c)
+		procs = 2
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sched.New(g, procs)
+	s.MustPlace(a, 0, 0)
+	if c > 0 {
+		s.MustPlace(1, 1, w+c)
+	}
+	return s
+}
+
 // TestLognormalMeanIsOne checks the -sigma^2/2 correction empirically:
-// the average multiplier over many draws must approach 1.
+// the realized duration of one task, averaged over many trials, must
+// approach its weight.
 func TestLognormalMeanIsOne(t *testing.T) {
-	p := Perturbation{Dist: DistLognormal, TaskSpread: 0.3}
+	const w, n = 1_000_000, 50_000
+	plan := mustCompile(t, oneEdgeSchedule(t, w, 0))
+	opts := Options{Perturb: Perturbation{Dist: DistLognormal, TaskSpread: 0.3}, Seed: 1}
 	var sum float64
-	const n = 200000
 	for i := 0; i < n; i++ {
-		sum += p.multiplier(trialSeed(1, i), taskEnt(dag.NodeID(i%97)))
+		mk, err := plan.Run(opts, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += float64(mk) / w
 	}
 	if mean := sum / n; mean < 0.99 || mean > 1.01 {
 		t.Errorf("lognormal multiplier mean = %.4f, want ~1", mean)
 	}
 }
 
-// TestUniformBounds checks uniform draws stay inside [1-s, 1+s].
+// TestUniformBounds checks uniform draws stay inside [1-s, 1+s], with
+// the task spread on task durations and the communication spread on
+// edge costs.
 func TestUniformBounds(t *testing.T) {
-	p := Perturbation{Dist: DistUniform, TaskSpread: 0.25, CommSpread: 0.75}
+	const w = 1_000_000
+	opts := Options{Perturb: Perturbation{Dist: DistUniform, TaskSpread: 0.25, CommSpread: 0.75}, Policy: PolicyEager, Seed: 2}
+	task := mustCompile(t, oneEdgeSchedule(t, w, 0))
+	comm := mustCompile(t, oneEdgeSchedule(t, 0, w))
 	for i := 0; i < 10000; i++ {
-		mt := p.multiplier(trialSeed(2, i), taskEnt(dag.NodeID(i%31)))
-		if mt < 0.75 || mt > 1.25 {
-			t.Fatalf("task multiplier %.4f outside [0.75, 1.25]", mt)
+		mt, err := task.Run(opts, i)
+		if err != nil {
+			t.Fatal(err)
 		}
-		mc := p.multiplier(trialSeed(2, i), commEnt(dag.NodeID(i%31), dag.NodeID(i%13)))
-		if mc < 0.25 || mc > 1.75 {
-			t.Fatalf("comm multiplier %.4f outside [0.25, 1.75]", mc)
+		if mt < 0.75*w || mt > 1.25*w {
+			t.Fatalf("task duration %d outside [0.75, 1.25] x %d", mt, w)
+		}
+		mc, err := comm.Run(opts, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mc < 0.25*w || mc > 1.75*w {
+			t.Fatalf("communication delay %d outside [0.25, 1.75] x %d", mc, w)
 		}
 	}
 }

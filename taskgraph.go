@@ -447,16 +447,15 @@ func SimMonteCarlo(p *SimPlan, opts SimOptions, trials int) (SimStats, error) {
 	return sim.MonteCarlo(p, opts, trials)
 }
 
-// Fault injection (internal/ft): a fault-capable replay of the
-// execution model above, extended with fail-stop processor crashes,
-// transient link outages (APN), and pluggable recovery policies that
-// react to failures at runtime. With the zero fault model the engine
-// reproduces the fault-free simulator byte-identically; the "faults"
+// Fault injection (internal/ft): the engine behind the execution
+// simulator above, which is its zero-fault case, with fail-stop
+// processor crashes, transient link outages (APN), and pluggable
+// recovery policies that react to failures at runtime. The "faults"
 // experiment sweeps MTBF against recovery policy on top of this API.
 
 // FaultModel configures deterministic fail-stop processor crashes and
 // transient link outages. The zero value injects no faults.
-type FaultModel = sim.FaultModel
+type FaultModel = ft.FaultModel
 
 // FaultExec is a compiled fault-capable schedule, executable any
 // number of times; compile once, then Run or FaultMonteCarlo.
