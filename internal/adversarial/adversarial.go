@@ -10,7 +10,7 @@
 // candidate graphs and hands whole populations to an Evaluator
 // callback, which returns the two makespans per instance. The
 // experiment engine (internal/core) supplies an Evaluator that fans the
-// population through its worker-pool Runner, so the search parallelizes
+// population through its worker pool, so the search parallelizes
 // like every other experiment while the loop itself stays serial and
 // deterministic: equal seeds yield byte-identical trajectories whatever
 // the evaluation concurrency.
@@ -56,33 +56,6 @@ func (GapObjective) Score(lenA, lenB int64) float64 {
 
 // Name returns "gap".
 func (GapObjective) Name() string { return "gap" }
-
-// FlipObjective searches for a ranking inversion: it scores like
-// GapObjective but saturates at Margin, so once an instance flips the
-// A-beats-B ranking by the margin, all such instances tie and the
-// deterministic tie-break (candidate key order) spreads the search
-// across distinct flipped instances instead of piling onto one.
-type FlipObjective struct {
-	// Margin is the relative gap at which the objective saturates;
-	// zero selects 0.05 (a 5% inversion).
-	Margin float64
-}
-
-// Score returns min((lenA-lenB)/lenB, margin).
-func (o FlipObjective) Score(lenA, lenB int64) float64 {
-	m := o.Margin
-	if m <= 0 {
-		m = 0.05
-	}
-	s := GapObjective{}.Score(lenA, lenB)
-	if s > m {
-		return m
-	}
-	return s
-}
-
-// Name returns "flip".
-func (o FlipObjective) Name() string { return "flip" }
 
 // FaultObjective maximizes the relative gap of fault-effective
 // makespans: the evaluator feeds Score the two algorithms' expected
@@ -242,7 +215,7 @@ type Report struct {
 // Evaluator computes the makespans of the fixed algorithm pair (A, B)
 // on every graph of a population, indexed like the input. Evaluation
 // must be deterministic in the graphs; internal/core fans this call
-// through its Runner worker pool.
+// through its worker pool.
 type Evaluator func(graphs []*dag.Graph) ([][2]int64, error)
 
 // Search runs the evolutionary loop: initialize a population across the

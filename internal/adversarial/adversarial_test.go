@@ -196,7 +196,7 @@ func TestEvaluatorLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestObjectives pins the two objective scoring rules.
+// TestObjectives pins the gap objective's scoring rule.
 func TestObjectives(t *testing.T) {
 	if got := (GapObjective{}).Score(150, 100); got != 0.5 {
 		t.Errorf("gap(150,100) = %g, want 0.5", got)
@@ -206,12 +206,6 @@ func TestObjectives(t *testing.T) {
 	}
 	if got := (GapObjective{}).Score(10, 0); got != 0 {
 		t.Errorf("gap with zero lenB = %g, want 0", got)
-	}
-	if got := (FlipObjective{}).Score(150, 100); got != 0.05 {
-		t.Errorf("flip saturation = %g, want 0.05", got)
-	}
-	if got := (FlipObjective{Margin: 0.2}).Score(110, 100); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("flip below margin = %g, want 0.1", got)
 	}
 }
 

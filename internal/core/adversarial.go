@@ -110,7 +110,7 @@ func AdversarialSearch(cfg Config, opts adversarial.Options, algA, algB string) 
 	// Under the fault-gap objective a candidate's two lengths are
 	// fault-effective makespans (FaultEffective); otherwise they are the
 	// static makespans the paper compares.
-	faulty := opts.Objective != nil && opts.Objective.Name() == adversarial.FaultObjective{}.Name()
+	_, faulty := opts.Objective.(adversarial.FaultObjective)
 	measure := func(alg Algorithm, g *dag.Graph, instance string) (int64, error) {
 		if faulty {
 			length, err := FaultEffective(alg, g, adversarialProcs, topo)
@@ -121,7 +121,7 @@ func AdversarialSearch(cfg Config, opts adversarial.Options, algA, algB string) 
 		}
 		// Labelled, so a traced run header names the generation and the
 		// candidate it scheduled.
-		res, err := runLabelled("adversarial", alg, instance, g, adversarialProcs, nil, topo)
+		res, err := runCell("adversarial", alg, instance, g, adversarialProcs, nil, topo)()
 		return res.Length, err
 	}
 	// Search calls eval once per generation, in order (skipping only a

@@ -11,8 +11,8 @@ import (
 
 // SuiteCache shares generated benchmark suites — and the expensive
 // RGBOS branch-and-bound optima — across experiments. Entries are keyed
-// by (seed, scale), so Tables 2 and 3 solve each RGBOS instance to
-// optimality exactly once, Tables 4 and 5 generate the RGPOS suite
+// by (suite, seed, scale), so Tables 2 and 3 solve each RGBOS instance
+// to optimality exactly once, Tables 4 and 5 generate the RGPOS suite
 // once, and Table 6, Figures 2-3, and the UNCCS extension share one
 // RGNOS suite. Suites are deterministic in (seed, scale), which keeps
 // cached runs byte-identical to cold ones.
@@ -24,29 +24,18 @@ import (
 // fallback, which is never evicted.
 type SuiteCache struct {
 	mu     sync.Mutex
-	rgbos  map[suiteKey]map[float64][]degradationInstance
-	rgpos  map[suiteKey]map[float64][]degradationInstance
-	rgnos  map[suiteKey]map[int][]gen.NamedGraph
-	genx   map[suiteKey]map[string][]gen.NamedGraph
-	comp   map[suiteKey]map[string][]gen.NamedGraph
-	robust map[suiteKey][]robustFamily
+	suites map[suiteKey]any
 }
 
 type suiteKey struct {
+	suite string
 	seed  int64
 	scale Scale
 }
 
 // NewSuiteCache returns an empty suite cache.
 func NewSuiteCache() *SuiteCache {
-	return &SuiteCache{
-		rgbos:  map[suiteKey]map[float64][]degradationInstance{},
-		rgpos:  map[suiteKey]map[float64][]degradationInstance{},
-		rgnos:  map[suiteKey]map[int][]gen.NamedGraph{},
-		genx:   map[suiteKey]map[string][]gen.NamedGraph{},
-		comp:   map[suiteKey]map[string][]gen.NamedGraph{},
-		robust: map[suiteKey][]robustFamily{},
-	}
+	return &SuiteCache{suites: map[suiteKey]any{}}
 }
 
 // processCache backs Configs that do not carry their own cache.
@@ -64,27 +53,64 @@ func suiteCacheFor(cfg Config) *SuiteCache {
 	return processCache
 }
 
-func (c *SuiteCache) key(cfg Config) suiteKey { return suiteKey{cfg.Seed, cfg.Scale} }
-
-// rgbosInstances returns the RGBOS suite with branch-and-bound optima
-// attached (the role the paper's parallel A* played), computing it on
-// the first request for (seed, scale). Failed computations are not
-// cached.
-func (c *SuiteCache) rgbosInstances(cfg Config) (map[float64][]degradationInstance, error) {
+// memo returns the suite named suite for cfg's (seed, scale), building
+// it on the first request. The cache's one lock is held across the
+// build, so concurrent first requests build once. A failed build is not
+// stored: the next request builds again. Each name must always be built
+// as the same T.
+func memo[T any](c *SuiteCache, suite string, cfg Config, build func(Config) (T, error)) (T, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := c.key(cfg)
-	if got, ok := c.rgbos[k]; ok {
+	k := suiteKey{suite, cfg.Seed, cfg.Scale}
+	if got, ok := c.suites[k]; ok {
 		cacheHits.Inc()
-		return got, nil
+		return got.(T), nil
 	}
 	cacheMisses.Inc()
-	suite, err := computeRGBOS(cfg)
+	v, err := build(cfg)
 	if err != nil {
-		return nil, err
+		return v, err
 	}
-	c.rgbos[k] = suite
-	return suite, nil
+	c.suites[k] = v
+	return v, nil
+}
+
+// rgbosInstances returns the RGBOS suite with branch-and-bound optima
+// attached (the role the paper's parallel A* played).
+func (c *SuiteCache) rgbosInstances(cfg Config) (map[float64][]degradationInstance, error) {
+	return memo(c, "rgbos", cfg, computeRGBOS)
+}
+
+// rgposInstances returns the RGPOS suite, whose optima are known by
+// construction.
+func (c *SuiteCache) rgposInstances(cfg Config) map[float64][]degradationInstance {
+	s, _ := memo(c, "rgpos", cfg, computeRGPOS) // computeRGPOS cannot fail
+	return s
+}
+
+// genxSuite returns the cross-generator study's instances grouped by
+// family name: the matched grid of genxPoints over every random family.
+func (c *SuiteCache) genxSuite(cfg Config) (map[string][]gen.NamedGraph, error) {
+	return memo(c, "genx", cfg, matchedFamilySuite("genx", genxPoints))
+}
+
+// componentsSuite returns the component-attribution study's instances
+// grouped by family name: the matched grid of componentsPoints over
+// every random family.
+func (c *SuiteCache) componentsSuite(cfg Config) (map[string][]gen.NamedGraph, error) {
+	return memo(c, "components", cfg, matchedFamilySuite("components", componentsPoints))
+}
+
+// robustSuite returns the execution-robustness study's instances, one
+// entry per registered generator family in name order.
+func (c *SuiteCache) robustSuite(cfg Config) ([]robustFamily, error) {
+	return memo(c, "robust", cfg, computeRobust)
+}
+
+// rgnosSuite returns the RGNOS graphs grouped by size.
+func (c *SuiteCache) rgnosSuite(cfg Config) map[int][]gen.NamedGraph {
+	s, _ := memo(c, "rgnos", cfg, computeRGNOS) // computeRGNOS cannot fail
+	return s
 }
 
 // computeRGBOS generates the RGBOS graphs serially (the generator's rng
@@ -129,17 +155,7 @@ func computeRGBOS(cfg Config) (map[float64][]degradationInstance, error) {
 	return out, nil
 }
 
-// rgposInstances returns the RGPOS suite, whose optima are known by
-// construction, generating it on the first request for (seed, scale).
-func (c *SuiteCache) rgposInstances(cfg Config) map[float64][]degradationInstance {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := c.key(cfg)
-	if got, ok := c.rgpos[k]; ok {
-		cacheHits.Inc()
-		return got
-	}
-	cacheMisses.Inc()
+func computeRGPOS(cfg Config) (map[float64][]degradationInstance, error) {
 	out := map[float64][]degradationInstance{}
 	lo, hi, step := rgposSizes(cfg.Scale)
 	for _, ccr := range gen.PaperCCRs {
@@ -154,135 +170,94 @@ func (c *SuiteCache) rgposInstances(cfg Config) map[float64][]degradationInstanc
 			})
 		}
 	}
-	c.rgpos[k] = out
-	return out
+	return out, nil
 }
 
-// genxSuite returns the cross-generator study's instances grouped by
-// family name, generating them on the first request for (seed, scale).
-// Every registered random family contributes the same matched grid of
-// (size, CCR, instance) points; per-instance seeds are mixed from the
-// run seed and the point coordinates, so the suite is deterministic and
-// no two points share a generator stream.
-func (c *SuiteCache) genxSuite(cfg Config) (map[string][]gen.NamedGraph, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := c.key(cfg)
-	if got, ok := c.genx[k]; ok {
-		cacheHits.Inc()
-		return got, nil
+func computeRGNOS(cfg Config) (map[int][]gen.NamedGraph, error) {
+	sizes := rgnosSizes(cfg.Scale)
+	rc := gen.RGNOSConfig{
+		MinNodes:    50,
+		MaxNodes:    sizes[len(sizes)-1],
+		Step:        50,
+		CCRs:        rgnosCCRs(cfg.Scale),
+		Parallelism: rgnosParallelism(cfg.Scale),
+		Seed:        cfg.Seed,
 	}
-	cacheMisses.Inc()
-	sizes, ccrs, instances := genxPoints(cfg.Scale)
-	byFam, err := matchedFamilySuite("genx", cfg.Seed, sizes, ccrs, instances)
-	if err != nil {
-		return nil, err
+	bySize := map[int][]gen.NamedGraph{}
+	for _, ng := range gen.RGNOS(rc) {
+		bySize[ng.G.NumNodes()] = append(bySize[ng.G.NumNodes()], ng)
 	}
-	c.genx[k] = byFam
-	return byFam, nil
+	return bySize, nil
 }
 
-// componentsSuite returns the component-attribution study's instances
-// grouped by family name, generating them on the first request for
-// (seed, scale). It is the same matched-grid construction as the genx
-// suite on the grid of componentsPoints.
-func (c *SuiteCache) componentsSuite(cfg Config) (map[string][]gen.NamedGraph, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := c.key(cfg)
-	if got, ok := c.comp[k]; ok {
-		cacheHits.Inc()
-		return got, nil
+// matchedFamilySuite returns the builder of exp's suite: the matched
+// grid of points(scale) over every registered random family, keyed by
+// family name.
+func matchedFamilySuite(exp string, points func(Scale) ([]int, []float64, int)) func(Config) (map[string][]gen.NamedGraph, error) {
+	return func(cfg Config) (map[string][]gen.NamedGraph, error) {
+		sizes, ccrs, instances := points(cfg.Scale)
+		byFam := map[string][]gen.NamedGraph{}
+		for fi, f := range gen.RandomFamilies() {
+			graphs, err := familyGrid(exp, fi, f, cfg.Seed, sizes, ccrs, instances)
+			if err != nil {
+				return nil, err
+			}
+			byFam[f.Name] = graphs
+		}
+		return byFam, nil
 	}
-	cacheMisses.Inc()
-	sizes, ccrs, instances := componentsPoints(cfg.Scale)
-	byFam, err := matchedFamilySuite("components", cfg.Seed, sizes, ccrs, instances)
-	if err != nil {
-		return nil, err
-	}
-	c.comp[k] = byFam
-	return byFam, nil
 }
 
-// matchedFamilySuite builds one matched (size, CCR, instance) grid of
-// instances per registered random family. Per-instance seeds are mixed
-// from the run seed and the point coordinates, so the suite is
-// deterministic and no two points share a generator stream.
-func matchedFamilySuite(exp string, runSeed int64, sizes []int, ccrs []float64, instances int) (map[string][]gen.NamedGraph, error) {
-	byFam := map[string][]gen.NamedGraph{}
-	for fi, f := range gen.RandomFamilies() {
-		for _, v := range sizes {
-			for ci, ccr := range ccrs {
-				for i := 0; i < instances; i++ {
-					// Distinct large-prime strides keep the mixed seeds
-					// unique across the four grid coordinates.
-					seed := runSeed +
-						int64(fi+1)*1_000_003 +
-						int64(v)*7_919 +
-						int64(ci+1)*104_729 +
-						int64(i+1)*15_485_863
-					g, err := gen.Generate(f.Name, seed, gen.Params{
-						"v":   fmt.Sprint(v),
-						"ccr": fmt.Sprintf("%g", ccr),
-					})
-					if err != nil {
-						return nil, fmt.Errorf("%s: %s v=%d ccr=%g: %w", exp, f.Name, v, ccr, err)
-					}
-					byFam[f.Name] = append(byFam[f.Name], gen.NamedGraph{
-						Name:   fmt.Sprintf("%s-v%d-ccr%g-i%d", f.Name, v, ccr, i),
-						Source: fmt.Sprintf("%s seed=%d", f.Source, seed),
-						G:      g,
-					})
+// familyGrid generates family f's matched (size, CCR, instance) grid.
+// Per-instance seeds are mixed from the run seed, the family's index fi
+// in the caller's family order and the point coordinates, so the grid
+// is deterministic and no two points share a generator stream.
+func familyGrid(exp string, fi int, f gen.Generator, runSeed int64, sizes []int, ccrs []float64, instances int) ([]gen.NamedGraph, error) {
+	var graphs []gen.NamedGraph
+	for _, v := range sizes {
+		for ci, ccr := range ccrs {
+			for i := 0; i < instances; i++ {
+				// Distinct large-prime strides keep the mixed seeds
+				// unique across the four grid coordinates.
+				seed := runSeed +
+					int64(fi+1)*1_000_003 +
+					int64(v)*7_919 +
+					int64(ci+1)*104_729 +
+					int64(i+1)*15_485_863
+				g, err := gen.Generate(f.Name, seed, gen.Params{
+					"v":   fmt.Sprint(v),
+					"ccr": fmt.Sprintf("%g", ccr),
+				})
+				if err != nil {
+					return nil, fmt.Errorf("%s: %s v=%d ccr=%g: %w", exp, f.Name, v, ccr, err)
 				}
+				graphs = append(graphs, gen.NamedGraph{
+					Name:   fmt.Sprintf("%s-v%d-ccr%g-i%d", f.Name, v, ccr, i),
+					Source: fmt.Sprintf("%s seed=%d", f.Source, seed),
+					G:      g,
+				})
 			}
 		}
 	}
-	return byFam, nil
+	return graphs, nil
 }
 
-// robustSuite returns the execution-robustness study's instances, one
-// entry per registered generator family in name order, generating them
-// on the first request for (seed, scale). Random (v, ccr) families
-// contribute a matched grid of points; every other family contributes
-// one representative instance with its default parameters, so the
-// study exercises the whole registry. Per-instance seeds are mixed
-// from the run seed and the point coordinates, as in the genx suite.
-func (c *SuiteCache) robustSuite(cfg Config) ([]robustFamily, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := c.key(cfg)
-	if got, ok := c.robust[k]; ok {
-		cacheHits.Inc()
-		return got, nil
-	}
-	cacheMisses.Inc()
+// computeRobust builds one family per registered generator in name
+// order. Random (v, ccr) families contribute the matched grid of
+// robustPoints, seeded by their index in the whole registry; every
+// other family contributes one representative instance with its
+// default parameters, so the study exercises the whole registry.
+func computeRobust(cfg Config) ([]robustFamily, error) {
 	sizes, ccrs, instances := robustPoints(cfg.Scale)
 	var fams []robustFamily
 	for fi, f := range gen.Generators() {
 		fam := robustFamily{name: f.Name}
 		if f.Random {
-			for _, v := range sizes {
-				for ci, ccr := range ccrs {
-					for i := 0; i < instances; i++ {
-						seed := cfg.Seed +
-							int64(fi+1)*1_000_003 +
-							int64(v)*7_919 +
-							int64(ci+1)*104_729 +
-							int64(i+1)*15_485_863
-						g, err := gen.Generate(f.Name, seed, gen.Params{
-							"v":   fmt.Sprint(v),
-							"ccr": fmt.Sprintf("%g", ccr),
-						})
-						if err != nil {
-							return nil, fmt.Errorf("robust: %s v=%d ccr=%g: %w", f.Name, v, ccr, err)
-						}
-						fam.graphs = append(fam.graphs, gen.NamedGraph{
-							Name: fmt.Sprintf("%s-v%d-ccr%g-i%d", f.Name, v, ccr, i),
-							G:    g,
-						})
-					}
-				}
+			graphs, err := familyGrid("robust", fi, f, cfg.Seed, sizes, ccrs, instances)
+			if err != nil {
+				return nil, err
 			}
+			fam.graphs = graphs
 		} else {
 			g, err := gen.Generate(f.Name, cfg.Seed, robustFixedParams[f.Name])
 			if err != nil {
@@ -292,7 +267,6 @@ func (c *SuiteCache) robustSuite(cfg Config) ([]robustFamily, error) {
 		}
 		fams = append(fams, fam)
 	}
-	c.robust[k] = fams
 	return fams, nil
 }
 
@@ -300,33 +274,4 @@ func (c *SuiteCache) robustSuite(cfg Config) ([]robustFamily, error) {
 // default parameters do not yield a graph (psg requires a name).
 var robustFixedParams = map[string]gen.Params{
 	"psg": {"name": "kwok-ahmad-9"},
-}
-
-// rgnosSuite returns the RGNOS graphs grouped by size, generating them
-// on the first request for (seed, scale).
-func (c *SuiteCache) rgnosSuite(cfg Config) map[int][]gen.NamedGraph {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := c.key(cfg)
-	if got, ok := c.rgnos[k]; ok {
-		cacheHits.Inc()
-		return got
-	}
-	cacheMisses.Inc()
-	rc := gen.RGNOSConfig{
-		MinNodes:    50,
-		MaxNodes:    500,
-		Step:        50,
-		CCRs:        rgnosCCRs(cfg.Scale),
-		Parallelism: rgnosParallelism(cfg.Scale),
-		Seed:        cfg.Seed,
-	}
-	sizes := rgnosSizes(cfg.Scale)
-	rc.MaxNodes = sizes[len(sizes)-1]
-	bySize := map[int][]gen.NamedGraph{}
-	for _, ng := range gen.RGNOS(rc) {
-		bySize[ng.G.NumNodes()] = append(bySize[ng.G.NumNodes()], ng)
-	}
-	c.rgnos[k] = bySize
-	return bySize
 }

@@ -90,7 +90,7 @@ func Components(cfg Config) error {
 		for _, f := range fams {
 			for _, ng := range byFam[f.Name] {
 				for _, a := range algs {
-					runCellOn(&p, "components", a, ng, componentsProcs, m.speeds, nil)
+					p.add(runCell("components", a, ng.Name, ng.G, componentsProcs, m.speeds, nil))
 				}
 			}
 		}

@@ -67,9 +67,6 @@ type Config struct {
 	AdversarialFaults bool
 }
 
-// runner returns the worker pool for this run.
-func (c Config) runner() *Runner { return NewRunner(c.Workers) }
-
 // Experiment is one reproducible paper artifact.
 type Experiment struct {
 	ID    string
@@ -162,33 +159,25 @@ func choleskyDims(s Scale) []int {
 	return []int{6, 10, 14}
 }
 
-// runCell plans one measured scheduling run, wrapping errors with the
-// experiment and instance context.
-func runCell(p *plan[Result], exp string, a Algorithm, ng gen.NamedGraph, bnpProcs int, topo *machine.Topology) {
-	runCellOn(p, exp, a, ng, bnpProcs, nil, topo)
-}
-
-// runCellOn is runCell with an optional per-processor speed vector
-// (nil for the homogeneous machine).
-func runCellOn(p *plan[Result], exp string, a Algorithm, ng gen.NamedGraph, bnpProcs int, speeds []float64, topo *machine.Topology) {
-	p.add(func() (Result, error) { return runLabelled(exp, a, ng.Name, ng.G, bnpProcs, speeds, topo) })
-}
-
-// runLabelled runs a on g, labelling the traced run with the experiment
-// and instance names and wrapping errors with the same context. Every
-// experiment cell that runs an Algorithm goes through it.
-func runLabelled(exp string, a Algorithm, instance string, g *dag.Graph, bnpProcs int, speeds []float64, topo *machine.Topology) (Result, error) {
-	if t := obs.ActiveTracer(); t != nil {
-		// The planner knows the experiment and instance names; RunOn
-		// only sees the graph. Tracing implies a serial runner, so the
-		// staged labels pair with the BeginRun that follows.
-		t.SetInstance(exp, instance)
+// runCell returns the cell that runs a on g, optionally on
+// per-processor speeds (nil for the homogeneous machine), labelling the
+// traced run with the experiment and instance names and wrapping errors
+// with the same context. Every experiment cell that runs an Algorithm
+// goes through it.
+func runCell(exp string, a Algorithm, instance string, g *dag.Graph, bnpProcs int, speeds []float64, topo *machine.Topology) func() (Result, error) {
+	return func() (Result, error) {
+		if t := obs.ActiveTracer(); t != nil {
+			// The planner knows the experiment and instance names; RunOn
+			// only sees the graph. Tracing implies a serial runner, so the
+			// staged labels pair with the BeginRun that follows.
+			t.SetInstance(exp, instance)
+		}
+		res, err := a.RunOn(g, bnpProcs, speeds, topo)
+		if err != nil {
+			return Result{}, fmt.Errorf("%s: %s on %s: %w", exp, a.Name, instance, err)
+		}
+		return res, nil
 	}
-	res, err := a.RunOn(g, bnpProcs, speeds, topo)
-	if err != nil {
-		return Result{}, fmt.Errorf("%s: %s on %s: %w", exp, a.Name, instance, err)
-	}
-	return res, nil
 }
 
 // Table1 reports the schedule length of every UNC and BNP algorithm on
@@ -200,7 +189,7 @@ func Table1(cfg Config) error {
 	var p plan[Result]
 	for _, ng := range graphs {
 		for _, a := range algs {
-			runCell(&p, "table1", a, ng, BNPProcs(ng.G.NumNodes()), nil)
+			p.add(runCell("table1", a, ng.Name, ng.G, BNPProcs(ng.G.NumNodes()), nil, nil))
 		}
 	}
 	results, err := p.run(cfg)
@@ -241,9 +230,7 @@ func degradationTable(cfg Config, exp, title string, algs []Algorithm, bnpProcsF
 	for _, ccr := range ccrs {
 		for _, inst := range suites[ccr] {
 			for _, a := range algs {
-				p.add(func() (Result, error) {
-					return runLabelled(exp, a, inst.label, inst.g, bnpProcsFor(inst.g), nil, nil)
-				})
+				p.add(runCell(exp, a, inst.label, inst.g, bnpProcsFor(inst.g), nil, nil))
 			}
 		}
 	}
@@ -358,7 +345,7 @@ func Table6(cfg Config) error {
 	for _, v := range sizes {
 		for _, a := range algs {
 			for _, ng := range bySize[v] {
-				runCell(&p, "table6", a, ng, BNPProcs(v), topo)
+				p.add(runCell("table6", a, ng.Name, ng.G, BNPProcs(v), nil, topo))
 			}
 		}
 	}
@@ -391,73 +378,30 @@ func Table6(cfg Config) error {
 }
 
 // Figure2 reproduces the average-NSL-vs-size curves for the UNC (a),
-// BNP (b) and APN (c) classes on the RGNOS suite. All three
-// sub-figures are planned as one cell batch so the pool never drains
-// between panels.
+// BNP (b) and APN (c) classes on the RGNOS suite.
 func Figure2(cfg Config) error {
-	bySize := suiteCacheFor(cfg).rgnosSuite(cfg)
-	sizes := rgnosSizes(cfg.Scale)
-	topo := apnTopology()
-	parts := []struct {
-		sub   string
-		class Class
-	}{{"a", UNC}, {"b", BNP}, {"c", APN}}
-	var p plan[Result]
-	for _, part := range parts {
-		for _, v := range sizes {
-			for _, a := range ByClass(part.class) {
-				for _, ng := range bySize[v] {
-					runCell(&p, "fig2", a, ng, BNPProcs(v), topo)
-				}
-			}
-		}
-	}
-	results, err := p.run(cfg)
-	if err != nil {
-		return err
-	}
-	xs := make([]string, len(sizes))
-	for i, v := range sizes {
-		xs[i] = fmt.Sprint(v)
-	}
-	cur := cursor[Result]{rs: results}
-	for _, part := range parts {
-		s := table.NewSeries(fmt.Sprintf("(%s) average NSL, %s algorithms", part.sub, part.class), "v", xs...)
-		for i, v := range sizes {
-			for _, a := range ByClass(part.class) {
-				var total float64
-				for range bySize[v] {
-					total += cur.next().NSL
-				}
-				if n := len(bySize[v]); n > 0 {
-					s.Set(a.Name, i, total/float64(n))
-				} else {
-					s.Set(a.Name, i, 0)
-				}
-			}
-		}
-		if err := s.Render(cfg.Out); err != nil {
-			return err
-		}
-	}
-	return nil
+	return rgnosFigure(cfg, "fig2", "NSL", []Class{UNC, BNP, APN}, func(r Result) float64 { return r.NSL })
 }
 
 // Figure3 reproduces the average-processors-used curves for the UNC (a)
 // and BNP (b) classes on the RGNOS suite.
 func Figure3(cfg Config) error {
+	return rgnosFigure(cfg, "fig3", "processors used", []Class{UNC, BNP}, func(r Result) float64 { return float64(r.Procs) })
+}
+
+// rgnosFigure renders one panel per class, lettered from (a), of the
+// metric averaged over the RGNOS instances of each size. All panels
+// are planned as one cell batch so the pool never drains between them.
+func rgnosFigure(cfg Config, exp, label string, classes []Class, metric func(Result) float64) error {
 	bySize := suiteCacheFor(cfg).rgnosSuite(cfg)
 	sizes := rgnosSizes(cfg.Scale)
-	parts := []struct {
-		sub   string
-		class Class
-	}{{"a", UNC}, {"b", BNP}}
+	topo := apnTopology()
 	var p plan[Result]
-	for _, part := range parts {
+	for _, class := range classes {
 		for _, v := range sizes {
-			for _, a := range ByClass(part.class) {
+			for _, a := range ByClass(class) {
 				for _, ng := range bySize[v] {
-					runCell(&p, "fig3", a, ng, BNPProcs(v), nil)
+					p.add(runCell(exp, a, ng.Name, ng.G, BNPProcs(v), nil, topo))
 				}
 			}
 		}
@@ -471,16 +415,16 @@ func Figure3(cfg Config) error {
 		xs[i] = fmt.Sprint(v)
 	}
 	cur := cursor[Result]{rs: results}
-	for _, part := range parts {
-		s := table.NewSeries(fmt.Sprintf("(%s) average processors used, %s algorithms", part.sub, part.class), "v", xs...)
+	for pi, class := range classes {
+		s := table.NewSeries(fmt.Sprintf("(%c) average %s, %s algorithms", 'a'+pi, label, class), "v", xs...)
 		for i, v := range sizes {
-			for _, a := range ByClass(part.class) {
-				var total int
+			for _, a := range ByClass(class) {
+				var total float64
 				for range bySize[v] {
-					total += cur.next().Procs
+					total += metric(cur.next())
 				}
 				if n := len(bySize[v]); n > 0 {
-					s.Set(a.Name, i, float64(total)/float64(n))
+					s.Set(a.Name, i, total/float64(n))
 				} else {
 					s.Set(a.Name, i, 0)
 				}
@@ -516,7 +460,7 @@ func Figure4(cfg Config) error {
 	for _, part := range parts {
 		for _, ng := range graphs {
 			for _, a := range ByClass(part.class) {
-				runCell(&p, "fig4", a, ng, BNPProcs(ng.G.NumNodes()), topo)
+				p.add(runCell("fig4", a, ng.Name, ng.G, BNPProcs(ng.G.NumNodes()), nil, topo))
 			}
 		}
 	}

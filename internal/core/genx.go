@@ -44,7 +44,7 @@ func GenX(cfg Config) error {
 	for _, f := range fams {
 		for _, ng := range byFam[f.Name] {
 			for _, a := range algs {
-				runCell(&p, "genx", a, ng, BNPProcs(ng.G.NumNodes()), nil)
+				p.add(runCell("genx", a, ng.Name, ng.G, BNPProcs(ng.G.NumNodes()), nil, nil))
 			}
 		}
 	}

@@ -6,28 +6,6 @@ import (
 	"sync/atomic"
 )
 
-// Runner executes independent experiment cells — one (algorithm ×
-// instance) scheduling run each — on a bounded pool of worker
-// goroutines. Cells are claimed from a shared counter, so the pool is
-// always busy, but results are delivered indexed exactly as the cells
-// were planned: assembling rows from them in plan order makes the
-// concurrent output byte-identical to a serial run.
-type Runner struct {
-	workers int
-}
-
-// NewRunner returns a runner bounded to the given number of worker
-// goroutines. workers <= 0 selects GOMAXPROCS.
-func NewRunner(workers int) *Runner {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Runner{workers: workers}
-}
-
-// Workers returns the concurrency bound.
-func (r *Runner) Workers() int { return r.workers }
-
 // plan accumulates the cells of one experiment in output order. The
 // experiment functions are producers: they plan every cell of their
 // table or figure up front, run the plan, and then assemble rows from
@@ -40,23 +18,33 @@ type plan[T any] struct {
 // index in the result slice.
 func (p *plan[T]) add(cell func() (T, error)) { p.cells = append(p.cells, cell) }
 
-// run executes the plan on cfg's runner and returns the results in
-// plan order.
+// run executes the plan on a pool of poolSize(cfg.Workers) goroutines
+// and returns the results in plan order.
 func (p *plan[T]) run(cfg Config) ([]T, error) {
-	return runCells(cfg.runner(), p.cells)
+	return runCells(poolSize(cfg.Workers), p.cells)
 }
 
-// runCells fans the cells out across the runner's pool. On success the
-// result slice is indexed exactly like cells. On failure the error of
-// the lowest-indexed failing cell is returned; once any cell has
-// failed, unstarted cells are skipped (best effort).
-func runCells[T any](r *Runner, cells []func() (T, error)) ([]T, error) {
+// poolSize resolves Config.Workers: <= 0 selects GOMAXPROCS.
+func poolSize(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
+}
+
+// runCells fans the cells out across at most workers goroutines, which
+// claim cells from a shared counter so the pool is always busy. On
+// success the result slice is indexed exactly like cells, so assembling
+// rows from it in plan order makes a concurrent run's output
+// byte-identical to a serial one. On failure the error of the
+// lowest-indexed failing cell is returned; once any cell has failed,
+// unstarted cells are skipped (best effort).
+func runCells[T any](workers int, cells []func() (T, error)) ([]T, error) {
 	n := len(cells)
 	if n == 0 {
 		return nil, nil
 	}
 	results := make([]T, n)
-	workers := r.workers
 	if workers > n {
 		workers = n
 	}

@@ -11,14 +11,14 @@ import (
 )
 
 func TestRunnerDefaultsToGOMAXPROCS(t *testing.T) {
-	if got := NewRunner(0).Workers(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("NewRunner(0).Workers() = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	if got := poolSize(0); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("poolSize(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := NewRunner(-3).Workers(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("NewRunner(-3).Workers() = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	if got := poolSize(-3); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("poolSize(-3) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := NewRunner(5).Workers(); got != 5 {
-		t.Errorf("NewRunner(5).Workers() = %d, want 5", got)
+	if got := poolSize(5); got != 5 {
+		t.Errorf("poolSize(5) = %d, want 5", got)
 	}
 }
 

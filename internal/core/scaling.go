@@ -308,7 +308,7 @@ func Scaling(cfg Config) error {
 			var p plan[Result]
 			for _, sa := range algs {
 				if sa.runsAt(v, row.e) && v <= fam.schedCap {
-					runCell(&p, "scaling", sa.alg, ng, BNPProcs(v), topo)
+					p.add(runCell("scaling", sa.alg, ng.Name, ng.G, BNPProcs(v), nil, topo))
 				}
 			}
 			results, err := p.run(runCfg)

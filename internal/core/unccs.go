@@ -31,7 +31,7 @@ func UNCCS(cfg Config) error {
 		for _, a := range ByClass(BNP) {
 			for _, ng := range bySize[v] {
 				p.add(func() (float64, error) {
-					res, err := runLabelled("unccs", a, ng.Name, ng.G, procs, nil, nil)
+					res, err := runCell("unccs", a, ng.Name, ng.G, procs, nil, nil)()
 					return res.NSL, err
 				})
 			}

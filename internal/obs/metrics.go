@@ -73,7 +73,7 @@ func (c *Counter) Name() string { return c.name }
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is a point-in-time level that also tracks its high-water mark
-// (the Max column of a snapshot). Runner queue depths use Add(±1).
+// (the Max column of a snapshot). In-flight counts use Add(±1).
 type Gauge struct {
 	name string
 	v    atomic.Int64
