@@ -60,10 +60,11 @@
 // reports Finished == false and a +Inf ratio (an SLO miss). Resubmit
 // remaps the unfinished suffix of the execution onto the surviving
 // processors with a list-scheduling repair pass (descending static
-// b-level) that reuses the incremental EST cache of internal/sched,
-// restricted by a per-processor availability mask. Checkpoint is
-// resubmit plus periodic checkpoints: a re-executed task resumes from
-// its last checkpoint boundary instead of from zero. Replicate
+// b-level, non-insertion earliest start) that places on the runtime's
+// own arrays: each processor's availability floor and last planned
+// finish, each unit's copy. Checkpoint is resubmit plus periodic
+// checkpoints: a re-executed task resumes from its last checkpoint
+// boundary instead of from zero. Replicate
 // duplicates the top-k static-b-level tasks on distinct processors at
 // compile time and takes the first finisher at runtime. Recovery
 // policies apply to clique schedules; APN executions support None

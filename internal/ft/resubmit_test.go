@@ -109,7 +109,7 @@ func TestRepairZeroWeightTasks(t *testing.T) {
 // of HLFET on 32 processors (rgnos v=80) may allocate more only where a
 // slice outgrows its capacity, which is at most a few dozen times a
 // run, not once or more per crash. A warm trial reuses the pooled
-// runtime and repair schedule whole, so it also stays under an absolute
+// runtime and its repair scratch whole, so it also stays under an absolute
 // bound: the Result's busy, down and idle slices and the options the
 // runtime points at.
 func TestRepairAllocsFlatInCrashes(t *testing.T) {

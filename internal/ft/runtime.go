@@ -7,7 +7,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/obs"
 	"repro/internal/pq"
-	"repro/internal/sched"
 )
 
 // Event kinds, in tie-break order: completions before crashes before
@@ -87,8 +86,8 @@ type copyRec struct {
 	proc     int32 // its resource
 	floor    int64 // release floor (static or repaired start; 0 under eager)
 	ready    int64 // floor folded with realized data arrivals
-	start    int64 // realized start once released
-	finish   int64
+	start    int64 // realized start once released; planned by a repair pass before
+	finish   int64 // likewise
 	released bool
 	dead     bool
 	// epoch invalidates in-flight completion events: cancelling or
@@ -159,14 +158,12 @@ type runtime struct {
 
 	gens []outGen // per channel
 
-	// Recovery scratch. The repair schedule is acquired by a run's first
-	// repair pass and goes back to the sched pool when the run ends.
-	repairSched *sched.Schedule
-	avail       []int64
-	running     []bool  // unit has a copy in flight at the pass
-	remPreds    []int32 // unplaced rest predecessors per rest unit
-	ready       *pq.Heap[int32]
-	lastFin     []int64 // replicate's static finish per processor
+	// Recovery scratch, kept across passes and runs.
+	avail    []int64 // per processor: repair-pass availability, never when dead
+	lastFin  []int64 // per processor: last planned finish (repair, replicate)
+	running  []bool  // unit has a copy in flight at the pass
+	remPreds []int32 // unplaced rest predecessors per rest unit
+	ready    *pq.Heap[int32]
 }
 
 // runtimePool recycles runtimes across trials and Execs, so a warm
@@ -319,8 +316,7 @@ func (x *Exec) execute(opts *Options, pol RecoveryPolicy, trial int) *runtime {
 // release returns the runtime to the pool, dropping every reference to
 // the run's inputs so the pool pins none of them.
 func (rt *runtime) release() {
-	rt.repairSched.Release()
-	rt.repairSched, rt.x, rt.pol, rt.opts = nil, nil, nil, Options{}
+	rt.x, rt.pol, rt.opts = nil, nil, Options{}
 	runtimePool.Put(rt)
 }
 

@@ -9,8 +9,11 @@
 // per-node placement arrays — in the embedded Tasks, and adds
 // insertion and non-insertion earliest-start-time queries, placement
 // and removal (for migration-style algorithms and branch-and-bound
-// backtracking), and full validation of precedence and
-// processor-exclusivity constraints.
+// backtracking), and full validation of precedence,
+// processor-exclusivity and duration constraints: every slot lasts
+// exactly its ExecTime. Executions, whose realized durations differ,
+// and the repair passes that re-place their unfinished work after a
+// crash belong to internal/ft, which keeps its own runtime state.
 //
 // The APN class uses internal/machine instead, which embeds the same
 // Tasks and schedules messages on the links of an arbitrary topology.
@@ -18,7 +21,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/dag"
@@ -58,20 +60,7 @@ type Schedule struct {
 	arrM2      []int64
 	arrFin     []int64
 	dirty      []bool // row must be rebuilt by a predecessor scan
-
-	// avail optionally floors the EST of every processor (repair-pass
-	// availability mask, see SetAvailableFrom); empty means every
-	// processor is available from time 0. The Never sentinel excludes a
-	// processor from EST queries entirely. availMin is the smallest
-	// finite entry (0 without a mask, Never when every entry is Never):
-	// a lower bound on the floor of every processor a query may pick.
-	avail    []int64
-	availMin int64
 }
-
-// Never is the availability sentinel for a processor that will not
-// return to service; see SetAvailableFrom.
-const Never int64 = math.MaxInt64
 
 // New returns an empty schedule for g on numProcs processors.
 // For UNC (unbounded-processor) algorithms pass numProcs equal to the
@@ -105,45 +94,6 @@ func (s *Schedule) Reset(g *dag.Graph, numProcs int) {
 	for i := 0; i < n; i++ {
 		s.arrP1[i] = -1
 	}
-	// Truncate rather than drop the mask vector, so a schedule reset
-	// between repair passes keeps its capacity.
-	s.avail = s.avail[:0]
-	s.availMin = 0
-}
-
-// SetAvailableFrom restricts when each processor may run newly queried
-// work: every EST query on processor p is floored at avail[p], and a
-// processor whose entry is the Never sentinel is skipped by BestEST
-// entirely (BestEST returns proc == -1 when every processor is Never).
-// The mask models machine availability after failures — a repair pass
-// fixes the part of the realized prefix that later work depends on with
-// PlaceFixed (which the mask deliberately does not constrain) and then
-// list-schedules the unfinished suffix onto the processors still in
-// service. Nil clears the mask; the vector is copied into storage the
-// schedule keeps across Reset, and its smallest finite entry is kept as
-// the lower bound that lets BestESTNonInsertion stop its scan early.
-func (s *Schedule) SetAvailableFrom(avail []int64) error {
-	if avail == nil {
-		s.avail = s.avail[:0]
-		s.availMin = 0
-		return nil
-	}
-	if len(avail) != len(s.procs) {
-		return fmt.Errorf("sched: %d availability entries for %d processors", len(avail), len(s.procs))
-	}
-	for p, a := range avail {
-		if a < 0 {
-			return fmt.Errorf("sched: negative availability %d for processor %d", a, p)
-		}
-	}
-	s.avail = append(s.avail[:0], avail...)
-	s.availMin = Never
-	for _, a := range avail {
-		if a < s.availMin {
-			s.availMin = a
-		}
-	}
-	return nil
 }
 
 // resize returns a slice of length n, reusing s's backing array when it
@@ -190,29 +140,6 @@ func (s *Schedule) Place(n dag.NodeID, p int, start int64) error {
 		return err
 	}
 	return s.commit(n, p, start, start+s.ExecTime(n, p))
-}
-
-// PlaceFixed schedules node n on processor p over an explicit
-// [start, finish) interval instead of deriving the duration from
-// ExecTime. Repair passes use it to pin the realized prefix of an
-// execution — finished tasks at their observed durations, running tasks
-// at their committed finish times — before list-scheduling the
-// unfinished suffix with the estimated durations. The availability mask
-// does not apply: the interval is history, not a new decision. A
-// zero-length interval is allowed (a task whose realized duration
-// rounded to nothing).
-func (s *Schedule) PlaceFixed(n dag.NodeID, p int, start, finish int64) error {
-	if err := s.CheckPlace(n, p, start); err != nil {
-		return err
-	}
-	if finish < start {
-		return fmt.Errorf("sched: node %d finish %d before start %d", n, finish, start)
-	}
-	if err := s.commit(n, p, start, finish); err != nil {
-		return err
-	}
-	s.hasFixed = true
-	return nil
 }
 
 // commit is Tasks.Place with the insert and the record written out, so
@@ -353,17 +280,6 @@ func (s *Schedule) ESTOn(n dag.NodeID, p int, insertion bool) (est int64, ok boo
 	if !ok {
 		return 0, false
 	}
-	if len(s.avail) != 0 {
-		a := s.avail[p]
-		if a == Never {
-			// The sentinel propagates: an excluded processor has no
-			// finite start time.
-			return Never, true
-		}
-		if a > drt {
-			drt = a
-		}
-	}
 	if !insertion {
 		// Non-insertion placement never looks at gaps; the open-ended
 		// slot after the last task is read off the flat mirror.
@@ -377,23 +293,17 @@ func (s *Schedule) ESTOn(n dag.NodeID, p int, insertion bool) (est int64, ok boo
 
 // BestEST returns the processor giving the smallest EST for n over all
 // processors, breaking ties toward lower processor indices. ok is false
-// if a parent is unscheduled. Under an availability mask, processors
-// marked Never are skipped; when every processor is excluded the result
-// is proc == -1 with ok still true.
+// if a parent is unscheduled.
 func (s *Schedule) BestEST(n dag.NodeID, insertion bool) (proc int, est int64, ok bool) {
 	if !insertion {
 		return s.BestESTNonInsertion(n)
 	}
-	proc = -1
 	for p := range s.procs {
 		e, k := s.ESTOn(n, p, insertion)
 		if !k {
 			return -1, 0, false
 		}
-		if e == Never && len(s.avail) != 0 {
-			continue
-		}
-		if proc == -1 || e < est {
+		if p == 0 || e < est {
 			proc, est = p, e
 		}
 	}
@@ -406,10 +316,10 @@ func (s *Schedule) BestEST(n dag.NodeID, insertion bool) (proc int, est int64, o
 // processors reduces to a tight loop over the flat last-finish array.
 //
 // The scan stops at its lower bound. Every processor other than the
-// dominant parent's p1 starts n no earlier than lb = max(M1, availMin),
-// so once the best EST is down to lb no later processor but p1 can
-// beat it (ties keep the lower index): the scan jumps to p1 if it lies
-// ahead and stops. The result is exactly the full scan's.
+// dominant parent's p1 starts n no earlier than M1, so once the best
+// EST is down to M1 no later processor but p1 can beat it (ties keep
+// the lower index): the scan jumps to p1 if it lies ahead and stops.
+// The result is exactly the full scan's.
 func (s *Schedule) BestESTNonInsertion(n dag.NodeID) (proc int, est int64, ok bool) {
 	estQueries.Inc()
 	if int(s.schedPreds[n]) != s.g.InDegree(n) {
@@ -424,8 +334,6 @@ func (s *Schedule) BestESTNonInsertion(n dag.NodeID) (proc int, est int64, ok bo
 	if f := s.arrFin[n]; f > mloc {
 		mloc = f
 	}
-	lb := max(m1, s.availMin)
-	masked := len(s.avail) != 0
 	proc = -1
 	lastFin := s.lastFin
 	for p, end := 0, len(lastFin); p < end; p++ {
@@ -436,18 +344,9 @@ func (s *Schedule) BestESTNonInsertion(n dag.NodeID) (proc int, est int64, ok bo
 		if lf := lastFin[p]; lf > drt {
 			drt = lf
 		}
-		if masked {
-			a := s.avail[p]
-			if a == Never {
-				continue
-			}
-			if a > drt {
-				drt = a
-			}
-		}
 		if proc == -1 || drt < est {
 			proc, est = p, drt
-			if drt <= lb {
+			if drt <= m1 {
 				if p1 <= p {
 					break
 				}

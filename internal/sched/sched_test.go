@@ -315,3 +315,27 @@ func TestValidateRejectsFinishBeforeStart(t *testing.T) {
 		t.Errorf("Validate of a wrapped finish: err = %v, want finish-before-start error", err)
 	}
 }
+
+// TestValidateRejectsWrongDuration requires Validate to check every
+// slot's duration against ExecTime: a slot committed through
+// Tasks.Place with any other finish, longer or zero-length, is
+// rejected, and the same slot at its execution time is accepted.
+func TestValidateRejectsWrongDuration(t *testing.T) {
+	g, ids := diamond(t)
+	for _, finish := range []int64{7, 0, 2} {
+		s := New(g, 2)
+		if err := s.Tasks.Place(ids[0], 0, 0, finish); err != nil {
+			t.Fatalf("Tasks.Place finish %d: %v", finish, err)
+		}
+		err := s.Validate()
+		if finish == g.Weight(ids[0]) {
+			if err != nil {
+				t.Errorf("Validate of a slot at its execution time: %v", err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "execution time") {
+			t.Errorf("Validate of a slot finishing at %d: err = %v, want duration error", finish, err)
+		}
+	}
+}

@@ -43,11 +43,6 @@ type Tasks struct {
 	// units. Empty means uniform unit speed, where the execution time is
 	// exactly the node weight — the paper's homogeneous model.
 	speed []float64
-
-	// hasFixed records that a slot was committed whose duration is an
-	// observed execution time rather than ExecTime (see
-	// Schedule.PlaceFixed), so Validate skips the duration check.
-	hasFixed bool
 }
 
 // NewTasks returns the empty processor side for g on numProcs
@@ -92,10 +87,9 @@ func (t *Tasks) reset(g *dag.Graph, numProcs int) {
 	}
 	t.placed = 0
 	t.maxFin = 0
-	// Truncate rather than drop the speed vector, so a schedule reset
-	// between repair passes keeps its capacity.
+	// Truncate rather than drop the speed vector, so a pooled schedule
+	// keeps its capacity.
 	t.speed = t.speed[:0]
-	t.hasFixed = false
 }
 
 // SetSpeeds makes the processors heterogeneous: node n on processor p
@@ -214,8 +208,8 @@ func (t *Tasks) Place(n dag.NodeID, p int, start, finish int64) error {
 
 // record notes an inserted slot in the placement arrays, the
 // last-finish mirror and the makespan. It is small enough to inline,
-// which keeps the clique model's commit, the repair pass's hot path,
-// free of a call Tasks.Place would add.
+// which keeps the clique model's commit, every list scheduler's hot
+// path, free of a call Tasks.Place would add.
 func (t *Tasks) record(n dag.NodeID, p int, start, finish int64) {
 	t.proc[n] = int32(p)
 	t.start[n] = start
@@ -298,9 +292,7 @@ func (t *Tasks) Validate() error {
 			return fmt.Errorf("sched: P%d: %w", p, err)
 		}
 		for _, sl := range t.procs[p].Slots() {
-			if !t.hasFixed && sl.Finish-sl.Start != t.ExecTime(sl.Node, p) {
-				// PlaceFixed commits observed durations, which legitimately
-				// differ from the static execution-time estimate.
+			if sl.Finish-sl.Start != t.ExecTime(sl.Node, p) {
 				return fmt.Errorf("sched: node %d duration %d != execution time %d",
 					sl.Node, sl.Finish-sl.Start, t.ExecTime(sl.Node, p))
 			}
