@@ -23,7 +23,8 @@ func allocTestGraph(tb testing.TB) *dag.Graph {
 // deterministic: zero allocations, not "few".
 
 // assertSteadyAllocs runs alg once to warm the pools, then requires a
-// warm alg call plus Release to allocate exactly want objects.
+// warm alg call plus Release to allocate exactly want objects. Under the
+// race detector the calls still run, but their count is not checked.
 func assertSteadyAllocs(t *testing.T, name string, alg Scheduler, g *dag.Graph, want float64) {
 	t.Helper()
 	const procs = 8
@@ -35,7 +36,7 @@ func assertSteadyAllocs(t *testing.T, name string, alg Scheduler, g *dag.Graph, 
 		s.Release()
 	}
 	run() // warm the pools
-	if allocs := testing.AllocsPerRun(20, run); allocs != want {
+	if allocs := testing.AllocsPerRun(20, run); allocs != want && !raceEnabled {
 		t.Errorf("steady-state %s allocates %.1f objects per run, want %.1f", name, allocs, want)
 	}
 }

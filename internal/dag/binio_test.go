@@ -216,7 +216,9 @@ func TestWriteAllocs(t *testing.T) {
 // TestBuilderGrowArena verifies the arena promise: with a correct Grow
 // hint, streaming an unlabeled graph through the Builder allocates only
 // the arena arrays themselves (builder + four flat slices), with no
-// per-node or per-edge allocation during AddNode/AddEdge.
+// per-node or per-edge allocation during AddNode/AddEdge. A
+// race-instrumented build allocates more, so there the count is not
+// checked.
 func TestBuilderGrowArena(t *testing.T) {
 	const n, m = 10000, 30000
 	allocs := testing.AllocsPerRun(3, func() {
@@ -230,7 +232,7 @@ func TestBuilderGrowArena(t *testing.T) {
 			b.AddEdge(from, from+1, int64(e%97))
 		}
 	})
-	if allocs > 5 {
+	if allocs > 5 && !raceEnabled {
 		t.Errorf("pre-grown Builder allocated %.0f times while streaming, want <= 5", allocs)
 	}
 }

@@ -42,6 +42,7 @@ type Exec struct {
 	levelsOnce sync.Once
 	blevel     []int64 // static b-levels
 	byLevel    []int32 // units by descending b-level, then ID (replica order)
+	rank       []int32 // each unit's position in byLevel
 }
 
 // Static returns the planned (unperturbed) makespan of the compiled
@@ -260,5 +261,9 @@ func (x *Exec) levels() {
 			}
 			return cmp.Compare(a, b)
 		})
+		x.rank = make([]int32, x.tasks)
+		for r, v := range x.byLevel {
+			x.rank[v] = int32(r)
+		}
 	})
 }

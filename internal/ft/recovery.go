@@ -74,12 +74,12 @@ func (rt *runtime) repair() {
 			rt.lastFin[c.proc] = max(rt.lastFin[c.proc], c.finish)
 		}
 	}
-	// A ready heap keyed (b-level desc, id asc) over the units whose
-	// predecessors are all placed: b-level order alone is not guaranteed
-	// topological on zero-weight nodes, the ready filter is.
+	// A ready heap in byLevel order (b-level desc, id asc) over the units
+	// whose predecessors are all placed: b-level order alone is not
+	// guaranteed topological on zero-weight nodes, the ready filter is.
 	rest := 0
-	remPreds, ready := rt.remPreds, rt.ready
-	ready.Reset()
+	remPreds, ready := rt.remPreds, &rt.ready
+	*ready = (*ready)[:0]
 	for v := int32(0); v < int32(n); v++ {
 		if !rt.inRest(v) {
 			continue
@@ -92,7 +92,7 @@ func (rt *runtime) repair() {
 			}
 		}
 		if remPreds[v] == 0 {
-			ready.Push(v)
+			ready.push(x.rank[v])
 		}
 	}
 	if rest > 0 && minAvail == never {
@@ -107,8 +107,8 @@ func (rt *runtime) repair() {
 		rt.qpos[p] = 0
 	}
 	eager := rt.opts.Sim.Policy == DispatchEager
-	for ready.Len() > 0 {
-		v := ready.Pop()
+	for len(*ready) > 0 {
+		v := x.byLevel[ready.pop()]
 		preds := g.Preds(dag.NodeID(v))
 		var arr arrivals
 		for _, pr := range preds {
@@ -153,7 +153,7 @@ func (rt *runtime) repair() {
 				continue
 			}
 			if remPreds[w]--; remPreds[w] == 0 {
-				ready.Push(w)
+				ready.push(x.rank[w])
 			}
 		}
 	}

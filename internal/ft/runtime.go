@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/obs"
-	"repro/internal/pq"
 )
 
 // Event kinds, in tie-break order: completions before crashes before
@@ -163,24 +162,53 @@ type runtime struct {
 	lastFin  []int64 // per processor: last planned finish (repair, replicate)
 	running  []bool  // unit has a copy in flight at the pass
 	remPreds []int32 // unplaced rest predecessors per rest unit
-	ready    *pq.Heap[int32]
+	ready    rankHeap
+}
+
+// rankHeap is the repair pass's ready heap: a binary min-heap of units'
+// positions in Exec.byLevel, so the lowest rank is the unit of highest
+// static b-level, then lowest ID. It is kept apart from internal/pq so
+// the comparisons inline.
+type rankHeap []int32
+
+func (h *rankHeap) push(r int32) {
+	s := append(*h, r)
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if s[p] <= s[i] {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+	*h = s
+}
+
+func (h *rankHeap) pop() int32 {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0], s = s[n], s[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && s[r] < s[m] {
+			m = r
+		}
+		if s[i] <= s[m] {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	*h = s
+	return top
 }
 
 // runtimePool recycles runtimes across trials and Execs, so a warm
 // trial allocates nothing for its own state.
-var runtimePool = sync.Pool{New: func() any {
-	rt := &runtime{}
-	// The repair pass orders ready units by descending static b-level,
-	// then ID; the closure reads the Exec of the current run.
-	rt.ready = pq.New[int32](func(a, b int32) bool {
-		bl := rt.x.blevel
-		if bl[a] != bl[b] {
-			return bl[a] > bl[b]
-		}
-		return a < b
-	})
-	return rt
-}}
+var runtimePool = sync.Pool{New: func() any { return &runtime{} }}
 
 // reset readies the runtime for one run of x: every unit has its
 // primary copy on its static resource, every resource its static

@@ -492,14 +492,7 @@ func (s *Schedule) validateEdge(parent, child dag.NodeID, c int64, hops []hopRes
 			return fmt.Errorf("machine: edge (%d,%d) hop %d duration %d != cost %d",
 				parent, child, i, h.finish-h.start, c)
 		}
-		found := false
-		for _, sl := range s.links[h.ch].Slots() {
-			if sl.Node == child && sl.Start == h.start {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if s.links[h.ch].Index(child, h.start) < 0 {
 			return fmt.Errorf("machine: edge (%d,%d) hop %d reservation missing from link timeline",
 				parent, child, i)
 		}

@@ -2,9 +2,11 @@ package machine
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dag"
+	"repro/internal/sched"
 )
 
 // pair builds u(3) -c-> v(2).
@@ -199,9 +201,18 @@ func TestValidateCatchesForeignCorruption(t *testing.T) {
 	s.MustPlace(u, 0, 0)
 	s.MustPlace(v, 1, 8)
 	// Corrupt: drop the link reservation behind the schedule's back.
-	s.links[s.topo.Channel(0, 1)].Remove(v, 3)
-	if err := s.Validate(); err == nil {
-		t.Error("Validate accepted missing link reservation")
+	link := &s.links[s.topo.Channel(0, 1)]
+	link.Remove(v, 3)
+	const missing = "reservation missing from link timeline"
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), missing) {
+		t.Errorf("Validate with the link reservation removed: %v, want %q", err, missing)
+	}
+	// Another node's slot at the hop's start is not the hop's reservation.
+	if err := link.Insert(sched.Slot{Node: u, Start: 3, Finish: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), missing) {
+		t.Errorf("Validate with a foreign slot at the hop's start: %v, want %q", err, missing)
 	}
 }
 

@@ -6,11 +6,22 @@ import (
 	"repro/internal/dag"
 )
 
+// gapBlock is the number of consecutive slots one gap summary covers.
+const gapBlock = 32
+
 // Timeline is a sorted, non-overlapping sequence of slots on one
 // exclusive resource: a processor in this package, a network link in
 // internal/machine. The zero value is an empty timeline.
 type Timeline struct {
 	slots []Slot
+	// maxGap[b] is the largest gap before a slot of block b, the slots
+	// [b*gapBlock, (b+1)*gapBlock); the gap before slot i runs from the
+	// finish of slot i-1 (0 for slot 0) to the start of slot i. The
+	// summaries cover a prefix of the full blocks: inserting or removing
+	// slot i truncates them to block i/gapBlock, and fit appends the
+	// summary of the first block past the prefix when it walks that block
+	// whole without finding a gap.
+	maxGap []int64
 }
 
 // Len returns the number of slots.
@@ -49,21 +60,60 @@ func (tl *Timeline) EarliestFit(ready, duration int64, insertion bool) int64 {
 // fit is EarliestFit in insertion mode. It also returns the index of the
 // first slot after the gap it found, len(slots) for the open end.
 func (tl *Timeline) fit(ready, duration int64) (start int64, i int) {
-	if len(tl.slots) == 0 {
+	s := tl.slots
+	if len(s) == 0 {
 		return ready, 0
 	}
 	// Slots finishing at or before ready cannot bound the search: the
 	// gap start is clamped to ready and a usable gap must begin at or
 	// after it. Binary-search past them; timelines are finish-sorted.
-	prevFinish := int64(0)
-	for i = tl.firstFinishAfter(ready); i < len(tl.slots); i++ {
-		gapStart := max(prevFinish, ready)
-		if tl.slots[i].Start-gapStart >= duration {
+	gapStart := max(ready, 0)
+	i = tl.firstFinishAfter(ready)
+	// Within the summarized blocks, skip every block whose widest gap is
+	// too narrow; a gap clamped to ready is no wider.
+	for summed := len(tl.maxGap) * gapBlock; i < summed; {
+		end := i - i%gapBlock + gapBlock
+		if tl.maxGap[i/gapBlock] < duration {
+			i, gapStart = end, s[end-1].Finish
+			continue
+		}
+		if gapStart, i = firstGap(s, i, end, gapStart, duration); i < end {
 			return gapStart, i
 		}
-		prevFinish = tl.slots[i].Finish
 	}
-	return max(prevFinish, ready), i
+	// Each full block past the summaries that the walk covers from its
+	// first slot gets its summary on the way. Its first gap is measured
+	// unclamped: the walk's own may start at ready.
+	for i == len(tl.maxGap)*gapBlock && i+gapBlock <= len(s) {
+		widest := s[i].Start
+		if i > 0 {
+			widest -= s[i-1].Finish
+		}
+		for end := i + gapBlock; i < end; i++ {
+			gap := s[i].Start - gapStart
+			if gap >= duration {
+				return gapStart, i
+			}
+			widest = max(widest, gap)
+			gapStart = s[i].Finish
+		}
+		tl.maxGap = append(tl.maxGap, widest)
+	}
+	return firstGap(s, i, len(s), gapStart, duration)
+}
+
+// firstGap walks the gaps before slots i to end-1, the first starting at
+// gapStart, and returns the first at least duration wide: its start and
+// the index of the slot after it, or the last finish and end when none
+// is.
+func firstGap(s []Slot, i, end int, gapStart, duration int64) (int64, int) {
+	for ; i < end; i++ {
+		if s[i].Start-gapStart >= duration {
+			return gapStart, i
+		}
+		gapStart = s[i].Finish
+	}
+	return gapStart, i
 }
 
 // firstFinishAfter returns the index of the first slot finishing after t.
@@ -105,6 +155,13 @@ func (tl *Timeline) firstStartAtLeast(t int64) int {
 // topological, so replaying a processor's slots in order never runs a
 // zero-weight child before its co-located zero-weight parent.
 func (tl *Timeline) Insert(s Slot) error {
+	if s.Start >= tl.LastFinish() {
+		// The search and insertFrom would put it at the end: every slot
+		// starting at s.Start is zero-length there, and none overlaps.
+		// The summaries cover only full blocks before it and stay.
+		tl.slots = append(tl.slots, s)
+		return nil
+	}
 	_, err := tl.insertFrom(tl.firstStartAtLeast(s.Start), s)
 	return err
 }
@@ -147,21 +204,46 @@ func (tl *Timeline) insertFrom(i int, s Slot) (int, error) {
 	tl.slots = append(tl.slots, Slot{})
 	copy(tl.slots[i+1:], tl.slots[i:])
 	tl.slots[i] = s
+	tl.truncateGaps(i)
 	return i, nil
 }
 
-// Remove deletes the slot identified by (node, start) and reports whether
-// it was present. The slot is located by binary search on the start
+// truncateGaps drops the gap summaries from the block of slot i on,
+// after slot i was inserted or removed.
+func (tl *Timeline) truncateGaps(i int) {
+	if b := i / gapBlock; b < len(tl.maxGap) {
+		tl.maxGap = tl.maxGap[:b]
+	}
+}
+
+// removeAt deletes slot i.
+func (tl *Timeline) removeAt(i int) {
+	tl.slots = append(tl.slots[:i], tl.slots[i+1:]...)
+	tl.truncateGaps(i)
+}
+
+// Index returns the index of the slot identified by (node, start), -1
+// if there is none. The slot is located by binary search on the start
 // time; only zero-duration slots can share a start, so at most a couple
 // of entries are inspected after the search.
-func (tl *Timeline) Remove(node dag.NodeID, start int64) bool {
+func (tl *Timeline) Index(node dag.NodeID, start int64) int {
 	for i := tl.firstStartAtLeast(start); i < len(tl.slots) && tl.slots[i].Start == start; i++ {
 		if tl.slots[i].Node == node {
-			tl.slots = append(tl.slots[:i], tl.slots[i+1:]...)
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
+}
+
+// Remove deletes the slot identified by (node, start) and reports whether
+// it was present.
+func (tl *Timeline) Remove(node dag.NodeID, start int64) bool {
+	i := tl.Index(node, start)
+	if i < 0 {
+		return false
+	}
+	tl.removeAt(i)
+	return true
 }
 
 // RemoveHinted is Remove given the slot's likely index, as Reserve
@@ -170,14 +252,17 @@ func (tl *Timeline) Remove(node dag.NodeID, start int64) bool {
 // falls back to Remove.
 func (tl *Timeline) RemoveHinted(node dag.NodeID, start int64, hint int) bool {
 	if hint >= 0 && hint < len(tl.slots) && tl.slots[hint].Node == node && tl.slots[hint].Start == start {
-		tl.slots = append(tl.slots[:hint], tl.slots[hint+1:]...)
+		tl.removeAt(hint)
 		return true
 	}
 	return tl.Remove(node, start)
 }
 
 // reset empties the timeline, keeping the slot capacity for reuse.
-func (tl *Timeline) reset() { tl.slots = tl.slots[:0] }
+func (tl *Timeline) reset() {
+	tl.slots = tl.slots[:0]
+	tl.maxGap = tl.maxGap[:0]
+}
 
 // Validate checks the slots are sorted and non-overlapping.
 func (tl *Timeline) Validate() error {
