@@ -6,9 +6,12 @@
 // processors (paper section 4), using the store-and-forward model of
 // internal/machine.
 //
-// Every scheduler has the signature
+// Every algorithm is a row of one table in the paper's order, and
+// ScheduleHet is the only path into it: the plain entry points
 //
 //	func(g *dag.Graph, topo *machine.Topology) (*machine.Schedule, error)
+//
+// and Algorithms are ScheduleHet with nil speeds.
 package apn
 
 import (
@@ -22,48 +25,56 @@ import (
 // Scheduler is the common signature of all APN algorithms.
 type Scheduler func(g *dag.Graph, topo *machine.Topology) (*machine.Schedule, error)
 
-// Algorithms returns the four APN algorithms by name.
+// algorithms is the APN class in the paper's order. Each algorithm
+// takes the speed vector ScheduleHet was given, nil for the homogeneous
+// model, and applies it through newSchedule or machine.NewReplay.
+var algorithms = []struct {
+	name string
+	run  func(*dag.Graph, *machine.Topology, []float64) (*machine.Schedule, error)
+}{
+	{"MH", runMH}, {"DLS", runDLS}, {"BU", runBU}, {"BSA", runBSA},
+}
+
+// Names returns the four APN algorithm names in the paper's order.
+func Names() []string {
+	out := make([]string, len(algorithms))
+	for i, a := range algorithms {
+		out[i] = a.name
+	}
+	return out
+}
+
+// Algorithms returns the four APN algorithms by name, each its
+// ScheduleHet path with nil speeds.
 func Algorithms() map[string]Scheduler {
-	return map[string]Scheduler{
-		"MH":  MH,
-		"DLS": DLS,
-		"BU":  BU,
-		"BSA": BSA,
+	out := make(map[string]Scheduler, len(algorithms))
+	for _, a := range algorithms {
+		out[a.name] = func(g *dag.Graph, topo *machine.Topology) (*machine.Schedule, error) {
+			return ScheduleHet(a.name, g, topo, nil)
+		}
 	}
-}
-
-func checkArgs(g *dag.Graph, topo *machine.Topology) error {
-	if g == nil {
-		return fmt.Errorf("apn: nil graph")
-	}
-	if topo == nil {
-		return fmt.Errorf("apn: nil topology")
-	}
-	return nil
-}
-
-// runs maps algorithm names to their speed-threaded inner entry points.
-var runs = map[string]func(*dag.Graph, *machine.Topology, []float64) (*machine.Schedule, error){
-	"MH":  runMH,
-	"DLS": runDLS,
-	"BU":  runBU,
-	"BSA": runBSA,
+	return out
 }
 
 // ScheduleHet runs the named APN algorithm with per-processor speeds
-// (one positive factor per topology processor, nil for the homogeneous
-// model, where the result is byte-identical to the plain entry point).
-// Placement queries, migration evaluations, and committed execution
-// times are speed-aware; link transfer costs are unaffected.
+// (one factor per topology processor, judged by SetSpeeds; nil for the
+// homogeneous model, the plain entry points' path). Placement queries,
+// migration evaluations, and committed execution times are speed-aware;
+// link transfer costs are unaffected.
 func ScheduleHet(name string, g *dag.Graph, topo *machine.Topology, speeds []float64) (*machine.Schedule, error) {
-	run, ok := runs[name]
-	if !ok {
-		return nil, fmt.Errorf("apn: unknown algorithm %q", name)
+	for _, a := range algorithms {
+		if a.name != name {
+			continue
+		}
+		if g == nil {
+			return nil, fmt.Errorf("apn: nil graph")
+		}
+		if topo == nil {
+			return nil, fmt.Errorf("apn: nil topology")
+		}
+		return a.run(g, topo, speeds)
 	}
-	if err := checkArgs(g, topo); err != nil {
-		return nil, err
-	}
-	return run(g, topo, speeds)
+	return nil, fmt.Errorf("apn: unknown algorithm %q (have %v)", name, Names())
 }
 
 // newSchedule builds an empty schedule with the optional speeds applied.

@@ -34,10 +34,7 @@ import (
 // resulting schedules follow the published behaviour; only the running
 // time constant differs.
 func BSA(g *dag.Graph, topo *machine.Topology) (*machine.Schedule, error) {
-	if err := checkArgs(g, topo); err != nil {
-		return nil, err
-	}
-	return runBSA(g, topo, nil)
+	return ScheduleHet("BSA", g, topo, nil)
 }
 
 // runBSA is BSA with an optional heterogeneous speed vector: the serial

@@ -19,10 +19,7 @@ import (
 // The paper finds BU the fastest APN algorithm but with erratic schedule
 // quality (section 6.4): assignment decisions never revisit start times.
 func BU(g *dag.Graph, topo *machine.Topology) (*machine.Schedule, error) {
-	if err := checkArgs(g, topo); err != nil {
-		return nil, err
-	}
-	return runBU(g, topo, nil)
+	return ScheduleHet("BU", g, topo, nil)
 }
 
 // runBU is BU with an optional heterogeneous speed vector, applied when

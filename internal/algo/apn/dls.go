@@ -29,10 +29,7 @@ import (
 // only until they show that the pair loses it (ESTWithin). The
 // committed pair is the exhaustive scan's.
 func DLS(g *dag.Graph, topo *machine.Topology) (*machine.Schedule, error) {
-	if err := checkArgs(g, topo); err != nil {
-		return nil, err
-	}
-	return runDLS(g, topo, nil)
+	return ScheduleHet("DLS", g, topo, nil)
 }
 
 // dlsPair is one (ready node, processor) candidate. drt is the

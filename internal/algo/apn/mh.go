@@ -27,10 +27,7 @@ import (
 // are routed only while its routing-free lower bound can still beat the
 // best start so far, and only until they show that it cannot.
 func MH(g *dag.Graph, topo *machine.Topology) (*machine.Schedule, error) {
-	if err := checkArgs(g, topo); err != nil {
-		return nil, err
-	}
-	return runMH(g, topo, nil)
+	return ScheduleHet("MH", g, topo, nil)
 }
 
 // runMH is MH with an optional heterogeneous speed vector.

@@ -10,13 +10,15 @@
 // points. ISH (hole filling) and LAST (D_NODE selection) lie outside
 // that space and have their own loops here.
 //
-// Every scheduler has the signature
+// Every algorithm is a row of one table in the paper's order, and
+// ScheduleHet is the only path into it: the plain entry points
 //
 //	func(g *dag.Graph, numProcs int) (*sched.Schedule, error)
 //
-// and returns a complete, validated-by-construction schedule. The
-// schedulers are deterministic: all ties break toward smaller node IDs
-// and lower processor indices.
+// and Algorithms are ScheduleHet with nil speeds. Each returns a
+// complete, validated-by-construction schedule. The schedulers are
+// deterministic: all ties break toward smaller node IDs and lower
+// processor indices.
 package bnp
 
 import (
@@ -31,18 +33,69 @@ import (
 // Scheduler is the common signature of all BNP algorithms.
 type Scheduler func(g *dag.Graph, numProcs int) (*sched.Schedule, error)
 
-// Algorithms returns the six BNP algorithms by name. A map has no
-// order: callers that need one (the paper's tables, a deterministic
-// search) fix it themselves.
-func Algorithms() map[string]Scheduler {
-	return map[string]Scheduler{
-		"HLFET": HLFET,
-		"ISH":   ISH,
-		"ETF":   ETF,
-		"LAST":  LAST,
-		"MCP":   MCP,
-		"DLS":   DLS,
+// algorithms is the BNP class in the paper's order. Each algorithm runs
+// on an empty schedule that sched.AcquireOn prepared; a nil run, filled
+// in by init, is the param combo registered under the algorithm's name.
+var algorithms = []struct {
+	name string
+	run  func(*dag.Graph, *sched.Schedule)
+}{
+	{"HLFET", nil}, {"ISH", runISH}, {"ETF", nil}, {"LAST", runLAST}, {"MCP", nil}, {"DLS", nil},
+}
+
+func init() {
+	for i, a := range algorithms {
+		if a.run == nil {
+			c, ok := param.Lookup(a.name)
+			if !ok {
+				panic("bnp: param combo " + a.name + " not registered")
+			}
+			algorithms[i].run = c.Run
+		}
 	}
+}
+
+// Names returns the six BNP algorithm names in the paper's order.
+func Names() []string {
+	out := make([]string, len(algorithms))
+	for i, a := range algorithms {
+		out[i] = a.name
+	}
+	return out
+}
+
+// Algorithms returns the six BNP algorithms by name, each its
+// ScheduleHet path with nil speeds. A map has no order: Names gives the
+// paper's.
+func Algorithms() map[string]Scheduler {
+	out := make(map[string]Scheduler, len(algorithms))
+	for _, a := range algorithms {
+		out[a.name] = func(g *dag.Graph, numProcs int) (*sched.Schedule, error) {
+			return ScheduleHet(a.name, g, numProcs, nil)
+		}
+	}
+	return out
+}
+
+// ScheduleHet runs the named BNP algorithm on numProcs processors with
+// the given per-processor speed vector (nil for the homogeneous model,
+// the plain entry points' path). The algorithms' priority attributes
+// stay weight-based — only placement queries and execution times are
+// speed-aware; the component schedulers of internal/algo/param add
+// heterogeneity-aware selection rules.
+func ScheduleHet(name string, g *dag.Graph, numProcs int, speeds []float64) (*sched.Schedule, error) {
+	for _, a := range algorithms {
+		if a.name != name {
+			continue
+		}
+		s, err := sched.AcquireOn(g, numProcs, speeds)
+		if err != nil {
+			return nil, err
+		}
+		a.run(g, s)
+		return s, nil
+	}
+	return nil, fmt.Errorf("bnp: unknown algorithm %q (have %v)", name, Names())
 }
 
 // HLFET is the Highest Level First with Estimated Times algorithm of
@@ -83,72 +136,6 @@ func ETF(g *dag.Graph, numProcs int) (*sched.Schedule, error) {
 // SL being the static level, without insertion (combo dl/est/ni/dy).
 func DLS(g *dag.Graph, numProcs int) (*sched.Schedule, error) {
 	return ScheduleHet("DLS", g, numProcs, nil)
-}
-
-func checkArgs(g *dag.Graph, numProcs int) error {
-	if g == nil {
-		return fmt.Errorf("bnp: nil graph")
-	}
-	if numProcs < 1 {
-		return fmt.Errorf("bnp: need at least one processor, got %d", numProcs)
-	}
-	return nil
-}
-
-// runs maps the algorithms with their own loops to those loops, which
-// operate on a prepared (possibly heterogeneous) schedule.
-var runs = map[string]func(*dag.Graph, *sched.Schedule){
-	"ISH":  runISH,
-	"LAST": runLAST,
-}
-
-// combos maps the algorithms that are points of the component space to
-// their registered param combos.
-var combos = map[string]param.Combo{}
-
-func init() {
-	for _, name := range []string{"HLFET", "MCP", "ETF", "DLS"} {
-		c, ok := param.Lookup(name)
-		if !ok {
-			panic("bnp: param combo " + name + " not registered")
-		}
-		combos[name] = c
-	}
-}
-
-// runBNP is the shared entry path of ISH and LAST: validate, acquire a
-// schedule, optionally make it heterogeneous, and hand it to the
-// algorithm's inner loop.
-func runBNP(g *dag.Graph, numProcs int, speeds []float64, run func(*dag.Graph, *sched.Schedule)) (*sched.Schedule, error) {
-	if err := checkArgs(g, numProcs); err != nil {
-		return nil, err
-	}
-	s := sched.Acquire(g, numProcs)
-	if speeds != nil {
-		if err := s.SetSpeeds(speeds); err != nil {
-			s.Release()
-			return nil, err
-		}
-	}
-	run(g, s)
-	return s, nil
-}
-
-// ScheduleHet runs the named BNP algorithm on numProcs processors with
-// the given per-processor speed vector (nil for the homogeneous model,
-// where the result is byte-identical to the plain entry point). The
-// algorithms' priority attributes stay weight-based — only placement
-// queries and execution times are speed-aware; the component schedulers
-// of internal/algo/param add heterogeneity-aware selection rules.
-func ScheduleHet(name string, g *dag.Graph, numProcs int, speeds []float64) (*sched.Schedule, error) {
-	if c, ok := combos[name]; ok {
-		return c.Schedule(g, numProcs, speeds)
-	}
-	run, ok := runs[name]
-	if !ok {
-		return nil, fmt.Errorf("bnp: unknown algorithm %q", name)
-	}
-	return runBNP(g, numProcs, speeds, run)
 }
 
 // scratch is the pooled per-run working state of ISH and LAST: the

@@ -19,7 +19,7 @@ import (
 // that "insertion is better than non-insertion": the hole filling yields
 // dramatic improvements over plain HLFET at almost no complexity cost.
 func ISH(g *dag.Graph, numProcs int) (*sched.Schedule, error) {
-	return runBNP(g, numProcs, nil, runISH)
+	return ScheduleHet("ISH", g, numProcs, nil)
 }
 
 // runISH is the ISH loop on a prepared schedule.

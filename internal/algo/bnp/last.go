@@ -22,7 +22,7 @@ import (
 // algorithm (section 6.2) — localizing communication alone does not
 // shorten the critical path.
 func LAST(g *dag.Graph, numProcs int) (*sched.Schedule, error) {
-	return runBNP(g, numProcs, nil, runLAST)
+	return ScheduleHet("LAST", g, numProcs, nil)
 }
 
 // runLAST is the LAST loop on a prepared schedule.

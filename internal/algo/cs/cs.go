@@ -144,14 +144,9 @@ func partialLength(g *dag.Graph, bl []int64, proc []int, mapped []dag.NodeID, nu
 				drt = arrival
 			}
 		}
-		// Manual placement: earliest gap on the pinned processor.
-		est := drt
-		for _, sl := range out.Slots(proc[n]) {
-			if sl.Finish > est {
-				est = sl.Finish
-			}
-		}
-		out.MustPlace(n, proc[n], est)
+		// Manual placement on the pinned processor, after its last task
+		// (no gap search).
+		out.MustPlace(n, proc[n], max(drt, out.LastFinish(proc[n])))
 	}
 	l := out.Length()
 	out.Release() // trial schedule: only its length is used

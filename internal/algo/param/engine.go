@@ -46,9 +46,10 @@ func resize[T any](buf []T, n int) []T {
 	return make([]T, n)
 }
 
-// run executes the combo on a prepared (possibly heterogeneous)
-// schedule.
-func run(c Combo, g *dag.Graph, s *sched.Schedule) {
+// Run executes the combo on an empty schedule of g prepared by
+// sched.AcquireOn, homogeneous or heterogeneous, and leaves it complete.
+// The combo must be valid (a Lookup result or a Combos point).
+func (c Combo) Run(g *dag.Graph, s *sched.Schedule) {
 	e := acquireEngine(g)
 	defer e.release()
 	e.computePrio(c.Metric, g)

@@ -49,7 +49,7 @@
 //
 // Schedulers run on homogeneous or heterogeneous machines: Schedule
 // takes an optional per-processor speed vector, applied via
-// sched.Schedule.SetSpeeds (execution time ceil(weight/speed)).
+// sched.AcquireOn (execution time ceil(weight/speed)).
 package param
 
 import (
@@ -290,19 +290,10 @@ func (c Combo) Schedule(g *dag.Graph, numProcs int, speeds []float64) (*sched.Sc
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	if g == nil {
-		return nil, fmt.Errorf("param: nil graph")
+	s, err := sched.AcquireOn(g, numProcs, speeds)
+	if err != nil {
+		return nil, err
 	}
-	if numProcs < 1 {
-		return nil, fmt.Errorf("param: need at least one processor, got %d", numProcs)
-	}
-	s := sched.Acquire(g, numProcs)
-	if speeds != nil {
-		if err := s.SetSpeeds(speeds); err != nil {
-			s.Release()
-			return nil, err
-		}
-	}
-	run(c, g, s)
+	c.Run(g, s)
 	return s, nil
 }

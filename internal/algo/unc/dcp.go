@@ -30,10 +30,7 @@ import (
 // published algorithm keeps them floating until the end; committing
 // keeps every intermediate schedule concrete and validated).
 func DCP(g *dag.Graph) (*sched.Schedule, error) {
-	if err := checkGraph(g); err != nil {
-		return nil, err
-	}
-	return runDCP(g, nil)
+	return ScheduleHet("DCP", g, nil)
 }
 
 // runDCP is DCP with an optional heterogeneous speed prefix: placement

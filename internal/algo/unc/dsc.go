@@ -24,10 +24,7 @@ import (
 // because every non-reducing node opens a new cluster (Figure 3a) — are
 // driven by the merge rule implemented here.
 func DSC(g *dag.Graph) (*sched.Schedule, error) {
-	if err := checkGraph(g); err != nil {
-		return nil, err
-	}
-	return runDSC(g, nil)
+	return ScheduleHet("DSC", g, nil)
 }
 
 // runDSC is DSC with an optional heterogeneous speed prefix: the

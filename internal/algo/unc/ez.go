@@ -26,10 +26,7 @@ import (
 // exceeds the best one; only the final assignment is built into a
 // schedule, so a decision trace holds one placement record per node.
 func EZ(g *dag.Graph) (*sched.Schedule, error) {
-	if err := checkGraph(g); err != nil {
-		return nil, err
-	}
-	return runEZ(g, nil)
+	return ScheduleHet("EZ", g, nil)
 }
 
 // runEZ is EZ with an optional heterogeneous speed prefix: both the

@@ -18,10 +18,7 @@ import (
 // Like EZ, LC pays no attention to processor economy: the paper observes
 // it uses more than 100 processors on 500-node graphs (section 6.4.2).
 func LC(g *dag.Graph) (*sched.Schedule, error) {
-	if err := checkGraph(g); err != nil {
-		return nil, err
-	}
-	return runLC(g, nil)
+	return ScheduleHet("LC", g, nil)
 }
 
 // runLC is LC with an optional heterogeneous speed prefix applied to

@@ -28,10 +28,7 @@ import (
 // order still follows the dynamic critical path, which is the behaviour
 // the paper's comparisons rest on.
 func MD(g *dag.Graph) (*sched.Schedule, error) {
-	if err := checkGraph(g); err != nil {
-		return nil, err
-	}
-	return runMD(g, nil)
+	return ScheduleHet("MD", g, nil)
 }
 
 // runMD is MD with an optional heterogeneous speed prefix: placement

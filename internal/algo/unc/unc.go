@@ -5,13 +5,15 @@
 // its own cluster, and clusters are merged when doing so promises a
 // shorter schedule (paper section 4).
 //
-// Every scheduler has the signature
+// Every algorithm is a row of one table in the paper's order, and
+// ScheduleHet is the only path into it: the plain entry points
 //
 //	func(g *dag.Graph) (*sched.Schedule, error)
 //
-// and returns a complete schedule on at most NumNodes processors, one
-// processor per final cluster. The number of processors actually used is
-// itself a benchmark measure (paper Figure 3a).
+// and Algorithms are ScheduleHet with nil speeds. Each returns a
+// complete schedule on at most NumNodes processors, one processor per
+// final cluster. The number of processors actually used is itself a
+// benchmark measure (paper Figure 3a).
 package unc
 
 import (
@@ -25,70 +27,76 @@ import (
 // Scheduler is the common signature of all UNC algorithms.
 type Scheduler func(g *dag.Graph) (*sched.Schedule, error)
 
-// Algorithms returns the five UNC algorithms by name.
+// algorithms is the UNC class in the paper's order. Each algorithm
+// takes the graph and the speed vector ScheduleHet checked, nil for the
+// homogeneous model.
+var algorithms = []struct {
+	name string
+	run  func(*dag.Graph, []float64) (*sched.Schedule, error)
+}{
+	{"EZ", runEZ}, {"LC", runLC}, {"DSC", runDSC}, {"MD", runMD}, {"DCP", runDCP},
+}
+
+// Names returns the five UNC algorithm names in the paper's order.
+func Names() []string {
+	out := make([]string, len(algorithms))
+	for i, a := range algorithms {
+		out[i] = a.name
+	}
+	return out
+}
+
+// Algorithms returns the five UNC algorithms by name, each its
+// ScheduleHet path with nil speeds.
 func Algorithms() map[string]Scheduler {
-	return map[string]Scheduler{
-		"EZ":  EZ,
-		"LC":  LC,
-		"DSC": DSC,
-		"MD":  MD,
-		"DCP": DCP,
+	out := make(map[string]Scheduler, len(algorithms))
+	for _, a := range algorithms {
+		out[a.name] = func(g *dag.Graph) (*sched.Schedule, error) { return ScheduleHet(a.name, g, nil) }
 	}
-}
-
-func checkGraph(g *dag.Graph) error {
-	if g == nil {
-		return fmt.Errorf("unc: nil graph")
-	}
-	return nil
-}
-
-// runs maps algorithm names to their speed-threaded inner entry points.
-var runs = map[string]func(*dag.Graph, []float64) (*sched.Schedule, error){
-	"EZ":  runEZ,
-	"LC":  runLC,
-	"DSC": runDSC,
-	"MD":  runMD,
-	"DCP": runDCP,
+	return out
 }
 
 // ScheduleHet runs the named UNC algorithm with per-processor speeds.
 // UNC algorithms open processors as they cluster, up to one per node, so
 // speeds must cover g.NumNodes() processors (at least one); every
 // schedule the algorithm builds — including tentative estimates — uses
-// the matching prefix, so clustering decisions see the heterogeneous
-// execution times. Nil speeds reproduce the plain entry point
-// byte-identically.
+// a prefix of that cover, so clustering decisions see the heterogeneous
+// execution times. Nil speeds is the plain entry points' path.
 func ScheduleHet(name string, g *dag.Graph, speeds []float64) (*sched.Schedule, error) {
-	run, ok := runs[name]
-	if !ok {
-		return nil, fmt.Errorf("unc: unknown algorithm %q", name)
-	}
-	if err := checkGraph(g); err != nil {
-		return nil, err
-	}
-	if speeds != nil {
-		need := max(g.NumNodes(), 1)
-		if len(speeds) < need {
-			return nil, fmt.Errorf("unc: %d speed factors cannot cover %d processors", len(speeds), need)
+	for _, a := range algorithms {
+		if a.name != name {
+			continue
 		}
-		for p, sp := range speeds {
-			if !(sp > 0) {
-				return nil, fmt.Errorf("unc: speed factor %g for processor %d must be positive", sp, p)
+		if g == nil {
+			return nil, fmt.Errorf("unc: nil graph")
+		}
+		if speeds != nil {
+			need := max(g.NumNodes(), 1)
+			if len(speeds) < need {
+				return nil, fmt.Errorf("unc: %d speed factors cannot cover %d processors", len(speeds), need)
 			}
+			// SetSpeeds judges the cover; every prefix of a cover it
+			// accepts is accepted too, so no later acquire can fail.
+			s, err := sched.AcquireOn(g, need, speeds[:need])
+			if err != nil {
+				return nil, err
+			}
+			s.Release()
 		}
+		return a.run(g, speeds)
 	}
-	return run(g, speeds)
+	return nil, fmt.Errorf("unc: unknown algorithm %q (have %v)", name, Names())
 }
 
 // acquire returns an empty schedule on numProcs processors with the
-// optional speed prefix applied. ScheduleHet validated the vector.
+// optional speed prefix applied. ScheduleHet judged the cover.
 func acquire(g *dag.Graph, numProcs int, speeds []float64) *sched.Schedule {
-	s := sched.Acquire(g, numProcs)
 	if speeds != nil {
-		if err := s.SetSpeeds(speeds[:numProcs]); err != nil {
-			panic(err)
-		}
+		speeds = speeds[:numProcs]
+	}
+	s, err := sched.AcquireOn(g, numProcs, speeds)
+	if err != nil {
+		panic(err)
 	}
 	return s
 }

@@ -131,15 +131,16 @@ func All() []Algorithm {
 	return out
 }
 
-// ByClass returns the algorithms of one class in canonical order.
+// ByClass returns the algorithms of one class in canonical order, the
+// order of the class package's table.
 func ByClass(c Class) []Algorithm {
 	switch c {
 	case BNP:
-		return named(bnpAlgorithm, "HLFET", "ISH", "ETF", "LAST", "MCP", "DLS")
+		return named(bnpAlgorithm, bnp.Names())
 	case UNC:
-		return named(uncAlgorithm, "EZ", "LC", "DSC", "MD", "DCP")
+		return named(uncAlgorithm, unc.Names())
 	case APN:
-		return named(apnAlgorithm, "MH", "DLS", "BU", "BSA")
+		return named(apnAlgorithm, apn.Names())
 	}
 	return nil
 }
@@ -156,7 +157,7 @@ func ParamAlgorithm(c param.Combo) Algorithm {
 }
 
 // named builds the algorithms of one class, in the given order.
-func named(mk func(name string) Algorithm, names ...string) []Algorithm {
+func named(mk func(name string) Algorithm, names []string) []Algorithm {
 	out := make([]Algorithm, len(names))
 	for i, name := range names {
 		out[i] = mk(name)
@@ -166,7 +167,7 @@ func named(mk func(name string) Algorithm, names ...string) []Algorithm {
 
 // bnpAlgorithm, uncAlgorithm and apnAlgorithm register the named
 // algorithm of their class. Each runs through the class's ScheduleHet,
-// which for nil speeds is the plain entry point byte for byte.
+// the only entry path of every algorithm.
 func bnpAlgorithm(name string) Algorithm {
 	return Algorithm{Name: name, Class: BNP, kernel: func(g *dag.Graph, procs int, speeds []float64, _ *machine.Topology) (*sched.Schedule, *machine.Schedule, error) {
 		s, err := bnp.ScheduleHet(name, g, procs, speeds)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/algo/apn"
@@ -142,21 +143,41 @@ func TestRunOnHeterogeneousAllAlgorithms(t *testing.T) {
 }
 
 // TestRunOnRejectsBadSpeeds checks the heterogeneous entry points
-// reject malformed speed vectors for every class.
+// reject malformed speed vectors for every class. The value cases are
+// full length for their class (8 processors for BNP and PARAM, one per
+// node for UNC, the topology's for APN), so each reaches the values
+// rather than failing on length; "tiny" stretches the graph's work past
+// the 2^62 weight bound, where execution times would wrap.
 func TestRunOnRejectsBadSpeeds(t *testing.T) {
 	g, err := gen.Generate("rgnos", 5, gen.Params{"v": "20", "ccr": "1.0"})
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
 	topo := machine.Hypercube(3)
-	bad := map[string][]float64{
-		"short":    {1.0},
-		"zero":     {1, 1, 1, 0, 1, 1, 1, 1},
-		"negative": {1, 1, 1, -2, 1, 1, 1, 1},
+	const procs = 8
+	// full returns n unit factors but v on processor 3.
+	full := func(n int, v float64) []float64 {
+		sp := uniformSpeeds(n)
+		sp[3] = v
+		return sp
 	}
-	for _, a := range All() {
+	for _, a := range append(All(), Parameterized()...) {
+		n := procs
+		switch a.Class {
+		case UNC:
+			n = g.NumNodes()
+		case APN:
+			n = topo.NumProcs()
+		}
+		bad := map[string][]float64{
+			"short":    {1.0},
+			"zero":     full(n, 0),
+			"negative": full(n, -2),
+			"infinite": full(n, math.Inf(1)),
+			"tiny":     full(n, 1e-300),
+		}
 		for label, sp := range bad {
-			if _, err := a.RunOn(g, 8, sp, topo); err == nil {
+			if _, err := a.RunOn(g, procs, sp, topo); err == nil {
 				t.Errorf("%s (%s) accepted %s speed vector %v", a.Name, a.Class, label, sp)
 			}
 		}

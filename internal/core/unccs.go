@@ -21,7 +21,6 @@ func UNCCS(cfg Config) error {
 	bySize := suiteCacheFor(cfg).rgnosSuite(cfg)
 	sizes := rgnosSizes(cfg.Scale)
 
-	uncAlgos := unc.Algorithms()
 	mappers := cs.Mappers()
 	// Each cell is one pipeline applied to one graph, planned in the
 	// table's column-major row order: the BNP columns, then every
@@ -40,7 +39,7 @@ func UNCCS(cfg Config) error {
 			for _, m := range []string{"SARKAR", "RCP"} {
 				for _, ng := range bySize[v] {
 					p.add(func() (float64, error) {
-						clustering, err := uncAlgos[u](ng.G)
+						clustering, err := unc.ScheduleHet(u, ng.G, nil)
 						if err != nil {
 							return 0, fmt.Errorf("unccs: %s on %s: %w", u, ng.Name, err)
 						}

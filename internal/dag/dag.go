@@ -330,7 +330,7 @@ func (b *Builder) NumNodes() int { return len(b.weight) }
 // lists, by target for predecessor lists). Stability preserves per-node
 // insertion order, so the resulting adjacency is byte-identical to
 // appending into per-node lists. It fails if any recorded construction
-// error exists, if the weights sum past maxTotalWeight, if an edge was
+// error exists, if the weights sum past MaxTotalWeight, if an edge was
 // added twice, or if the edges form a cycle.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
@@ -396,20 +396,21 @@ func (b *Builder) Build() (*Graph, error) {
 	return g, nil
 }
 
-// maxTotalWeight bounds the sum of all node and edge weights. Every
+// MaxTotalWeight bounds the sum of all node and edge weights. Every
 // path length and level, and every start and finish time of a
 // unit-speed schedule, is at most that sum, so the int64 arithmetic
-// keeps a factor-two margin from wrapping.
-const maxTotalWeight int64 = 1 << 62
+// keeps a factor-two margin from wrapping. sched.Tasks.SetSpeeds holds
+// a heterogeneous machine to the same bound.
+const MaxTotalWeight int64 = 1 << 62
 
-// checkTotalWeight rejects weights summing past maxTotalWeight; being
+// checkTotalWeight rejects weights summing past MaxTotalWeight; being
 // non-negative, the running sum cannot overflow before that.
 func checkTotalWeight(nodes, edges []int64) error {
 	var total int64
 	for _, ws := range [2][]int64{nodes, edges} {
 		for _, w := range ws {
-			if w > maxTotalWeight-total {
-				return fmt.Errorf("dag: total node and edge weight exceeds %d", maxTotalWeight)
+			if w > MaxTotalWeight-total {
+				return fmt.Errorf("dag: total node and edge weight exceeds %d", MaxTotalWeight)
 			}
 			total += w
 		}

@@ -254,7 +254,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 
 // TestBuildRejectsWeightOverflow pins the total-weight bound: the
 // weight-overflow fixture is rejected by both readers, and Build
-// accepts a graph whose weights sum to exactly maxTotalWeight but not
+// accepts a graph whose weights sum to exactly MaxTotalWeight but not
 // one past it, counting edge weights too.
 func TestBuildRejectsWeightOverflow(t *testing.T) {
 	f, err := os.Open("testdata/weight-overflow.tg")
@@ -285,13 +285,13 @@ func TestBuildRejectsWeightOverflow(t *testing.T) {
 		_, err := b.Build()
 		return err
 	}
-	if err := build(maxTotalWeight/2, maxTotalWeight/2-3, 3); err != nil {
+	if err := build(MaxTotalWeight/2, MaxTotalWeight/2-3, 3); err != nil {
 		t.Errorf("total weight exactly at the bound rejected: %v", err)
 	}
-	if err := build(maxTotalWeight/2, maxTotalWeight/2-3, 4); err == nil {
+	if err := build(MaxTotalWeight/2, MaxTotalWeight/2-3, 4); err == nil {
 		t.Error("total weight one past the bound accepted (edge weight counted)")
 	}
-	if err := build(maxTotalWeight, 1, 0); err == nil {
+	if err := build(MaxTotalWeight, 1, 0); err == nil {
 		t.Error("total weight one past the bound accepted (node weights)")
 	}
 }

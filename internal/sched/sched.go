@@ -120,6 +120,28 @@ func Acquire(g *dag.Graph, numProcs int) *Schedule {
 	return s
 }
 
+// AcquireOn is the prelude of every clique-model scheduler: it checks
+// the graph and processor count and returns an empty pooled schedule
+// for g on numProcs processors with the speed vector applied (nil for
+// the homogeneous model). A vector SetSpeeds rejects is returned as its
+// error, with nothing left acquired.
+func AcquireOn(g *dag.Graph, numProcs int, speeds []float64) (*Schedule, error) {
+	if g == nil {
+		return nil, fmt.Errorf("sched: nil graph")
+	}
+	if numProcs < 1 {
+		return nil, fmt.Errorf("sched: need at least one processor, got %d", numProcs)
+	}
+	s := Acquire(g, numProcs)
+	if speeds != nil {
+		if err := s.SetSpeeds(speeds); err != nil {
+			s.Release()
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
 // Release returns the schedule to the pool. The caller must not use s
 // afterwards.
 func (s *Schedule) Release() {

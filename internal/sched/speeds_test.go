@@ -26,6 +26,7 @@ func TestSetSpeedsRejections(t *testing.T) {
 		{1.0, -1.0},        // negative
 		{1.0, math.Inf(1)}, // infinite
 		{math.NaN(), 1.0},  // NaN
+		{1.0, 1e-300},      // 12 work units stretched past the weight bound
 	} {
 		if err := s.SetSpeeds(bad); err == nil {
 			t.Errorf("SetSpeeds(%v) succeeded, want error", bad)
@@ -38,6 +39,42 @@ func TestSetSpeedsRejections(t *testing.T) {
 	s.MustPlace(0, 0, 0)
 	if err := s.SetSpeeds([]float64{1.0, 2.0}); err == nil {
 		t.Error("SetSpeeds on a non-empty schedule succeeded, want error")
+	}
+}
+
+// TestSetSpeedsWorkBound pins the work bound of SetSpeeds: the total
+// computation on the slowest processor, rounded up, plus the total
+// communication may reach dag.MaxTotalWeight but not pass it. A graph
+// without computation accepts any positive finite factor.
+func TestSetSpeedsWorkBound(t *testing.T) {
+	b := dag.NewBuilder()
+	b.AddNode(0)
+	b.AddNode(0)
+	b.AddEdge(0, 1, 3)
+	zero := b.MustBuild()
+	if _, err := AcquireOn(zero, 2, []float64{math.SmallestNonzeroFloat64, math.MaxFloat64}); err != nil {
+		t.Errorf("zero-weight graph rejected extreme finite factors: %v", err)
+	}
+
+	b = dag.NewBuilder()
+	b.AddNode(dag.MaxTotalWeight / 2)
+	heavy := b.MustBuild()
+	s, err := AcquireOn(heavy, 2, []float64{1, 0.5})
+	if err != nil {
+		t.Fatalf("work exactly at the bound rejected: %v", err)
+	}
+	s.MustPlace(0, 1, 0)
+	if f := s.FinishOf(0); f != dag.MaxTotalWeight {
+		t.Errorf("FinishOf = %d, want %d", f, dag.MaxTotalWeight)
+	}
+	if _, err := AcquireOn(heavy, 2, []float64{1, 0.25}); err == nil {
+		t.Error("work twice the bound accepted")
+	}
+	if _, err := AcquireOn(nil, 2, nil); err == nil {
+		t.Error("AcquireOn accepted a nil graph")
+	}
+	if _, err := AcquireOn(heavy, 0, nil); err == nil {
+		t.Error("AcquireOn accepted zero processors")
 	}
 }
 

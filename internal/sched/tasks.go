@@ -95,10 +95,14 @@ func (t *Tasks) reset(g *dag.Graph, numProcs int) {
 // SetSpeeds makes the processors heterogeneous: node n on processor p
 // executes for ceil(Weight(n)/speeds[p]) time units. It must be called
 // on an empty schedule (speeds change every execution time, so placed
-// slots would become inconsistent), with one positive factor per
-// processor. The vector is copied. A uniform all-ones vector reproduces
-// the homogeneous model exactly: ceil(w/1) == w. Link transfer costs
-// are unaffected.
+// slots would become inconsistent). It is the one rule for a speed
+// vector: one factor per processor, each positive and finite, and the
+// graph's total computation on the slowest processor, rounded up, plus
+// its total communication at most dag.MaxTotalWeight, the bound
+// dag.Builder puts on unit-speed weights, so every start and finish
+// stays in int64. The vector is copied. A uniform all-ones vector
+// reproduces the homogeneous model exactly: ceil(w/1) == w. Link
+// transfer costs are unaffected.
 func (t *Tasks) SetSpeeds(speeds []float64) error {
 	if t.placed != 0 {
 		return fmt.Errorf("sched: SetSpeeds on a schedule with %d placed tasks", t.placed)
@@ -106,10 +110,19 @@ func (t *Tasks) SetSpeeds(speeds []float64) error {
 	if len(speeds) != len(t.procs) {
 		return fmt.Errorf("sched: %d speed factors for %d processors", len(speeds), len(t.procs))
 	}
+	slowest := 0
 	for p, sp := range speeds {
 		if !(sp > 0) || math.IsInf(sp, 1) {
 			return fmt.Errorf("sched: speed factor %g for processor %d must be positive and finite", sp, p)
 		}
+		if sp < speeds[slowest] {
+			slowest = p
+		}
+	}
+	work := math.Ceil(float64(t.g.TotalComputation()) / speeds[slowest])
+	if work > float64(dag.MaxTotalWeight-t.g.TotalCommunication()) {
+		return fmt.Errorf("sched: speed factor %g for processor %d stretches the total computation to %g, past the weight bound %d",
+			speeds[slowest], slowest, work, dag.MaxTotalWeight)
 	}
 	t.speed = append(t.speed[:0], speeds...)
 	return nil

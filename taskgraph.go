@@ -173,38 +173,30 @@ func AlgorithmNames(c Class) []string { return core.Names(c) }
 // ScheduleBNP runs a BNP algorithm (HLFET, ISH, ETF, LAST, MCP, or DLS)
 // on numProcs fully connected processors.
 func ScheduleBNP(name string, g *Graph, numProcs int) (*Schedule, error) {
-	algo, ok := bnp.Algorithms()[name]
-	if !ok {
-		return nil, fmt.Errorf("taskgraph: unknown BNP algorithm %q (have %v)", name, core.Names(BNP))
-	}
-	return algo(g, numProcs)
+	return bnp.ScheduleHet(name, g, numProcs, nil)
 }
 
 // ScheduleUNC runs a UNC clustering algorithm (EZ, LC, DSC, MD, or DCP)
 // with an unbounded processor supply.
 func ScheduleUNC(name string, g *Graph) (*Schedule, error) {
-	algo, ok := unc.Algorithms()[name]
-	if !ok {
-		return nil, fmt.Errorf("taskgraph: unknown UNC algorithm %q (have %v)", name, core.Names(UNC))
-	}
-	return algo(g)
+	return unc.ScheduleHet(name, g, nil)
 }
 
 // ScheduleAPN runs an APN algorithm (MH, DLS, BU, or BSA) on an
 // arbitrary processor network, scheduling messages on its links.
 func ScheduleAPN(name string, g *Graph, topo *Topology) (*APNSchedule, error) {
-	algo, ok := apn.Algorithms()[name]
-	if !ok {
-		return nil, fmt.Errorf("taskgraph: unknown APN algorithm %q (have %v)", name, core.Names(APN))
-	}
-	return algo(g, topo)
+	return apn.ScheduleHet(name, g, topo, nil)
 }
 
 // Heterogeneous machines (extension): every scheduling entry point has
 // a *Het variant taking a per-processor speed vector; a processor with
-// speed f executes a task of weight w in ceil(w/f) time units. A nil
-// vector is the homogeneous model; uniform (all-ones) speeds reproduce
-// the homogeneous timelines byte-identically.
+// speed f executes a task of weight w in ceil(w/f) time units. The
+// plain entry point is its *Het variant with a nil vector, the
+// homogeneous model; uniform (all-ones) speeds reproduce it
+// byte-identically. One rule judges every vector: each factor positive
+// and finite, and the graph's total computation on the slowest
+// processor plus its total communication within the 2^62 weight bound
+// of graph construction, so no time can wrap.
 
 // ScheduleBNPHet is ScheduleBNP on numProcs processors with the given
 // speeds (len(speeds) must equal numProcs).
