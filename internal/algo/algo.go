@@ -6,7 +6,8 @@
 // depends only on the nodes taken — or re-scored every step, and then
 // the scheduler scans the unordered ReadySet. Both selection rules share
 // one deterministic total order, spelled out by MaxBy: priority
-// descending, ties toward the smaller node ID.
+// descending, ties toward the smaller node ID. ClusterTimes walks the
+// b-level PriorityOrder to time cluster assignments without a schedule.
 //
 // The three subpackages mirror the taxonomy of Kwok & Ahmad (IPPS 1998,
 // section 4): BNP algorithms schedule onto a bounded clique of

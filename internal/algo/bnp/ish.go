@@ -3,6 +3,7 @@ package bnp
 import (
 	"repro/internal/algo"
 	"repro/internal/dag"
+	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -35,7 +36,7 @@ func runISH(g *dag.Graph, s *sched.Schedule) {
 		if !ok {
 			panic("bnp: ISH popped node with unscheduled parent")
 		}
-		tracePriority(n, sl[n])
+		obs.TracePriority(int32(n), sl[n])
 		var holeStart int64
 		if slots := s.Slots(p); len(slots) > 0 {
 			holeStart = slots[len(slots)-1].Finish
@@ -70,7 +71,7 @@ func fillHole(g *dag.Graph, s *sched.Schedule, ready *algo.ReadyHeap, sl []int64
 			return
 		}
 		ready.Remove(best)
-		tracePriority(best, sl[best])
+		obs.TracePriority(int32(best), sl[best])
 		s.MustPlace(best, p, bestStart)
 		ready.MarkScheduled(g, best)
 	}

@@ -3,6 +3,7 @@ package bnp
 import (
 	"repro/internal/algo"
 	"repro/internal/dag"
+	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -48,7 +49,7 @@ func runLAST(g *dag.Graph, s *sched.Schedule) {
 			panic("bnp: LAST popped node with unscheduled parent")
 		}
 		// D_NODE is a fraction in [0,1]; stage it in micro-units.
-		tracePriority(best, int64(bestD*1e6))
+		obs.TracePriority(int32(best), int64(bestD*1e6))
 		s.MustPlace(best, p, est)
 		ready.MarkScheduled(g, best)
 	}

@@ -21,6 +21,7 @@ package cs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/algo"
@@ -58,28 +59,51 @@ func clustersOf(s *sched.Schedule) [][]dag.NodeID {
 	return out
 }
 
-// scheduleMapped list-schedules the graph in descending b-level order
-// with every node pinned to the processor its cluster was mapped to.
-func scheduleMapped(g *dag.Graph, proc []int, numProcs int) *sched.Schedule {
-	out := sched.Acquire(g, numProcs)
-	for _, n := range algo.PriorityOrder(g, dag.BLevels(g)) {
+// machineOf judges numProcs for the clustering s and returns the
+// physical machine's speed prefix: the clustering's own first numProcs
+// processors, nil when the clustering is homogeneous.
+func machineOf(s *sched.Schedule, numProcs int) ([]float64, error) {
+	if numProcs < 1 {
+		return nil, fmt.Errorf("cs: need at least one processor, got %d", numProcs)
+	}
+	speeds := s.Speeds()
+	if speeds == nil {
+		return nil, nil
+	}
+	if numProcs > len(speeds) {
+		return nil, fmt.Errorf("cs: %d processors exceed the %d speed factors of the clustering", numProcs, len(speeds))
+	}
+	return speeds[:numProcs], nil
+}
+
+// scheduleMapped list-schedules the graph in the b-level order with
+// every node pinned to the processor its cluster was mapped to.
+func scheduleMapped(g *dag.Graph, order []dag.NodeID, proc []int, numProcs int, speeds []float64) (*sched.Schedule, error) {
+	out, err := sched.AcquireOn(g, numProcs, speeds)
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range order {
 		est, ok := out.ESTOn(n, proc[n], true)
 		if !ok {
 			panic("cs: b-level order not topological")
 		}
 		out.MustPlace(n, proc[n], est)
 	}
-	return out
+	return out, nil
 }
 
 // Sarkar maps clusters onto processors one cluster at a time, in
 // descending order of the clusters' highest b-level, choosing for each
 // cluster the processor that minimizes the schedule length of the
-// partial mapping (estimated by the pinned list schedule above, which
-// interleaves execution orders as Sarkar's algorithm does).
+// partial mapping. The estimate is the cluster-timing kernel
+// algo.ClusterTimes over the mapped nodes, which interleaves execution
+// orders as Sarkar's algorithm does; a try stops as soon as it reaches
+// the best length so far.
 func Sarkar(s *sched.Schedule, numProcs int) (*sched.Schedule, error) {
-	if numProcs < 1 {
-		return nil, fmt.Errorf("cs: need at least one processor, got %d", numProcs)
+	speeds, err := machineOf(s, numProcs)
+	if err != nil {
+		return nil, err
 	}
 	g := s.Graph()
 	clusters := clustersOf(s)
@@ -92,65 +116,25 @@ func Sarkar(s *sched.Schedule, numProcs int) (*sched.Schedule, error) {
 	for i := range proc {
 		proc[i] = -1
 	}
-	mapped := make([]dag.NodeID, 0, g.NumNodes())
+	k := algo.NewClusterTimes(g, numProcs, speeds)
 	for _, cluster := range clusters {
-		bestProc := -1
-		var bestLen int64
+		bestProc := 0
+		bestLen := int64(math.MaxInt64)
 		for p := 0; p < numProcs; p++ {
 			for _, n := range cluster {
 				proc[n] = p
 			}
-			l := partialLength(g, bl, proc, append(mapped, cluster...), numProcs)
-			if bestProc == -1 || l < bestLen {
+			// A try completes only below the best length so far: the
+			// strict choice, with the first try in effect unbounded.
+			if l, ok := k.Run(proc, bestLen-1); ok {
 				bestProc, bestLen = p, l
 			}
 		}
 		for _, n := range cluster {
 			proc[n] = bestProc
 		}
-		mapped = append(mapped, cluster...)
 	}
-	return scheduleMapped(g, proc, numProcs), nil
-}
-
-// partialLength estimates the schedule length of the already-mapped
-// nodes by list-scheduling the induced subgraph in the b-level order bl.
-func partialLength(g *dag.Graph, bl []int64, proc []int, mapped []dag.NodeID, numProcs int) int64 {
-	inSet := make([]bool, g.NumNodes())
-	for _, n := range mapped {
-		inSet[n] = true
-	}
-	order := append([]dag.NodeID(nil), mapped...)
-	sort.SliceStable(order, func(i, j int) bool {
-		if bl[order[i]] != bl[order[j]] {
-			return bl[order[i]] > bl[order[j]]
-		}
-		return order[i] < order[j]
-	})
-	out := sched.Acquire(g, numProcs)
-	// Place in b-level order, skipping dependencies outside the mapped
-	// set (their data is treated as available at time 0).
-	for _, n := range order {
-		drt := int64(0)
-		for _, pr := range g.Preds(n) {
-			if !inSet[pr.To] {
-				continue
-			}
-			arrival := out.FinishOf(pr.To)
-			if out.ProcOf(pr.To) != proc[n] {
-				arrival += pr.Weight
-			}
-			if arrival > drt {
-				drt = arrival
-			}
-		}
-		// Manual placement on the pinned processor, after its last task
-		// (no gap search).
-		out.MustPlace(n, proc[n], max(drt, out.LastFinish(proc[n])))
-	}
-	l := out.Length()
-	out.Release() // trial schedule: only its length is used
-	return l
+	return scheduleMapped(g, k.Order(), proc, numProcs, speeds)
 }
 
 func maxBL(bl []int64, cluster []dag.NodeID) int64 {
@@ -167,8 +151,9 @@ func maxBL(bl []int64, cluster []dag.NodeID) int64 {
 // computation (largest cluster to the least-loaded processor), ignoring
 // execution order during merging, then list-schedules the pinned nodes.
 func RCP(s *sched.Schedule, numProcs int) (*sched.Schedule, error) {
-	if numProcs < 1 {
-		return nil, fmt.Errorf("cs: need at least one processor, got %d", numProcs)
+	speeds, err := machineOf(s, numProcs)
+	if err != nil {
+		return nil, err
 	}
 	g := s.Graph()
 	clusters := clustersOf(s)
@@ -196,5 +181,5 @@ func RCP(s *sched.Schedule, numProcs int) (*sched.Schedule, error) {
 		}
 		load[best] += work(cluster)
 	}
-	return scheduleMapped(g, proc, numProcs), nil
+	return scheduleMapped(g, algo.PriorityOrder(g, dag.BLevels(g)), proc, numProcs, speeds)
 }

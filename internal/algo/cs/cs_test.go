@@ -2,11 +2,16 @@ package cs
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
+	"repro/internal/algo"
 	"repro/internal/algo/bnp"
 	"repro/internal/algo/unc"
 	"repro/internal/dag"
+	"repro/internal/gen"
+	"repro/internal/sched"
 )
 
 func randomGraph(rng *rand.Rand, n int, commScale int64) *dag.Graph {
@@ -145,5 +150,146 @@ func TestUNCCSCompetitiveWithBNP(t *testing.T) {
 	}
 	if bnpTotal > 2*csTotal {
 		t.Errorf("BNP total %d far above UNC+CS total %d", bnpTotal, csTotal)
+	}
+}
+
+// partialLength estimates the schedule length of the already-mapped
+// nodes by list-scheduling the induced subgraph in the b-level order bl.
+func partialLength(g *dag.Graph, bl []int64, proc []int, mapped []dag.NodeID, numProcs int) int64 {
+	inSet := make([]bool, g.NumNodes())
+	for _, n := range mapped {
+		inSet[n] = true
+	}
+	order := append([]dag.NodeID(nil), mapped...)
+	sort.SliceStable(order, func(i, j int) bool {
+		if bl[order[i]] != bl[order[j]] {
+			return bl[order[i]] > bl[order[j]]
+		}
+		return order[i] < order[j]
+	})
+	out := sched.Acquire(g, numProcs)
+	// Place in b-level order, skipping dependencies outside the mapped
+	// set (their data is treated as available at time 0).
+	for _, n := range order {
+		drt := int64(0)
+		for _, pr := range g.Preds(n) {
+			if !inSet[pr.To] {
+				continue
+			}
+			arrival := out.FinishOf(pr.To)
+			if out.ProcOf(pr.To) != proc[n] {
+				arrival += pr.Weight
+			}
+			if arrival > drt {
+				drt = arrival
+			}
+		}
+		// Manual placement on the pinned processor, after its last task
+		// (no gap search).
+		out.MustPlace(n, proc[n], max(drt, out.LastFinish(proc[n])))
+	}
+	l := out.Length()
+	out.Release() // trial schedule: only its length is used
+	return l
+}
+
+// oracleSarkar is Sarkar's assignment algorithm scoring every try with
+// partialLength, the estimate the cluster-timing kernel replaced: a
+// sorted copy of the mapped set placed on a fresh schedule per try. It
+// is the reference for homogeneous clusterings.
+func oracleSarkar(s *sched.Schedule, numProcs int) *sched.Schedule {
+	g := s.Graph()
+	clusters := clustersOf(s)
+	bl := dag.BLevels(g)
+	sort.SliceStable(clusters, func(i, j int) bool {
+		return maxBL(bl, clusters[i]) > maxBL(bl, clusters[j])
+	})
+	proc := make([]int, g.NumNodes())
+	for i := range proc {
+		proc[i] = -1
+	}
+	mapped := make([]dag.NodeID, 0, g.NumNodes())
+	for _, cluster := range clusters {
+		bestProc := -1
+		var bestLen int64
+		for p := 0; p < numProcs; p++ {
+			for _, n := range cluster {
+				proc[n] = p
+			}
+			l := partialLength(g, bl, proc, append(mapped, cluster...), numProcs)
+			if bestProc == -1 || l < bestLen {
+				bestProc, bestLen = p, l
+			}
+		}
+		for _, n := range cluster {
+			proc[n] = bestProc
+		}
+		mapped = append(mapped, cluster...)
+	}
+	out, err := scheduleMapped(g, algo.PriorityOrder(g, bl), proc, numProcs, nil)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// TestSarkarMatchesPartialLengthOracle pins Sarkar to the mappings
+// chosen through partialLength: with positive node weights the b-level
+// falls strictly along every edge, so the kernel's order restricted to
+// the mapped set is partialLength's sorted order.
+func TestSarkarMatchesPartialLengthOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3101))
+	for trial := 0; trial < 12; trial++ {
+		g := randomGraph(rng, 2+rng.Intn(30), 1+rng.Int63n(80))
+		for _, u := range unc.Names() {
+			clustering, err := unc.ScheduleHet(u, g, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []int{1, 2, 4, 8} {
+				got, err := Sarkar(clustering, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := oracleSarkar(clustering, p)
+				if got.String() != want.String() {
+					t.Fatalf("graph %d, %s, p=%d: Sarkar\n%v\noracle\n%v", trial, u, p, got, want)
+				}
+				got.Release()
+				want.Release()
+			}
+			clustering.Release()
+		}
+	}
+}
+
+// TestMappersKeepClusteringSpeeds maps a heterogeneous clustering: the
+// physical machine is the clustering's own first numProcs processors,
+// so the mapped schedule carries that speed prefix, and asking for more
+// processors than the clustering has speeds for is an error.
+func TestMappersKeepClusteringSpeeds(t *testing.T) {
+	g := gen.RGNOSGraph(rand.New(rand.NewSource(48)), 20, 1, 1)
+	speeds := slices.Repeat([]float64{0.25}, g.NumNodes())
+	clustering, err := unc.ScheduleHet("DSC", g, speeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clustering.Release()
+	for name, mapper := range Mappers() {
+		s, err := mapper(clustering, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(s.Speeds(), speeds[:4]) {
+			t.Errorf("%s: mapped speeds %v, want %v", name, s.Speeds(), speeds[:4])
+		}
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		s.Release()
+		if _, err := mapper(clustering, clustering.NumProcs()+1); err == nil {
+			t.Errorf("%s accepted %d processors for a clustering with %d speed factors",
+				name, clustering.NumProcs()+1, clustering.NumProcs())
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/dag"
+	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -64,7 +65,7 @@ func (c Combo) Run(g *dag.Graph, s *sched.Schedule) {
 		for !ready.Empty() {
 			n := ready.PopMax()
 			p, est, _ := e.eval(c, s, n)
-			tracePriority(n, e.prio[n])
+			obs.TracePriority(int32(n), e.prio[n])
 			s.MustPlace(n, int(p), est)
 			ready.MarkScheduled(g, n)
 		}
@@ -117,7 +118,7 @@ func (c Combo) Run(g *dag.Graph, s *sched.Schedule) {
 		}
 		placed := e.bestProc[bestNode]
 		ready.Pop(bestNode)
-		tracePriority(bestNode, bestVal)
+		obs.TracePriority(int32(bestNode), bestVal)
 		s.MustPlace(bestNode, int(placed), e.bestEST[bestNode])
 		for _, m := range ready.Ready() {
 			if e.bestProc[m] == placed {

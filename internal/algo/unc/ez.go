@@ -22,7 +22,8 @@ import (
 // greedy BNP algorithms (section 6.1), at O(e·(e+v)) cost.
 //
 // Implementation note: a merge is scored by the schedule-free length
-// kernel (clusterTimes), which stops as soon as the partial length
+// kernel shared with LC and Sarkar's cluster mapper
+// (algo.ClusterTimes), which stops as soon as the partial length
 // exceeds the best one; only the final assignment is built into a
 // schedule, so a decision trace holds one placement record per node.
 func EZ(g *dag.Graph) (*sched.Schedule, error) {
@@ -58,14 +59,13 @@ func runEZ(g *dag.Graph, speeds []float64) (*sched.Schedule, error) {
 		return edges[i].to < edges[j].to
 	})
 
-	order := algo.PriorityOrder(g, dag.BLevels(g))
 	assign := make([]int, n) // node -> cluster label
 	members := make([][]dag.NodeID, n)
 	for v := 0; v < n; v++ {
 		assign[v] = v
 		members[v] = []dag.NodeID{dag.NodeID(v)}
 	}
-	k := newClusterTimes(g, order, n, speeds)
+	k := algo.NewClusterTimes(g, n, speeds)
 	merge := func(dst, src int) {
 		for _, m := range members[src] {
 			assign[m] = dst
@@ -74,7 +74,7 @@ func runEZ(g *dag.Graph, speeds []float64) (*sched.Schedule, error) {
 		members[src] = nil
 	}
 
-	best, _ := k.run(assign, math.MaxInt64)
+	best, _ := k.Run(assign, math.MaxInt64)
 	for _, e := range edges {
 		cu, cv := assign[e.from], assign[e.to]
 		if cu == cv {
@@ -86,7 +86,7 @@ func runEZ(g *dag.Graph, speeds []float64) (*sched.Schedule, error) {
 		}
 		moved := len(members[cv])
 		merge(cu, cv)
-		if l, ok := k.run(assign, best); ok {
+		if l, ok := k.Run(assign, best); ok {
 			best = l // keep the merge
 			continue
 		}
@@ -98,5 +98,5 @@ func runEZ(g *dag.Graph, speeds []float64) (*sched.Schedule, error) {
 		members[cv] = append(members[cv], tail...)
 		members[cu] = members[cu][:len(members[cu])-moved]
 	}
-	return k.schedule(assign), nil
+	return k.Schedule(assign), nil
 }

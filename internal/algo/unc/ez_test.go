@@ -3,7 +3,6 @@ package unc
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -16,7 +15,8 @@ import (
 // oracleAssignment is the whole-schedule cluster ordering the length
 // kernel replaced: every node queried and placed on a clique schedule
 // in order, at its earliest non-insertion start on its processor. It
-// survives only as the reference clusterTimes is pinned to.
+// survives only as the reference EZ's merge scores are pinned to; the
+// kernel itself is pinned in package algo.
 func oracleAssignment(g *dag.Graph, order []dag.NodeID, assign []int, numProcs int, speeds []float64) *sched.Schedule {
 	s := acquire(g, numProcs, speeds)
 	for _, n := range order {
@@ -30,7 +30,8 @@ func oracleAssignment(g *dag.Graph, order []dag.NodeID, assign []int, numProcs i
 }
 
 // kernelCase is a graph, a cluster assignment on numProcs processors
-// and an optional speed vector covering them.
+// and an optional speed vector covering them; EZ's oracle test uses the
+// graph and the speeds.
 type kernelCase struct {
 	g        *dag.Graph
 	assign   []int
@@ -71,106 +72,6 @@ func randomKernelCase(rng *rand.Rand) kernelCase {
 		}
 	}
 	return c
-}
-
-// assertKernelMatchesOracle checks clusterTimes against the
-// whole-schedule oracle: equal length and starts, the bound honoured
-// exactly at the length, and the built schedule equal to the oracle's.
-func assertKernelMatchesOracle(t *testing.T, label string, c kernelCase) {
-	t.Helper()
-	order := algo.PriorityOrder(c.g, dag.BLevels(c.g))
-	want := oracleAssignment(c.g, order, c.assign, c.numProcs, c.speeds)
-	defer want.Release()
-	k := newClusterTimes(c.g, order, c.numProcs, c.speeds)
-	l, ok := k.run(c.assign, math.MaxInt64)
-	if !ok || l != want.Length() {
-		t.Fatalf("%s: kernel length %d (complete %v), schedule length %d", label, l, ok, want.Length())
-	}
-	for v := 0; v < c.g.NumNodes(); v++ {
-		if k.start[v] != want.StartOf(dag.NodeID(v)) || k.fin[v] != want.FinishOf(dag.NodeID(v)) {
-			t.Fatalf("%s: node %d at [%d,%d), schedule says [%d,%d)", label, v,
-				k.start[v], k.fin[v], want.StartOf(dag.NodeID(v)), want.FinishOf(dag.NodeID(v)))
-		}
-	}
-	if _, ok := k.run(c.assign, l); !ok {
-		t.Fatalf("%s: bound %d equal to the length stopped the pass", label, l)
-	}
-	if l > 0 {
-		if _, ok := k.run(c.assign, l-1); ok {
-			t.Fatalf("%s: bound %d below the length %d completed the pass", label, l-1, l)
-		}
-	}
-	got := k.schedule(c.assign)
-	defer got.Release()
-	if got.String() != want.String() {
-		t.Fatalf("%s: built schedule\n%v\noracle\n%v", label, got, want)
-	}
-}
-
-func TestClusterTimesMatchesSchedule(t *testing.T) {
-	rng := rand.New(rand.NewSource(2301))
-	for i := 0; i < 400; i++ {
-		assertKernelMatchesOracle(t, fmt.Sprintf("case %d", i), randomKernelCase(rng))
-	}
-}
-
-// decodeKernelCase builds a kernel case from arbitrary bytes: the first
-// byte picks the node count (1 to 24), the second the processor count,
-// the third whether speeds are used (and seeds them); then one byte per
-// node gives its weight (0 to 7) and its processor, and every following
-// triple (i, j, c) an edge from the smaller index to the larger with
-// cost c mod 16. Self-loops and repeated pairs are dropped. It reports
-// false for inputs under three bytes.
-func decodeKernelCase(data []byte) (kernelCase, bool) {
-	if len(data) < 3 {
-		return kernelCase{}, false
-	}
-	n := int(data[0])%24 + 1
-	c := kernelCase{numProcs: int(data[1])%n + 1, assign: make([]int, n)}
-	if data[2]%2 == 1 {
-		rng := rand.New(rand.NewSource(int64(data[2])))
-		c.speeds = make([]float64, n)
-		for p := range c.speeds {
-			c.speeds[p] = 0.5 + 2.5*rng.Float64()
-		}
-	}
-	data = data[3:]
-	b := dag.NewBuilder()
-	for i := 0; i < n; i++ {
-		var x byte
-		if i < len(data) {
-			x = data[i]
-		}
-		b.AddNode(int64(x % 8))
-		c.assign[i] = int(x/8) % c.numProcs
-	}
-	data = data[min(n, len(data)):]
-	seen := map[[2]int]bool{}
-	for ; len(data) >= 3; data = data[3:] {
-		i, j := int(data[0])%n, int(data[1])%n
-		if i > j {
-			i, j = j, i
-		}
-		if i == j || seen[[2]int{i, j}] {
-			continue
-		}
-		seen[[2]int{i, j}] = true
-		b.AddEdge(dag.NodeID(i), dag.NodeID(j), int64(data[2]%16))
-	}
-	c.g = b.MustBuild()
-	return c, true
-}
-
-func FuzzClusterTimes(f *testing.F) {
-	f.Add([]byte{2, 1, 0, 9, 17, 0, 1, 5})
-	f.Add([]byte{7, 3, 1, 2, 8, 19, 0, 33, 12, 4, 0, 1, 9, 0, 2, 0, 1, 3, 4, 15, 2, 5, 7, 4, 6, 2, 3, 6, 1})
-	f.Add([]byte{23, 9, 3, 1, 2, 3, 40, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2,
-		0, 5, 3, 1, 7, 0, 2, 9, 8, 5, 12, 4, 3, 20, 11, 6, 22, 1, 10, 15, 6, 14, 18, 9})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if c, ok := decodeKernelCase(data); ok {
-			assertKernelMatchesOracle(t, fmt.Sprintf("fuzz case %x", data), c)
-		}
-	})
 }
 
 // oracleEZ is EZ scoring every merge with a whole oracleAssignment

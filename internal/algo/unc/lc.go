@@ -109,5 +109,5 @@ func runLC(g *dag.Graph, speeds []float64) (*sched.Schedule, error) {
 			cur = next
 		}
 	}
-	return newClusterTimes(g, algo.PriorityOrder(g, dag.BLevels(g)), nextCluster, speeds).schedule(assign), nil
+	return algo.NewClusterTimes(g, nextCluster, speeds).Schedule(assign), nil
 }

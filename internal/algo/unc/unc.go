@@ -18,7 +18,6 @@ package unc
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dag"
 	"repro/internal/sched"
@@ -97,76 +96,6 @@ func acquire(g *dag.Graph, numProcs int, speeds []float64) *sched.Schedule {
 	s, err := sched.AcquireOn(g, numProcs, speeds)
 	if err != nil {
 		panic(err)
-	}
-	return s
-}
-
-// clusterTimes is the schedule-free kernel of the cluster-ordering step
-// shared by EZ and LC: nodes are placed in a fixed order, which must be
-// topological, each at its earliest start on its assigned processor
-// without insertion. Both pass the b-level order
-// algo.PriorityOrder(g, dag.BLevels(g)). A placement in that model
-// depends only on the finishes of the node's parents and of the
-// processor's previous node, so one pass over the order computes every
-// start without building a schedule.
-type clusterTimes struct {
-	g          *dag.Graph
-	order      []dag.NodeID
-	speeds     []float64 // the prefix for numProcs processors, nil for uniform
-	start, fin []int64   // per node, valid after a complete pass
-	last       []int64   // per processor: the finish of its latest node
-}
-
-// newClusterTimes returns the kernel for g on numProcs processors with
-// the optional speed prefix (see acquire).
-func newClusterTimes(g *dag.Graph, order []dag.NodeID, numProcs int, speeds []float64) *clusterTimes {
-	if speeds != nil {
-		speeds = speeds[:numProcs]
-	}
-	n := g.NumNodes()
-	return &clusterTimes{
-		g: g, order: order, speeds: speeds,
-		start: make([]int64, n), fin: make([]int64, n), last: make([]int64, numProcs),
-	}
-}
-
-// run places the nodes of the order under assign (node -> processor):
-//
-//	start(v) = max(last[assign[v]], max over parents u of fin[u] + w(u,v)·[assign[u] ≠ assign[v]])
-//
-// and returns the schedule length. The length never shrinks during a
-// pass, so run stops at the first finish above bound and reports false;
-// a complete pass reports true.
-func (k *clusterTimes) run(assign []int, bound int64) (int64, bool) {
-	clear(k.last)
-	var length int64
-	for _, v := range k.order {
-		c := assign[v]
-		st := k.last[c]
-		for _, pr := range k.g.Preds(v) {
-			t := k.fin[pr.To]
-			if assign[pr.To] != c {
-				t += pr.Weight
-			}
-			st = max(st, t)
-		}
-		f := st + sched.ScaledTime(k.g.Weight(v), k.speeds, c)
-		if f > bound {
-			return f, false
-		}
-		k.start[v], k.fin[v], k.last[c] = st, f, f
-		length = max(length, f)
-	}
-	return length, true
-}
-
-// schedule converts assign into a concrete schedule: one complete pass,
-// then every node placed at its computed start.
-func (k *clusterTimes) schedule(assign []int) *sched.Schedule {
-	k.run(assign, math.MaxInt64)
-	s := acquire(k.g, len(k.last), k.speeds)
-	for _, v := range k.order {
-		s.MustPlace(v, assign[v], k.start[v])
 	}
 	return s
 }

@@ -162,6 +162,17 @@ func (t *Tracer) Priority(node int32, prio int64) {
 	t.mu.Unlock()
 }
 
+// TracePriority stages node's selection priority on the active tracer
+// when a run is open (see Priority). The disabled path is one atomic
+// load and a nil check; schedulers call it once per placement, not per
+// candidate. What each algorithm stages is documented in
+// docs/observability.md.
+func TracePriority(node int32, prio int64) {
+	if t := ActiveTracer(); t != nil && t.InRun() {
+		t.Priority(node, prio)
+	}
+}
+
 // CandidateBuf returns a reusable empty candidate slice; the placement
 // hook fills it and hands it back through Placement, so steady-state
 // traced runs do not grow garbage per record.

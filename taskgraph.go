@@ -300,7 +300,10 @@ func ScheduleDSH(g *Graph, numProcs int) (*DupSchedule, error) {
 // MapClusters compresses a UNC clustering onto numProcs physical
 // processors with a cluster-scheduling algorithm: "SARKAR" (Sarkar's
 // assignment algorithm) or "RCP" (Yang's ready critical path), the two
-// CS algorithms paper section 7 describes.
+// CS algorithms paper section 7 describes. The machine is the
+// clustering's own first numProcs processors: the mapped schedule keeps
+// their speed factors, and a heterogeneous clustering with fewer than
+// numProcs processors is an error.
 func MapClusters(method string, clustering *Schedule, numProcs int) (*Schedule, error) {
 	m, ok := cs.Mappers()[method]
 	if !ok {
