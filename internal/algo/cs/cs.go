@@ -148,8 +148,11 @@ func maxBL(bl []int64, cluster []dag.NodeID) int64 {
 }
 
 // RCP wrap-maps clusters onto processors by descending aggregate
-// computation (largest cluster to the least-loaded processor), ignoring
-// execution order during merging, then list-schedules the pinned nodes.
+// computation, ignoring execution order during merging, then
+// list-schedules the pinned nodes. Each cluster goes to the processor
+// whose load is least once the cluster's work, scaled by that
+// processor's speed, is added, ties to the lower index; on a
+// homogeneous machine that is the least-loaded processor.
 func RCP(s *sched.Schedule, numProcs int) (*sched.Schedule, error) {
 	speeds, err := machineOf(s, numProcs)
 	if err != nil {
@@ -169,17 +172,24 @@ func RCP(s *sched.Schedule, numProcs int) (*sched.Schedule, error) {
 	})
 	proc := make([]int, g.NumNodes())
 	load := make([]int64, numProcs)
+	scaled := func(cluster []dag.NodeID, p int) int64 {
+		var w int64
+		for _, n := range cluster {
+			w += sched.ScaledTime(g.Weight(n), speeds, p)
+		}
+		return w
+	}
 	for _, cluster := range clusters {
-		best := 0
+		best, bestLoad := 0, load[0]+scaled(cluster, 0)
 		for p := 1; p < numProcs; p++ {
-			if load[p] < load[best] {
-				best = p
+			if l := load[p] + scaled(cluster, p); l < bestLoad {
+				best, bestLoad = p, l
 			}
 		}
 		for _, n := range cluster {
 			proc[n] = best
 		}
-		load[best] += work(cluster)
+		load[best] = bestLoad
 	}
 	return scheduleMapped(g, algo.PriorityOrder(g, dag.BLevels(g)), proc, numProcs, speeds)
 }

@@ -121,6 +121,36 @@ func TestRCPBalancesLoad(t *testing.T) {
 	}
 }
 
+// TestRCPWeighsMachineSpeeds maps four independent weight-10 tasks,
+// clustered on speeds [0.1, 1, 1, 1], onto the first two processors:
+// every task takes 100 on the slow one and 10 on the other, so RCP must
+// put all four on processor 1 for length 40, as Sarkar does, not split
+// them by raw work (length 200).
+func TestRCPWeighsMachineSpeeds(t *testing.T) {
+	b := dag.NewBuilder()
+	for i := 0; i < 4; i++ {
+		b.AddNode(10)
+	}
+	clustering, err := unc.ScheduleHet("DCP", b.MustBuild(), []float64{0.1, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clustering.Release()
+	for name, mapper := range Mappers() {
+		s, err := mapper(clustering, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if s.Length() != 40 {
+			t.Errorf("%s length %d, want 40", name, s.Length())
+		}
+		s.Release()
+	}
+}
+
 // TestUNCCSCompetitiveWithBNP runs the comparison the paper poses as
 // future work: DCP+Sarkar on p processors versus MCP on p processors.
 // We only assert sanity (within 2x of each other in aggregate), not a

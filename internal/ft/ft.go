@@ -62,7 +62,9 @@
 // processors with a list-scheduling repair pass (descending static
 // b-level, non-insertion earliest start) that places on the runtime's
 // own arrays: each processor's availability floor and last planned
-// finish, each unit's copy. Checkpoint is resubmit plus periodic
+// finish, each unit's copy. The pass places on demand: at the crash
+// until every task that can start is placed, and the others as
+// completions make them runnable. Checkpoint is resubmit plus periodic
 // checkpoints: a re-executed task resumes from its last checkpoint
 // boundary instead of from zero. Replicate
 // duplicates the top-k static-b-level tasks on distinct processors at

@@ -23,6 +23,16 @@ func (rt *runtime) resubmit() {
 // the repaired copies are released.
 var repairHook func(rt *runtime)
 
+// Unit marks of a repair pass, as offsets from its stamp rt.pass: a
+// mark below the stamp is stale and means the unit had finished at the
+// crash.
+const (
+	markUnplaced = iota // left to the pass, not placed yet
+	markPlaced          // placed by the pass
+	markRunning         // in flight at the crash
+	markSpan            // stamp increment per pass
+)
+
 // repair list-schedules the units left at the crash, neither finished
 // nor running, by descending static b-level with non-insertion
 // best-EST placement on the runtime's own arrays. A processor is
@@ -31,74 +41,105 @@ var repairHook func(rt *runtime)
 // until its committed finish. Finished tasks need no pinning: every one
 // ended by tc, which no processor in service is available before.
 //
+// The pass is demand-driven: it places only until every rest unit
+// runnable at tc is placed, and then suspends; complete resumes it
+// when a rest unit's last unfinished parent finishes, placing until
+// that unit is placed, and the next crash discards it. Its inputs are
+// frozen at tc: the availability floors, the in-flight copies, and
+// each placement's planned finish (planFin), so every placement is the
+// one an eager pass would have made at tc. Every unplaced unit keeps an
+// unfinished parent, so each queue is a prefix of the eager pass's
+// whose missing tail the runtime could not release from yet: releases,
+// and with them the whole execution, are the eager pass's.
+//
 // A parent's data arrival is read off its copy. The repair policies
 // keep one copy per unit, so copy u is unit u's winner once it has
 // finished, in flight while it runs, and placed by the pass otherwise;
 // a placed copy holds its planned interval in start and finish until
-// it is released. The repaired queues are the placement order per
-// processor, which is start order since every placement starts at or
-// after its processor's last finish. The pass reuses the run's
-// scratch, so its cost follows the work left, not the graph.
+// it is released, and planFin keeps the planned finish for the
+// placements after that. The repaired queues are the placement order per processor, which is
+// start order since every placement starts at or after its processor's
+// last finish. The pass reuses the run's scratch, and its setup walks
+// only the units unfinished at the previous pass, so its cost follows
+// the work left, not the graph.
 func (rt *runtime) repair() {
 	tc := rt.now
 	x := rt.x
-	g := x.g
-	n := g.NumNodes()
 	x.levels()
+	if rt.pass == 0 {
+		rt.firstPass()
+	}
+	rt.pass += markSpan
+	rt.passAt = tc
+	rt.unplaced = 0
 	rt.avail = resize(rt.avail, x.numProcs)
 	rt.lastFin = resize(rt.lastFin, x.numProcs)
-	rt.running = resize(rt.running, n)
-	rt.remPreds = resize(rt.remPreds, n)
-	minAvail := never
+	rt.minAvail = never
 	for p := range rt.avail {
 		rt.avail[p] = rt.repairAt[p] // never while up, and for a dead processor
 		if rt.downAt[p] < 0 {
 			rt.avail[p] = tc
 		}
-		minAvail = min(minAvail, rt.avail[p])
+		rt.minAvail = min(rt.minAvail, rt.avail[p])
 	}
-	// Unstarted released copies on surviving processors go back into the
-	// pool: the repair pass may move them somewhere better. Copies in
-	// flight stay, and keep their processors busy.
-	for ci := range rt.copies {
+	// Released copies are their processors' occupants. Unstarted ones go
+	// back into the pool: the repair pass may move them somewhere
+	// better. Copies in flight stay, and keep their processors busy.
+	for p := 0; p < x.numProcs; p++ {
+		ci := rt.runningOn[p]
+		if ci < 0 {
+			continue
+		}
 		c := &rt.copies[ci]
 		switch {
-		case !c.released:
 		case c.start > tc:
 			c.epoch++
 			c.released = false
-			rt.runningOn[c.proc] = -1
+			rt.runningOn[p] = -1
 			rt.pending--
 		case !rt.done[c.task]:
-			rt.running[c.task] = true
-			rt.lastFin[c.proc] = max(rt.lastFin[c.proc], c.finish)
+			rt.mark[c.task] = rt.pass + markRunning
+			rt.planFin[c.task] = c.finish
+			rt.lastFin[p] = max(rt.lastFin[p], c.finish)
 		}
 	}
 	// A ready heap in byLevel order (b-level desc, id asc) over the units
 	// whose predecessors are all placed: b-level order alone is not
 	// guaranteed topological on zero-weight nodes, the ready filter is.
-	rest := 0
-	remPreds, ready := rt.remPreds, &rt.ready
+	// A rest unit's unplaced predecessors are its unfinished ones (deps)
+	// but those in flight. The target is the last unit in byLevel order
+	// that is runnable at tc.
+	ready := &rt.ready
 	*ready = (*ready)[:0]
-	for v := int32(0); v < int32(n); v++ {
-		if !rt.inRest(v) {
+	target := int32(-1)
+	unfin := rt.unfin[:0]
+	for _, v := range rt.unfin {
+		if rt.done[v] {
 			continue
 		}
-		rest++
-		remPreds[v] = 0
-		for _, pr := range g.Preds(dag.NodeID(v)) {
-			if rt.inRest(int32(pr.To)) {
-				remPreds[v]++
-			}
+		unfin = append(unfin, v)
+		if rt.mark[v] == rt.pass+markRunning {
+			continue
 		}
-		if remPreds[v] == 0 {
+		rt.mark[v] = rt.pass + markUnplaced
+		rt.remPreds[v] = rt.deps[v]
+		rt.unplaced++
+		if rt.deps[v] == 0 {
 			ready.push(x.rank[v])
+			target = max(target, x.rank[v])
 		}
 	}
-	if rest > 0 && minAvail == never {
+	rt.unfin = unfin
+	for p := 0; p < x.numProcs; p++ {
+		if ci := rt.runningOn[p]; ci >= 0 && !rt.done[rt.copies[ci].task] {
+			rt.readySuccs(rt.copies[ci].task)
+		}
+	}
+	if rt.unplaced > 0 && rt.minAvail == never {
 		// No processor will ever be available again; the remaining
 		// tasks cannot be placed and the run is lost.
 		rt.aborted = true
+		rt.unplaced = 0
 		return
 	}
 	for p := 0; p < x.numProcs; p++ {
@@ -106,59 +147,106 @@ func (rt *runtime) repair() {
 		rt.setQueue(p, rt.own[p][:0])
 		rt.qpos[p] = 0
 	}
-	eager := rt.opts.Sim.Policy == DispatchEager
-	for len(*ready) > 0 {
-		v := x.byLevel[ready.pop()]
-		preds := g.Preds(dag.NodeID(v))
-		var arr arrivals
-		for _, pr := range preds {
-			w := &rt.copies[pr.To]
-			arr.add(w.proc, w.finish, pr.Weight)
-		}
-		p, est := rt.bestProc(&arr, minAvail)
-		c := &rt.copies[v]
-		c.proc = int32(p)
-		c.start = est
-		c.finish = later(est, x.execTime(v, p))
-		rt.lastFin[p] = c.finish
-		rt.setQueue(p, append(rt.queue[p], v))
-		rest--
-		// The release floor is the repaired start; the ready time folds
-		// in the arrivals already realized. A re-placement decided at tc
-		// cannot start before tc, even under eager dispatch.
-		c.floor = est
-		if eager {
-			c.floor = 0
-		}
-		c.ready = max(c.floor, tc)
-		c.dead = false
-		deps := int32(0)
-		for _, pr := range preds {
-			u := int32(pr.To)
-			if !rt.done[u] {
-				deps++
-				continue
-			}
-			w := &rt.copies[u]
-			a := w.finish
-			if w.proc != c.proc {
-				a = later(a, rt.commLag(u, dag.Arc{To: pr.To, Weight: pr.Weight}))
-			}
-			c.ready = max(c.ready, a)
-		}
-		rt.deps[v] = deps
-		for _, a := range g.Succs(dag.NodeID(v)) {
-			w := int32(a.To)
-			if !rt.inRest(w) {
-				continue
-			}
-			if remPreds[w]--; remPreds[w] == 0 {
-				ready.push(x.rank[w])
-			}
+	if target >= 0 {
+		rt.placeThrough(x.byLevel[target])
+	}
+}
+
+// firstPass sizes the per-unit pass scratch at a run's first repair
+// pass, so runs that never repair pay nothing for it, and starts the
+// unfinished list. Zeroed marks are stale for every stamp.
+func (rt *runtime) firstPass() {
+	n := len(rt.copies)
+	rt.mark = resize(rt.mark, n)
+	rt.planFin = resize(rt.planFin, n)
+	rt.remPreds = resize(rt.remPreds, n)
+	rt.unfin = rt.unfin[:0]
+	for v := int32(0); v < int32(n); v++ {
+		if !rt.done[v] {
+			rt.unfin = append(rt.unfin, v)
 		}
 	}
-	if rest != 0 {
-		panic("ft: repair pass left tasks unplaced")
+}
+
+// resume continues the live repair pass when child, a unit whose
+// unfinished-parent count just dropped, has become runnable without
+// being placed.
+func (rt *runtime) resume(child int32) {
+	if rt.deps[child] == 0 && rt.mark[child] == rt.pass+markUnplaced {
+		rt.placeThrough(child)
+	}
+}
+
+// placeThrough places the live pass's ready units in byLevel order up
+// to and including v. Every unit ahead of v in that order whose parents
+// are placed goes first, exactly as in an eager pass.
+func (rt *runtime) placeThrough(v int32) {
+	for rt.mark[v] == rt.pass+markUnplaced {
+		if len(rt.ready) == 0 {
+			panic("ft: repair pass has no ready unit to place")
+		}
+		rt.placeNext()
+	}
+}
+
+// placeNext places the live pass's next ready unit on the processor
+// with its earliest non-insertion start, against the arrivals the pass
+// planned. Its release floor is the repaired start; its ready time
+// folds in the arrivals realized so far, and complete folds in the
+// rest. A re-placement decided at tc cannot start before tc, even
+// under eager dispatch.
+func (rt *runtime) placeNext() {
+	x := rt.x
+	v := x.byLevel[rt.ready.pop()]
+	preds := x.g.Preds(dag.NodeID(v))
+	var arr arrivals
+	for _, pr := range preds {
+		w := &rt.copies[pr.To]
+		fin := w.finish
+		if rt.mark[pr.To] > rt.pass {
+			fin = rt.planFin[pr.To] // placed or in flight: as planned at tc
+		}
+		arr.add(w.proc, fin, pr.Weight)
+	}
+	p, est := rt.bestProc(&arr, rt.minAvail)
+	c := &rt.copies[v]
+	c.proc = int32(p)
+	c.start = est
+	c.finish = later(est, x.execTime(v, p))
+	rt.mark[v], rt.planFin[v] = rt.pass+markPlaced, c.finish
+	rt.lastFin[p] = c.finish
+	rt.setQueue(p, append(rt.queue[p], v))
+	rt.unplaced--
+	c.floor = est
+	if rt.opts.Sim.Policy == DispatchEager {
+		c.floor = 0
+	}
+	c.ready = max(c.floor, rt.passAt)
+	c.dead = false
+	for _, pr := range preds {
+		u := int32(pr.To)
+		if !rt.done[u] {
+			continue
+		}
+		w := &rt.copies[u]
+		a := w.finish
+		if w.proc != c.proc {
+			a = later(a, rt.commLag(u, dag.Arc{To: dag.NodeID(v), Weight: pr.Weight}))
+		}
+		c.ready = max(c.ready, a)
+	}
+	rt.readySuccs(v)
+}
+
+// readySuccs counts placed or in-flight unit v out of its successors'
+// unplaced predecessors, pushing each successor left with none onto
+// the ready heap. Every successor is a rest unit: v has not finished.
+func (rt *runtime) readySuccs(v int32) {
+	for _, a := range rt.x.g.Succs(dag.NodeID(v)) {
+		w := int32(a.To)
+		if rt.remPreds[w]--; rt.remPreds[w] == 0 {
+			rt.ready.push(rt.x.rank[w])
+		}
 	}
 }
 
@@ -226,10 +314,6 @@ func (a *arrivals) on(p int) int64 {
 	}
 	return a.m2
 }
-
-// inRest reports whether task v is left for the repair pass to place:
-// neither finished nor in flight.
-func (rt *runtime) inRest(v int32) bool { return !rt.done[v] && !rt.running[v] }
 
 // addReplicas implements the replicate policy's prepare step: the k
 // tasks with the highest static b-level get one replica each on the

@@ -2,6 +2,7 @@ package ft
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 
@@ -34,6 +35,7 @@ func (w *RepairWatch) Stop() (passes, aborts int, err error) {
 }
 
 func (w *RepairWatch) check(rt *runtime) {
+	rt.finishPass()
 	err := checkRepair(rt)
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -44,6 +46,55 @@ func (w *RepairWatch) check(rt *runtime) {
 	if err != nil && w.err == nil {
 		w.err = fmt.Errorf("trial %d, repair pass at %d: %w", rt.trial, rt.now, err)
 	}
+}
+
+// finishPass places every unit the live repair pass has left, as an
+// eager pass would have at the crash.
+func (rt *runtime) finishPass() {
+	for rt.unplaced > 0 {
+		rt.placeNext()
+	}
+}
+
+// leftToPass reports whether the last repair pass had unit v to place:
+// neither finished nor in flight at the crash.
+func (rt *runtime) leftToPass(v int32) bool {
+	m := rt.mark[v]
+	return m == rt.pass+markUnplaced || m == rt.pass+markPlaced
+}
+
+// LazyMatchesFull runs one trial of x twice: with its repair passes
+// placing on demand, and with each pass run to completion before its
+// copies are released. It reports the first difference between the two
+// runs' Results, event counts and stall counts, and how many units the
+// on-demand passes had left unplaced when they first suspended.
+func LazyMatchesFull(x *Exec, opts Options, trial int) (deferred int, err error) {
+	pol, err := x.check(&opts)
+	if err != nil {
+		return 0, err
+	}
+	type outcome struct {
+		res            Result
+		events, stalls int64
+	}
+	run := func() outcome {
+		rt := x.execute(&opts, pol, trial)
+		o := outcome{rt.result(), rt.events, rt.stalls}
+		rt.release()
+		return o
+	}
+	lazy := run()
+	saved := repairHook
+	repairHook = func(rt *runtime) {
+		deferred += rt.unplaced
+		rt.finishPass()
+	}
+	full := run()
+	repairHook = saved
+	if !reflect.DeepEqual(lazy, full) {
+		return deferred, fmt.Errorf("trial %d: on-demand passes give %+v, full passes %+v", trial, lazy, full)
+	}
+	return deferred, nil
 }
 
 // interval is one task's occupation of a processor.
@@ -111,8 +162,8 @@ func checkRepair(rt *runtime) error {
 	}
 	var rest []int32
 	for v := int32(0); v < int32(n); v++ {
-		if (at[v] < 0) != rt.inRest(v) {
-			return fmt.Errorf("task %d: pinned %v, left to the pass %v", v, at[v] >= 0, rt.inRest(v))
+		if (at[v] < 0) != rt.leftToPass(v) {
+			return fmt.Errorf("task %d: pinned %v, left to the pass %v", v, at[v] >= 0, rt.leftToPass(v))
 		}
 		if at[v] < 0 {
 			rest = append(rest, v)

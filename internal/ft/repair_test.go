@@ -62,11 +62,13 @@ func cliqueFaultCases(t *testing.T) []cliqueFaultCase {
 
 // cliqueOutcomePin is the SHA-256 of every per-trial outcome of
 // cliqueOutcomeDigest, captured at commit
-// b92f7a1037926cd24f270d56eeb2402d162bfca3, before the repair pass
-// seeded only its frontier and kept its scratch across crashes. It pins
-// the exact crash, repair and re-placement behaviour of the resubmit
-// and checkpoint policies.
-const cliqueOutcomePin = "edddda7fb600ff1838772c7594a5bf250fcf81e282a557b82cfe660127bf2f51"
+// 894e6f2b400d7efa1f09b7b820580e4c057fb890 with one change: the repair
+// pass draws a finished parent's perturbed lag for the edge into the
+// re-placed child, as complete does, where it had drawn it for the
+// non-edge from the parent to itself. Only the perturbed cases moved.
+// It pins the exact crash, repair and re-placement behaviour of the
+// resubmit and checkpoint policies.
+const cliqueOutcomePin = "ec8e2e30e268e8eb8dd455f19d72aa306136bb2acab19b969363b3ee79722a51"
 
 // cliqueReplicatePin is cliqueOutcomeDigest under the replicate policy,
 // captured at commit 02cea0053d79c13f7dbb3c5816807bc390523d4d, before
@@ -150,12 +152,11 @@ func TestCliqueFaultOutcomesPinned(t *testing.T) {
 	}
 }
 
-// repairCase runs trials 0..trials-1 of x under sim and the recovery
-// policy and fault model that sel picks: checkpoint at bit 0, else
-// resubmit; repairing crashes at bit 1, else permanent ones; and an
-// MTBF of 1 + sel/4 mod 3 static makespans.
-func repairCase(t *testing.T, label string, x *ft.Exec, sim ft.SimOptions, sel byte, trials int) {
-	t.Helper()
+// repairOptions returns the options of repairCase for x under sim:
+// checkpoint at bit 0 of sel, else resubmit; repairing crashes at bit
+// 1, else permanent ones; and an MTBF of 1 + sel/4 mod 3 static
+// makespans.
+func repairOptions(x *ft.Exec, sim ft.SimOptions, sel byte) ft.Options {
 	static := max(1, x.Static())
 	opts := ft.Options{
 		Sim:      sim,
@@ -168,11 +169,34 @@ func repairCase(t *testing.T, label string, x *ft.Exec, sim ft.SimOptions, sel b
 	if sel&2 != 0 {
 		opts.Faults.MeanRepair = max(1, static/10)
 	}
+	return opts
+}
+
+// repairCase runs trials 0..trials-1 of x under repairOptions(x, sim,
+// sel).
+func repairCase(t *testing.T, label string, x *ft.Exec, sim ft.SimOptions, sel byte, trials int) {
+	t.Helper()
+	opts := repairOptions(x, sim, sel)
 	for trial := 0; trial < trials; trial++ {
 		if _, err := x.Run(opts, trial); err != nil {
 			t.Fatalf("%s %s trial %d: %v", label, opts.Recovery.Name(), trial, err)
 		}
 	}
+}
+
+// lazyCase requires trials 0..trials-1 of x under opts to run the same
+// with on-demand repair passes as with full ones, and returns how many
+// units the on-demand passes left unplaced at first.
+func lazyCase(t *testing.T, label string, x *ft.Exec, opts ft.Options, trials int) (deferred int) {
+	t.Helper()
+	for trial := 0; trial < trials; trial++ {
+		d, err := ft.LazyMatchesFull(x, opts, trial)
+		if err != nil {
+			t.Fatalf("%s %s MTBF %d repair %d: %v", label, opts.Recovery.Name(), opts.Faults.MTBF, opts.Faults.MeanRepair, err)
+		}
+		deferred += d
+	}
+	return deferred
 }
 
 // randomRepairExec schedules a random graph of up to 24 tasks, with
@@ -242,40 +266,120 @@ func TestRepairPassMatchesOracle(t *testing.T) {
 	}
 }
 
+// lazySims returns the dispatch and perturbation settings of the
+// on-demand repair check: timetable and eager dispatch, each exact and
+// under lognormal perturbation of durations and lags.
+func lazySims() []ft.SimOptions {
+	lognormal := ft.Perturbation{Dist: ft.DistLognormal, TaskSpread: 0.3, CommSpread: 0.3}
+	return []ft.SimOptions{
+		{},
+		{Policy: ft.DispatchEager},
+		{Perturb: lognormal, Seed: 3},
+		{Perturb: lognormal, Policy: ft.DispatchEager, Seed: 11},
+	}
+}
+
+// TestLazyRepairMatchesFullPass requires the on-demand repair passes to
+// run every trial exactly as passes that place everything at the crash:
+// equal Results, event counts and stall counts, on the repair-pin
+// corpus, the zero-weight instance, and random graphs with zero weights
+// and speeds, under timetable and eager dispatch with and without
+// perturbation and under repairing and permanent crashes. The passes
+// must have deferred placements, or the check shows nothing.
+func TestLazyRepairMatchesFullPass(t *testing.T) {
+	deferred := 0
+	for _, c := range cliqueFaultCases(t) {
+		static := c.x.Static()
+		for _, pol := range repairPolicies(static) {
+			for _, sim := range lazySims() {
+				for _, repair := range []int64{max(1, static/10), 0} {
+					opts := ft.Options{Sim: sim, Faults: ft.FaultModel{MTBF: max(1, static/2), MeanRepair: repair}, Recovery: pol}
+					deferred += lazyCase(t, c.label, c.x, opts, 10)
+				}
+			}
+		}
+	}
+	zw := zeroWeightExec(t)
+	for sel := byte(0); sel < 12; sel++ {
+		for _, sim := range lazySims() {
+			deferred += lazyCase(t, "zero-weight rgnos", zw, repairOptions(zw, sim, sel), 5)
+		}
+	}
+	rng := rand.New(rand.NewSource(32))
+	sims := lazySims()
+	for i := 0; i < 300; i++ {
+		label, x := randomRepairExec(t, rng)
+		sim := withSpeeds(sims[i%len(sims)], x.NumProcs(), i%8 >= 4)
+		deferred += lazyCase(t, label, x, repairOptions(x, sim, byte(rng.Intn(12))), 5)
+	}
+	t.Logf("%d placements deferred past the crash", deferred)
+	if deferred == 0 {
+		t.Fatal("no repair pass deferred a placement")
+	}
+}
+
+// FuzzLazyRepair requires on-demand repair passes to run fuzz-decoded
+// executions exactly as full passes. The cases decode as in
+// FuzzRepairPass.
+func FuzzLazyRepair(f *testing.F) {
+	f.Add([]byte{2, 6, 0, 0, 0, 1, 2, 0, 1, 5}, byte(0))
+	f.Add([]byte{7, 13, 9, 4, 7, 1, 0, 2, 3, 0, 4, 1, 0, 1, 9, 0, 2, 0, 1, 3, 4, 15, 2, 5, 7, 4, 6, 2, 3, 6, 1}, byte(3))
+	f.Add([]byte{15, 22, 21, 8, 46, 0, 3, 1, 2, 0, 4, 0, 1, 2, 3, 0, 1, 0, 2, 3, 4,
+		0, 5, 3, 1, 7, 0, 2, 9, 8, 5, 12, 4, 3, 14, 11, 6, 15, 1, 10, 15, 6, 14, 13, 9, 7, 12, 2}, byte(128+6))
+	f.Add([]byte{15, 22, 21, 2, 45, 0, 3, 1, 2, 0, 4, 0, 1, 2, 3, 0, 1, 0, 2, 3, 4,
+		0, 5, 3, 1, 7, 0, 2, 9, 8, 5, 12, 4, 3, 14, 11, 6, 15, 1, 10, 15, 6, 14, 13, 9, 7, 12, 2}, byte(128+3))
+	f.Fuzz(func(t *testing.T, data []byte, sel byte) {
+		label, x, sim, ok := decodeRepairCase(t, data, sel)
+		if ok {
+			lazyCase(t, label, x, repairOptions(x, sim, sel), 3)
+		}
+	})
+}
+
+// decodeRepairCase compiles the execution of a repair fuzz case: the
+// graph, BNP algorithm, processor count, perturbation, dispatch and
+// runtime speeds come from decodeZeroFaultCase, and bit 7 of sel picks
+// heterogeneous schedule speeds.
+func decodeRepairCase(t *testing.T, data []byte, sel byte) (string, *ft.Exec, ft.SimOptions, bool) {
+	c, ok := decodeZeroFaultCase(data)
+	if !ok {
+		return "", nil, ft.SimOptions{}, false
+	}
+	var speeds []float64
+	if sel&128 != 0 {
+		speeds = altSpeeds(c.procs)
+	}
+	s, err := bnp.ScheduleHet(c.bnpAlgo, c.g, c.procs, speeds)
+	if err != nil {
+		t.Fatalf("bnp %s: %v", c.bnpAlgo, err)
+	}
+	x, err := ft.Compile(s)
+	s.Release()
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return fmt.Sprintf("fuzz case %x sel %d", data, sel), x, withSpeeds(c.opts, c.procs, c.speeds), true
+}
+
 // FuzzRepairPass checks every repair pass of fuzz-decoded executions
 // against the definitional repair and the placement invariants. The
-// graph, BNP algorithm, processor count, perturbation, dispatch and
-// runtime speeds come from decodeZeroFaultCase; sel picks the policy,
-// the fault model (as in repairCase) and, at bit 7, heterogeneous
-// schedule speeds.
+// cases decode as in decodeRepairCase; sel also picks the policy and
+// the fault model (as in repairOptions).
 func FuzzRepairPass(f *testing.F) {
 	f.Add([]byte{2, 6, 0, 0, 0, 1, 2, 0, 1, 5}, byte(0))
 	f.Add([]byte{7, 13, 9, 4, 7, 1, 0, 2, 3, 0, 4, 1, 0, 1, 9, 0, 2, 0, 1, 3, 4, 15, 2, 5, 7, 4, 6, 2, 3, 6, 1}, byte(3))
 	f.Add([]byte{15, 22, 21, 8, 46, 0, 3, 1, 2, 0, 4, 0, 1, 2, 3, 0, 1, 0, 2, 3, 4,
 		0, 5, 3, 1, 7, 0, 2, 9, 8, 5, 12, 4, 3, 14, 11, 6, 15, 1, 10, 15, 6, 14, 13, 9, 7, 12, 2}, byte(128+6))
 	f.Fuzz(func(t *testing.T, data []byte, sel byte) {
-		c, ok := decodeZeroFaultCase(data)
+		label, x, sim, ok := decodeRepairCase(t, data, sel)
 		if !ok {
 			return
 		}
-		var speeds []float64
-		if sel&128 != 0 {
-			speeds = altSpeeds(c.procs)
-		}
-		s, err := bnp.ScheduleHet(c.bnpAlgo, c.g, c.procs, speeds)
-		if err != nil {
-			t.Fatalf("bnp %s: %v", c.bnpAlgo, err)
-		}
-		x, err := ft.Compile(s)
-		s.Release()
-		if err != nil {
-			t.Fatalf("compile: %v", err)
-		}
 		w := ft.WatchRepairs()
 		defer w.Stop()
-		repairCase(t, fmt.Sprintf("fuzz case %x", data), x, withSpeeds(c.opts, c.procs, c.speeds), sel, 3)
+		repairCase(t, label, x, sim, sel, 3)
 		if _, _, err := w.Stop(); err != nil {
-			t.Fatalf("fuzz case %x sel %d: %v", data, sel, err)
+			t.Fatalf("%s: %v", label, err)
 		}
 	})
 }

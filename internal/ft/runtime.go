@@ -157,11 +157,19 @@ type runtime struct {
 
 	gens []outGen // per channel
 
-	// Recovery scratch, kept across passes and runs.
-	avail    []int64 // per processor: repair-pass availability, never when dead
-	lastFin  []int64 // per processor: last planned finish (repair, replicate)
-	running  []bool  // unit has a copy in flight at the pass
-	remPreds []int32 // unplaced rest predecessors per rest unit
+	// Recovery scratch, kept across passes and runs. The per-unit
+	// arrays are sized at a run's first repair pass (pass == 0), so runs
+	// that never repair pay nothing for them.
+	avail    []int64  // per processor: repair-pass availability, never when dead
+	lastFin  []int64  // per processor: last planned finish (repair, replicate)
+	minAvail int64    // the live pass's earliest availability
+	passAt   int64    // the live pass's crash time
+	pass     uint32   // the live pass's stamp, see markUnplaced
+	unplaced int      // rest units the live pass has yet to place; 0 when none is live
+	mark     []uint32 // per unit: its mark in the live pass
+	planFin  []int64  // per unit: finish as planned at the pass, if placed or in flight
+	remPreds []int32  // per rest unit: its predecessors not yet placed
+	unfin    []int32  // the units unfinished at the last pass
 	ready    rankHeap
 }
 
@@ -220,6 +228,7 @@ func (rt *runtime) reset(x *Exec, opts *Options, pol RecoveryPolicy, trial int) 
 	rt.heap = rt.heap[:0]
 	rt.now, rt.horizon, rt.events, rt.stalls = 0, 0, 0, 0
 	rt.crashes, rt.pending, rt.remaining, rt.makespan, rt.aborted = 0, 0, x.tasks, 0, false
+	rt.pass, rt.unplaced = 0, 0
 
 	rt.repairAt = resize(rt.repairAt, procs)
 	rt.faultK = resize(rt.faultK, procs)
@@ -514,6 +523,9 @@ func (rt *runtime) complete(ev event) {
 			rt.deps[child]--
 			if rt.done[child] {
 				continue
+			}
+			if rt.unplaced > 0 {
+				rt.resume(child) // a repair pass is live
 			}
 			ready := rt.deps[child] == 0
 			lag := int64(-1) // drawn for the first remote copy
