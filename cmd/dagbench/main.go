@@ -10,7 +10,7 @@
 // Experiment ids are table1..table6, fig2..fig4, the extension studies
 // unccs, tdb, genx (the Canon et al. 2019 cross-generator ranking
 // stability study), robust (the Monte-Carlo execution-robustness
-// study on the internal/sim simulator), components (the component
+// study on the internal/ft runtime, fault-free), components (the component
 // attribution of the parameterized scheduler space on homogeneous and
 // heterogeneous machines), adversarial (the PISA-style
 // evolutionary search for counterexample instances), faults (the

@@ -6,7 +6,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/ft"
 	"repro/internal/machine"
-	"repro/internal/sim"
 	"repro/internal/table"
 )
 
@@ -62,12 +61,12 @@ func faultsSeed(seed int64, fi, gi int) int64 {
 // instance whose critical-path computation sum is ref. Repairs take a
 // tenth of ref on average; APN executions additionally suffer link
 // outages with the same MTBF and a twentieth of ref mean width.
-func faultsModel(factor float64, ref int64, apnLinks bool) sim.FaultModel {
+func faultsModel(factor float64, ref int64, apnLinks bool) ft.FaultModel {
 	if factor == 0 {
-		return sim.FaultModel{}
+		return ft.FaultModel{}
 	}
 	mtbf := max(1, int64(factor*float64(ref)+0.5))
-	m := sim.FaultModel{
+	m := ft.FaultModel{
 		MTBF:       mtbf,
 		MeanRepair: max(1, ref/10),
 	}
@@ -97,7 +96,7 @@ func runFaultsSweep(x *ft.Exec, seed int64, ref int64, apnLinks bool, policies [
 		cell.stats[fi] = make([]ft.Stats, len(policies))
 		for pi, pol := range policies {
 			opts := ft.Options{
-				Sim:      sim.Options{Seed: seed},
+				Sim:      ft.SimOptions{Seed: seed},
 				Faults:   faultsModel(factor, ref, apnLinks),
 				Recovery: pol,
 				Deadline: deadline,
@@ -145,7 +144,7 @@ func FaultEffective(a Algorithm, g *dag.Graph, bnpProcs int, topo *machine.Topol
 	ref := dag.CPComputationSum(g)
 	deadline := faultsDeadline(x.Static())
 	opts := ft.Options{
-		Sim:      sim.Options{Seed: 1},
+		Sim:      ft.SimOptions{Seed: 1},
 		Faults:   faultsModel(1, ref, apnClass),
 		Deadline: deadline,
 	}
@@ -170,7 +169,7 @@ func FaultEffective(a Algorithm, g *dag.Graph, bnpProcs int, topo *machine.Topol
 
 // compileFT schedules g with a on a homogeneous machine (bnpProcs
 // processors for the clique classes, topo for APN) and compiles the
-// schedule for fault-injected execution.
+// schedule for execution, with or without faults.
 func compileFT(a Algorithm, g *dag.Graph, bnpProcs int, topo *machine.Topology) (*ft.Exec, error) {
 	cs, ms, err := a.schedule(g, bnpProcs, nil, topo)
 	if err != nil {

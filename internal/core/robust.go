@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/dag"
+	"repro/internal/ft"
 	"repro/internal/gen"
-	"repro/internal/sim"
+	"repro/internal/machine"
 	"repro/internal/table"
 )
 
@@ -14,12 +16,12 @@ import (
 // schedule they emit; Beránek et al. ("Analysis of Workflow Schedulers
 // in Simulated Distributed Environments") show such rankings can flip
 // once schedules execute under stochastic task durations and network
-// contention. The study executes every schedule in the internal/sim
-// discrete-event simulator under lognormal duration and communication
-// noise — Monte-Carlo over many trials with paired perturbations
-// across algorithms — and reports, per generator family, each
-// algorithm's realized-makespan statistics and how well the realized
-// ranking agrees with the static one.
+// contention. The study executes every schedule on the internal/ft
+// discrete-event runtime, fault-free, under lognormal duration and
+// communication noise — Monte-Carlo over many trials with paired
+// perturbations across algorithms — and reports, per generator family,
+// each algorithm's realized-makespan statistics and how well the
+// realized ranking agrees with the static one.
 
 // robustFamily is one generator family's instance set for the study.
 type robustFamily struct {
@@ -48,15 +50,8 @@ func robustTrials(s Scale) int {
 // lognormal multipliers with log-stddev 0.3 on both task durations and
 // communication costs — heavy enough tails to surface ranking flips,
 // light enough that schedules stay recognizable.
-func robustPerturb() sim.Perturbation {
-	return sim.Perturbation{Dist: sim.DistLognormal, TaskSpread: 0.3, CommSpread: 0.3}
-}
-
-// robustCell is one (algorithm × instance) study cell: the
-// Monte-Carlo statistics of executing that schedule (Stats.Static
-// carries the planned makespan).
-type robustCell struct {
-	stats sim.Stats
+func robustPerturb() ft.Perturbation {
+	return ft.Perturbation{Dist: ft.DistLognormal, TaskSpread: 0.3, CommSpread: 0.3}
 }
 
 // robustSeed mixes the per-instance simulation seed. It depends only
@@ -66,22 +61,22 @@ func robustSeed(seed int64, fi, gi int) int64 {
 	return seed + int64(fi+1)*1_000_003 + int64(gi+1)*7_919
 }
 
-// runRobustTrials verifies the zero-variance anchor and runs the
-// Monte-Carlo trials for one compiled schedule.
-func runRobustTrials(plan *sim.Plan, static int64, opts sim.Options, trials int, label string) (robustCell, error) {
-	zero, err := plan.Run(sim.Options{}, 0)
+// robustCell schedules g with a, compiles the schedule, verifies the
+// zero-variance anchor and runs the Monte-Carlo trials: one (algorithm
+// × instance) study cell.
+func robustCell(a Algorithm, g *dag.Graph, procs int, topo *machine.Topology, opts ft.SimOptions, trials int) (ft.Stats, error) {
+	x, err := compileFT(a, g, procs, topo)
 	if err != nil {
-		return robustCell{}, fmt.Errorf("robust: %s: %w", label, err)
+		return ft.Stats{}, err
 	}
-	if zero != static {
-		return robustCell{}, fmt.Errorf("robust: %s: zero-variance simulation yields %d, static makespan is %d",
-			label, zero, static)
-	}
-	stats, err := sim.MonteCarlo(plan, opts, trials)
+	zero, err := x.Makespan(ft.SimOptions{}, 0)
 	if err != nil {
-		return robustCell{}, fmt.Errorf("robust: %s: %w", label, err)
+		return ft.Stats{}, err
 	}
-	return robustCell{stats: stats}, nil
+	if zero != x.Static() {
+		return ft.Stats{}, fmt.Errorf("zero-variance simulation yields %d, static makespan is %d", zero, x.Static())
+	}
+	return ft.SimMonteCarlo(x, opts, trials)
 }
 
 // Robust runs the Monte-Carlo execution-robustness study: the BNP
@@ -108,36 +103,21 @@ func Robust(cfg Config) error {
 		algs  []Algorithm
 	}{{BNP, ByClass(BNP)}, {APN, ByClass(APN)}}
 
-	var p plan[robustCell]
+	var p plan[ft.Stats]
 	for _, panel := range panels {
 		for fi, fam := range fams {
 			for gi, ng := range fam.graphs {
-				opts := sim.Options{Perturb: perturb, Seed: robustSeed(cfg.Seed, fi, gi)}
+				opts := ft.SimOptions{Perturb: perturb, Seed: robustSeed(cfg.Seed, fi, gi)}
 				for _, a := range panel.algs {
 					a, ng := a, ng
 					label := fmt.Sprintf("%s(%s) on %s", a.Name, a.Class, ng.Name)
 					procs := BNPProcs(ng.G.NumNodes())
-					p.add(func() (robustCell, error) {
-						cs, ms, err := a.schedule(ng.G, procs, nil, topo)
+					p.add(func() (ft.Stats, error) {
+						st, err := robustCell(a, ng.G, procs, topo, opts, trials)
 						if err != nil {
-							return robustCell{}, fmt.Errorf("robust: %s: %w", label, err)
+							return ft.Stats{}, fmt.Errorf("robust: %s: %w", label, err)
 						}
-						var (
-							static int64
-							splan  *sim.Plan
-						)
-						if ms != nil {
-							static = ms.Makespan()
-							splan, err = sim.CompileAPN(ms)
-						} else {
-							static = cs.Makespan()
-							splan, err = sim.Compile(cs)
-							cs.Release()
-						}
-						if err != nil {
-							return robustCell{}, fmt.Errorf("robust: %s: %w", label, err)
-						}
-						return runRobustTrials(splan, static, opts, trials, label)
+						return st, nil
 					})
 				}
 			}
@@ -150,7 +130,7 @@ func Robust(cfg Config) error {
 
 	fmt.Fprintf(cfg.Out, "model: %s task spread %g / comm spread %g, %d trials/schedule, timetable dispatch, paired perturbations across algorithms\n",
 		perturb.Dist, perturb.TaskSpread, perturb.CommSpread, trials)
-	cur := cursor[robustCell]{rs: results}
+	cur := cursor[ft.Stats]{rs: results}
 	for _, panel := range panels {
 		algs := panel.algs
 		cols := []string{"family", "graphs"}
@@ -174,9 +154,9 @@ func Robust(cfg Config) error {
 			for range fam.graphs {
 				for ai := range algs {
 					c := cur.next()
-					meanStatic[ai] += float64(c.stats.Static)
-					meanRealized[ai] += c.stats.MeanMakespan
-					allRatios[ai] = append(allRatios[ai], c.stats.Ratios...)
+					meanStatic[ai] += float64(c.Static)
+					meanRealized[ai] += c.MeanMakespan
+					allRatios[ai] = append(allRatios[ai], c.Ratios...)
 				}
 			}
 			for ai := range algs {
@@ -188,7 +168,7 @@ func Robust(cfg Config) error {
 				}
 				meanRatio[ai] = sum / float64(len(allRatios[ai]))
 				sort.Float64s(allRatios[ai])
-				p99Ratio[ai] = allRatios[ai][sim.PercentileIndex(len(allRatios[ai]), 0.99)]
+				p99Ratio[ai] = allRatios[ai][ft.PercentileIndex(len(allRatios[ai]), 0.99)]
 			}
 			staticRank := rankAscending(meanStatic)
 			realizedRank := rankAscending(meanRealized)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -64,7 +63,9 @@ func (x *Exec) Run(opts Options, trial int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return x.run(&opts, pol, trial), nil
+	rt := x.execute(&opts, pol, trial)
+	defer rt.release()
+	return rt.result(), nil
 }
 
 // Makespan executes the schedule once without faults under opts and
@@ -77,11 +78,7 @@ func (x *Exec) Makespan(opts SimOptions, trial int) (int64, error) {
 	}
 	rt := x.execute(&Options{Sim: opts}, nonePolicy{}, trial)
 	mk := rt.makespan
-	if obs.MetricsEnabled() {
-		simRuns.Inc()
-		simEvents.Add(rt.events)
-		simStalls.Add(rt.stalls)
-	}
+	rt.countSim()
 	rt.release()
 	return mk, nil
 }

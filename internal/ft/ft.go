@@ -4,8 +4,8 @@
 // under perturbed task durations and communication costs, fail-stop
 // processor crashes, transient link outages, and pluggable recovery
 // policies that react to failures at runtime. It is the one execution
-// engine of the repository: internal/sim is its fault-free face, a
-// Plan wrapping an Exec whose runs go through Exec.Makespan.
+// engine and the one execution API of the repository: the robustness
+// study, the fault study and the public facade all call it directly.
 //
 // The paper's benchmark assumes every processor survives the execution
 // and every duration is exact. This package closes both gaps: a crash
@@ -52,7 +52,9 @@
 // worker count. All hops of one message share the edge's multiplier.
 //
 // Runtimes are pooled: a warm fault-free execution through
-// Exec.Makespan allocates nothing.
+// Exec.Makespan allocates nothing. One aggregation folds repeated runs
+// into Stats: MonteCarlo under faults (counted in ft.*), SimMonteCarlo
+// without, each trial run as by Exec.Makespan (counted in sim.*).
 //
 // # Recovery policies
 //

@@ -18,7 +18,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/sched"
-	"repro/internal/sim"
 )
 
 var (
@@ -74,13 +73,12 @@ func altSpeeds(n int) []float64 {
 }
 
 // compiled is one schedule compiled into the arc-engine oracle and,
-// independently, into the runtime: as an Exec and as a sim.Plan.
+// independently, into the runtime.
 type compiled struct {
 	label string
 	procs int
 	o     *ft.Oracle
 	x     *ft.Exec
-	plan  *sim.Plan
 }
 
 // compileClique compiles a clique schedule both ways and releases it.
@@ -95,11 +93,7 @@ func compileClique(t *testing.T, label string, s *sched.Schedule) compiled {
 	if err != nil {
 		t.Fatalf("%s: compile: %v", label, err)
 	}
-	plan, err := sim.Compile(s)
-	if err != nil {
-		t.Fatalf("%s: compile sim: %v", label, err)
-	}
-	return compiled{label, s.NumProcs(), o, x, plan}
+	return compiled{label, s.NumProcs(), o, x}
 }
 
 // compileAPN compiles an APN schedule both ways.
@@ -113,11 +107,7 @@ func compileAPN(t *testing.T, label string, s *machine.Schedule) compiled {
 	if err != nil {
 		t.Fatalf("%s: compile: %v", label, err)
 	}
-	plan, err := sim.CompileAPN(s)
-	if err != nil {
-		t.Fatalf("%s: compile sim: %v", label, err)
-	}
-	return compiled{label, s.NumProcs(), o, x, plan}
+	return compiled{label, s.NumProcs(), o, x}
 }
 
 // checkZeroFault runs the runtime without faults against the oracle
@@ -258,10 +248,11 @@ func TestZeroFaultMatchesSimHetSchedules(t *testing.T) {
 	checkCorpus(t, cases)
 }
 
-// TestSimCountersMatchOracle requires sim.MonteCarlo, with metrics on,
-// to count one sim.runs per trial, the oracle's job count per trial in
-// sim.events and the oracle's stalls in sim.stalls, over the
-// zero-fault corpus, and to leave the ft.* counters alone.
+// TestSimCountersMatchOracle requires the fault-free study
+// ft.SimMonteCarlo, with metrics on, to count one sim.runs per trial,
+// the oracle's job count per trial in sim.events and the oracle's
+// stalls in sim.stalls, over the zero-fault corpus, and to leave the
+// ft.* counters alone.
 func TestSimCountersMatchOracle(t *testing.T) {
 	const trials = 3
 	cases := zeroFaultCorpus(t)
@@ -279,7 +270,7 @@ func TestSimCountersMatchOracle(t *testing.T) {
 				stalls += st
 			}
 			obs.ResetMetrics()
-			if _, err := sim.MonteCarlo(c.plan, opts, trials); err != nil {
+			if _, err := ft.SimMonteCarlo(c.x, opts, trials); err != nil {
 				t.Fatalf("%s opts[%d]: %v", c.label, oi, err)
 			}
 			got := map[string]int64{}
@@ -642,7 +633,8 @@ func checkRunDeterminism(t *testing.T, x *ft.Exec, opts ft.Options) {
 	}
 }
 
-// TestOptionValidation covers the error paths of Run and MonteCarlo.
+// TestOptionValidation covers the error paths of Run, Makespan, both
+// Monte-Carlo studies, FaultModel.Validate and Compile.
 func TestOptionValidation(t *testing.T) {
 	x := faultyExec(t)
 	if _, err := x.Run(ft.Options{Deadline: -1}, 0); err == nil {
@@ -665,7 +657,7 @@ func TestOptionValidation(t *testing.T) {
 		t.Fatal("mis-sized speed vector accepted")
 	}
 	bad = bad[:x.NumProcs()]
-	for _, sp := range []float64{math.NaN(), math.Inf(1), 0} {
+	for _, sp := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0} {
 		bad[0] = sp
 		if _, err := x.Run(ft.Options{Sim: ft.SimOptions{Speed: bad}}, 0); err == nil {
 			t.Fatalf("speed factor %g accepted", sp)
@@ -676,6 +668,42 @@ func TestOptionValidation(t *testing.T) {
 		if _, err := x.Makespan(opts, 0); err == nil {
 			t.Fatalf("communication spread %g accepted", sp)
 		}
+	}
+	for i, opts := range []ft.SimOptions{
+		{Perturb: ft.Perturbation{Dist: ft.Distribution(9)}},
+		{Perturb: ft.Perturbation{Dist: ft.DistUniform, TaskSpread: 1.5}},
+		{Perturb: ft.Perturbation{Dist: ft.DistLognormal, CommSpread: -0.1}},
+		{Perturb: ft.Perturbation{Dist: ft.DistLognormal, TaskSpread: math.NaN()}},
+		{Perturb: ft.Perturbation{Dist: ft.DistLognormal, TaskSpread: math.Inf(1)}},
+		{Perturb: ft.Perturbation{Dist: ft.DistNone, CommSpread: math.NaN()}},
+		{Policy: ft.Dispatch(7)},
+	} {
+		if _, err := x.Makespan(opts, 0); err == nil {
+			t.Errorf("bad options %d accepted by Makespan: %+v", i, opts)
+		}
+		if _, err := ft.SimMonteCarlo(x, opts, 1); err == nil {
+			t.Errorf("bad options %d accepted by SimMonteCarlo: %+v", i, opts)
+		}
+	}
+	if _, err := ft.SimMonteCarlo(x, ft.SimOptions{}, 0); err == nil {
+		t.Error("fault-free study with zero trials accepted")
+	}
+	for _, m := range []ft.FaultModel{{}, {MTBF: 100}, {MTBF: 100, MeanRepair: 10}, {LinkMTBF: 50, MeanOutage: 5}} {
+		if err := m.Validate(); err != nil {
+			t.Errorf("fault model %+v rejected: %v", m, err)
+		}
+	}
+	for _, m := range []ft.FaultModel{{MTBF: -1}, {MeanRepair: -2}, {LinkMTBF: 50}, {LinkMTBF: 50, MeanOutage: -1}} {
+		if m.Validate() == nil {
+			t.Errorf("fault model %+v accepted", m)
+		}
+	}
+	g, a, bb, _ := chainGraph(t)
+	partial := sched.New(g, 2)
+	partial.MustPlace(a, 0, 0)
+	partial.MustPlace(bb, 1, 0)
+	if _, err := ft.Compile(partial); err == nil {
+		t.Error("compiling a partial schedule succeeded")
 	}
 }
 

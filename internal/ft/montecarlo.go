@@ -3,12 +3,12 @@ package ft
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
-// Stats summarizes a Monte-Carlo fault-injection study of one compiled
-// schedule: the distribution of realized makespans, the survival rate
-// against the deadline, and the mean utilization split.
+// Stats summarizes a Monte-Carlo study of one compiled schedule: the
+// distribution of realized makespans, the survival rate against the
+// deadline, and the mean utilization split.
 type Stats struct {
 	// Static is the planned makespan of the schedule.
 	Static int64
@@ -22,6 +22,15 @@ type Stats struct {
 	Survived int
 	// SurvivalRate is Survived/Trials.
 	SurvivalRate float64
+	// MeanMakespan is the mean realized makespan over the finished
+	// trials (0 when none finished).
+	MeanMakespan float64
+	// P99Makespan is the nearest-rank 99th-percentile realized
+	// makespan over the finished trials (0 when none finished).
+	P99Makespan int64
+	// MaxMakespan is the worst realized makespan over the finished
+	// trials (0 when none finished).
+	MaxMakespan int64
 	// MeanRatio is the mean realized/static ratio over the finished
 	// trials (0 when none finished).
 	MeanRatio float64
@@ -44,10 +53,25 @@ type Stats struct {
 }
 
 // MonteCarlo executes the schedule for the given number of independent
-// trials (trial numbers 0..trials-1) and returns the fault-injection
-// statistics. Results are deterministic in (opts, trials) and
-// byte-reproducible at any concurrency.
+// trials (trial numbers 0..trials-1) under the fault model and
+// recovery policy of opts and returns the study's statistics. Each run
+// counts in the ft.* metrics. Results are deterministic in
+// (opts, trials) and byte-reproducible at any concurrency.
 func MonteCarlo(x *Exec, opts Options, trials int) (Stats, error) {
+	return x.study(opts, trials, (*runtime).countFT)
+}
+
+// SimMonteCarlo is the fault-free study: MonteCarlo without faults or
+// recovery, each trial run as by Makespan, so a warm trial allocates
+// nothing and counts in the sim.* metrics instead of ft.*.
+func SimMonteCarlo(x *Exec, opts SimOptions, trials int) (Stats, error) {
+	return x.study(Options{Sim: opts}, trials, (*runtime).countSim)
+}
+
+// study runs trials 0..trials-1, counts each run with count, and folds
+// the outcomes straight off the pooled runtime. Its allocations are
+// per study, never per trial.
+func (x *Exec) study(opts Options, trials int, count func(*runtime)) (Stats, error) {
 	if trials < 1 {
 		return Stats{}, fmt.Errorf("ft: MonteCarlo needs at least one trial, got %d", trials)
 	}
@@ -61,29 +85,32 @@ func MonteCarlo(x *Exec, opts Options, trials int) (Stats, error) {
 		Ratios:    make([]float64, trials),
 		Makespans: make([]int64, trials),
 	}
-	var sumRatio, sumBusy, sumIdle, sumDown float64
+	var sumMakespan, sumRatio, sumBusy, sumIdle, sumDown float64
 	var sumCrashes int64
 	for t := 0; t < trials; t++ {
-		res := x.run(&opts, pol, t)
-		st.Ratios[t] = res.Ratio
-		sumCrashes += int64(res.Crashes)
-		if res.Finished {
+		rt := x.execute(&opts, pol, t)
+		count(rt)
+		sumCrashes += int64(rt.crashes)
+		if rt.finished() {
+			r := ratio(rt.makespan, x.static)
 			st.Finished++
-			st.Makespans[t] = res.Makespan
-			sumRatio += res.Ratio
-			if opts.Deadline == 0 || res.Makespan <= opts.Deadline {
+			st.Ratios[t], st.Makespans[t] = r, rt.makespan
+			sumMakespan += float64(rt.makespan)
+			sumRatio += r
+			if opts.Deadline == 0 || rt.makespan <= opts.Deadline {
 				st.Survived++
 			}
 		} else {
-			st.Makespans[t] = -1
+			st.Ratios[t], st.Makespans[t] = math.Inf(1), -1
 		}
-		if res.Horizon > 0 {
-			span := float64(res.Horizon) * float64(x.numProcs)
+		if rt.horizon > 0 {
+			span := float64(rt.horizon) * float64(x.numProcs)
 			var b, i, d int64
 			for p := 0; p < x.numProcs; p++ {
-				b += res.Busy[p]
-				i += res.Idle[p]
-				d += res.Down[p]
+				dp := rt.downOf(p)
+				b += rt.busy[p]
+				i += rt.horizon - rt.busy[p] - dp
+				d += dp
 			}
 			sumBusy += float64(b) / span
 			sumIdle += float64(i) / span
@@ -91,18 +118,24 @@ func MonteCarlo(x *Exec, opts Options, trials int) (Stats, error) {
 		} else {
 			sumIdle++ // an empty horizon is all idle
 		}
+		rt.release()
 	}
 	st.SurvivalRate = float64(st.Survived) / float64(trials)
-	if st.Finished > 0 {
-		st.MeanRatio = sumRatio / float64(st.Finished)
-	}
-	sorted := append([]float64(nil), st.Ratios...)
-	sort.Float64s(sorted)
-	st.P99Ratio = sorted[PercentileIndex(trials, 0.99)]
 	st.MeanCrashes = float64(sumCrashes) / float64(trials)
 	st.MeanBusyFrac = sumBusy / float64(trials)
 	st.MeanIdleFrac = sumIdle / float64(trials)
 	st.MeanDownFrac = sumDown / float64(trials)
+	sorted := slices.Clone(st.Ratios)
+	slices.Sort(sorted)
+	st.P99Ratio = sorted[PercentileIndex(trials, 0.99)]
+	if st.Finished > 0 {
+		mks := slices.DeleteFunc(slices.Clone(st.Makespans), func(mk int64) bool { return mk < 0 })
+		slices.Sort(mks)
+		st.MeanMakespan = sumMakespan / float64(st.Finished)
+		st.MeanRatio = sumRatio / float64(st.Finished)
+		st.P99Makespan = mks[PercentileIndex(st.Finished, 0.99)]
+		st.MaxMakespan = mks[st.Finished-1]
+	}
 	return st, nil
 }
 

@@ -300,14 +300,6 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// run executes the compiled schedule once and returns its Result.
-func (x *Exec) run(opts *Options, pol RecoveryPolicy, trial int) Result {
-	rt := x.execute(opts, pol, trial)
-	res := rt.result()
-	rt.release()
-	return res
-}
-
 // execute takes a runtime from the pool and runs the compiled schedule
 // on it to the end. The runtime releases a copy when its resource is up
 // and free, the copies ahead of it in the resource's queue are
@@ -637,17 +629,42 @@ func (rt *runtime) repairCanUnblock() bool {
 	return false
 }
 
-// result assembles the run's Result and folds it into the ft.*
-// metrics. Trailing downtime is clamped to the horizon so Busy + Idle
-// + Down partitions each processor's share of it exactly. A run
-// finishes when no task remains and no repair pass aborted.
-func (rt *runtime) result() Result {
+// countFT folds the run into the ft.* metrics.
+func (rt *runtime) countFT() {
 	if obs.MetricsEnabled() {
 		ftRuns.Inc()
 		ftEvents.Add(rt.events)
 		ftCrashes.Add(int64(rt.crashes))
 		ftLost.Add(int64(rt.remaining))
 	}
+}
+
+// countSim folds the run into the sim.* metrics.
+func (rt *runtime) countSim() {
+	if obs.MetricsEnabled() {
+		simRuns.Inc()
+		simEvents.Add(rt.events)
+		simStalls.Add(rt.stalls)
+	}
+}
+
+// finished reports whether every task completed: no task remains and
+// no repair pass aborted.
+func (rt *runtime) finished() bool { return rt.remaining == 0 && !rt.aborted }
+
+// downOf returns processor p's downtime with trailing downtime clamped
+// to the horizon, so busy + idle + down partitions p's share of it
+// exactly.
+func (rt *runtime) downOf(p int) int64 {
+	if rt.downAt[p] >= 0 && rt.horizon > rt.downAt[p] {
+		return rt.down[p] + rt.horizon - rt.downAt[p]
+	}
+	return rt.down[p]
+}
+
+// result assembles the run's Result and folds it into the ft.* metrics.
+func (rt *runtime) result() Result {
+	rt.countFT()
 	procs := len(rt.busy)
 	split := make([]int64, 3*procs) // the Result owns its slices
 	res := Result{
@@ -660,13 +677,10 @@ func (rt *runtime) result() Result {
 		Down:    split[2*procs:],
 	}
 	for p := range res.Idle {
-		res.Busy[p], res.Down[p] = rt.busy[p], rt.down[p]
-		if rt.downAt[p] >= 0 && rt.horizon > rt.downAt[p] {
-			res.Down[p] += rt.horizon - rt.downAt[p]
-		}
+		res.Busy[p], res.Down[p] = rt.busy[p], rt.downOf(p)
 		res.Idle[p] = rt.horizon - res.Busy[p] - res.Down[p]
 	}
-	if rt.remaining == 0 && !rt.aborted {
+	if rt.finished() {
 		res.Finished = true
 		res.Makespan = rt.makespan
 		res.Ratio = ratio(rt.makespan, rt.x.static)

@@ -5,7 +5,9 @@
 # Usage:
 #   scripts/ab.sh <rev> [--workload W] [--pairs N]
 #
-# <rev> is exported with git archive into .bench_build/ab-<sha>. Each
+# <rev> is exported with git archive into .bench_build/ab-<sha>; every
+# other ab-* export there (each carries its own Go build cache, tens of
+# MB) is removed first, so only the current base and ab-runs remain. Each
 # pair runs that checkout's perfbench/run.sh and the current checkout's
 # (working tree included) at seed 1 for BENCHMARK.json's run_seconds;
 # odd pairs run the base first, even pairs the change, so drift of the
@@ -49,6 +51,11 @@ seconds=$(sed -n 's/.*"run_seconds": \([0-9]*\).*/\1/p' BENCHMARK.json)
 
 sha=$(git rev-parse --verify "$rev^{commit}")
 base="$root/.bench_build/ab-$sha"
+for old in "$root"/.bench_build/ab-*; do
+	[ -e "$old" ] || continue
+	case "$old" in "$base" | "$root/.bench_build/ab-runs") continue ;; esac
+	rm -rf "$old"
+done
 if [ ! -f "$base/perfbench/run.sh" ]; then
 	rm -rf "$base"
 	mkdir -p "$base"

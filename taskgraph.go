@@ -48,7 +48,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/optimal"
 	"repro/internal/sched"
-	"repro/internal/sim"
 )
 
 // Core graph model, re-exported from the internal dag package.
@@ -363,8 +362,8 @@ func Generate(name string, seed int64, params GeneratorParams) (*Graph, error) {
 	return gen.Generate(name, seed, params)
 }
 
-// Execution simulation (internal/sim): a deterministic, seeded
-// discrete-event engine that executes completed schedules under
+// Execution simulation (internal/ft without faults): a deterministic,
+// seeded discrete-event engine that executes completed schedules under
 // perturbed task durations and communication costs — with per-link
 // contention queues for APN schedules — plus a Monte-Carlo harness
 // turning repeated executions into robustness statistics. The
@@ -372,74 +371,112 @@ func Generate(name string, seed int64, params GeneratorParams) (*Graph, error) {
 
 // SimPlan is a compiled schedule, executable any number of times by
 // the discrete-event engine; compile once, then Run or SimMonteCarlo.
-type SimPlan = sim.Plan
+// It is immutable and safe for concurrent Run calls.
+type SimPlan ft.Exec
+
+// Static returns the planned (unperturbed) makespan.
+func (p *SimPlan) Static() int64 { return (*ft.Exec)(p).Static() }
+
+// Jobs returns the number of simulated jobs: one per task, plus one
+// per committed link transfer for APN schedules.
+func (p *SimPlan) Jobs() int { return (*ft.Exec)(p).Units() }
+
+// Run executes the plan once under the given options and trial number
+// and returns the realized makespan. Runs are deterministic in
+// (opts, trial) and allocate nothing once warm.
+func (p *SimPlan) Run(opts SimOptions, trial int) (int64, error) {
+	return (*ft.Exec)(p).Makespan(opts, trial)
+}
 
 // SimOptions parameterizes one simulated execution: perturbation
 // model, dispatch policy, seed, and optional per-processor slowdowns.
-type SimOptions = sim.Options
+type SimOptions = ft.SimOptions
 
 // SimPerturbation configures the stochastic duration model: the
 // multiplier distribution and the task/communication spreads.
-type SimPerturbation = sim.Perturbation
+type SimPerturbation = ft.Perturbation
 
 // SimResult reports one simulated execution: static makespan,
-// realized makespan, and their ratio.
-type SimResult = sim.Result
+// realized makespan, and their ratio (1 when the static makespan is 0).
+type SimResult struct {
+	Static, Makespan int64
+	Ratio            float64
+}
 
 // SimStats summarizes a Monte-Carlo execution study: mean/P99/max
 // realized makespan and realized/static ratios over the trials.
-type SimStats = sim.Stats
+type SimStats = ft.Stats
 
 // SimDistribution selects the perturbation distribution.
-type SimDistribution = sim.Distribution
+type SimDistribution = ft.Distribution
 
 // SimPolicy selects the dispatch rule of the simulated runtime.
-type SimPolicy = sim.Policy
+type SimPolicy = ft.Dispatch
 
 // The perturbation distributions of the execution simulator.
 const (
 	// DistNone applies no perturbation (exact replay).
-	DistNone = sim.DistNone
+	DistNone = ft.DistNone
 	// DistUniform draws duration multipliers from [1-s, 1+s].
-	DistUniform = sim.DistUniform
+	DistUniform = ft.DistUniform
 	// DistLognormal draws mean-one lognormal duration multipliers.
-	DistLognormal = sim.DistLognormal
+	DistLognormal = ft.DistLognormal
 )
 
 // The dispatch policies of the execution simulator.
 const (
 	// PolicyTimetable releases jobs no earlier than their planned
 	// static starts; zero perturbation replays the schedule exactly.
-	PolicyTimetable = sim.PolicyTimetable
+	PolicyTimetable = ft.DispatchTimetable
 	// PolicyEager starts jobs as soon as their dependencies clear.
-	PolicyEager = sim.PolicyEager
+	PolicyEager = ft.DispatchEager
 )
 
 // CompileSim compiles a complete clique-model schedule into an
 // executable SimPlan.
-func CompileSim(s *Schedule) (*SimPlan, error) { return sim.Compile(s) }
+func CompileSim(s *Schedule) (*SimPlan, error) {
+	x, err := ft.Compile(s)
+	return (*SimPlan)(x), err
+}
 
 // CompileSimAPN compiles a complete APN schedule — tasks plus its
 // committed link reservations, replayed through per-link contention
 // queues — into an executable SimPlan.
-func CompileSimAPN(s *APNSchedule) (*SimPlan, error) { return sim.CompileAPN(s) }
+func CompileSimAPN(s *APNSchedule) (*SimPlan, error) {
+	x, err := ft.CompileAPN(s)
+	return (*SimPlan)(x), err
+}
 
 // Simulate executes a complete clique-model schedule once under the
 // given options and returns the realized makespan next to the static
 // one.
-func Simulate(s *Schedule, opts SimOptions) (SimResult, error) { return sim.Simulate(s, opts) }
+func Simulate(s *Schedule, opts SimOptions) (SimResult, error) {
+	x, err := ft.Compile(s)
+	return simulateOnce(x, err, opts)
+}
 
 // SimulateAPN executes a complete APN schedule once under the given
 // options, honoring link contention along every committed route.
 func SimulateAPN(s *APNSchedule, opts SimOptions) (SimResult, error) {
-	return sim.SimulateAPN(s, opts)
+	x, err := ft.CompileAPN(s)
+	return simulateOnce(x, err, opts)
+}
+
+// simulateOnce runs trial 0 of x, compiled with error err, and reports
+// it against the static makespan.
+func simulateOnce(x *ft.Exec, err error, opts SimOptions) (SimResult, error) {
+	if err != nil {
+		return SimResult{}, err
+	}
+	st, err := ft.SimMonteCarlo(x, opts, 1)
+	return SimResult{Static: st.Static, Makespan: st.MaxMakespan, Ratio: st.MeanRatio}, err
 }
 
 // SimMonteCarlo executes a compiled plan for the given number of
 // independent trials and returns realized-makespan statistics.
 // Results are deterministic in (opts, trials).
 func SimMonteCarlo(p *SimPlan, opts SimOptions, trials int) (SimStats, error) {
-	return sim.MonteCarlo(p, opts, trials)
+	return ft.SimMonteCarlo((*ft.Exec)(p), opts, trials)
 }
 
 // Fault injection (internal/ft): the engine behind the execution
