@@ -633,8 +633,7 @@ func checkRunDeterminism(t *testing.T, x *ft.Exec, opts ft.Options) {
 	}
 }
 
-// TestOptionValidation covers the error paths of Run, Makespan, both
-// Monte-Carlo studies, FaultModel.Validate and Compile.
+// TestOptionValidation covers the error paths of Run and MonteCarlo.
 func TestOptionValidation(t *testing.T) {
 	x := faultyExec(t)
 	if _, err := x.Run(ft.Options{Deadline: -1}, 0); err == nil {
@@ -668,42 +667,6 @@ func TestOptionValidation(t *testing.T) {
 		if _, err := x.Makespan(opts, 0); err == nil {
 			t.Fatalf("communication spread %g accepted", sp)
 		}
-	}
-	for i, opts := range []ft.SimOptions{
-		{Perturb: ft.Perturbation{Dist: ft.Distribution(9)}},
-		{Perturb: ft.Perturbation{Dist: ft.DistUniform, TaskSpread: 1.5}},
-		{Perturb: ft.Perturbation{Dist: ft.DistLognormal, CommSpread: -0.1}},
-		{Perturb: ft.Perturbation{Dist: ft.DistLognormal, TaskSpread: math.NaN()}},
-		{Perturb: ft.Perturbation{Dist: ft.DistLognormal, TaskSpread: math.Inf(1)}},
-		{Perturb: ft.Perturbation{Dist: ft.DistNone, CommSpread: math.NaN()}},
-		{Policy: ft.Dispatch(7)},
-	} {
-		if _, err := x.Makespan(opts, 0); err == nil {
-			t.Errorf("bad options %d accepted by Makespan: %+v", i, opts)
-		}
-		if _, err := ft.SimMonteCarlo(x, opts, 1); err == nil {
-			t.Errorf("bad options %d accepted by SimMonteCarlo: %+v", i, opts)
-		}
-	}
-	if _, err := ft.SimMonteCarlo(x, ft.SimOptions{}, 0); err == nil {
-		t.Error("fault-free study with zero trials accepted")
-	}
-	for _, m := range []ft.FaultModel{{}, {MTBF: 100}, {MTBF: 100, MeanRepair: 10}, {LinkMTBF: 50, MeanOutage: 5}} {
-		if err := m.Validate(); err != nil {
-			t.Errorf("fault model %+v rejected: %v", m, err)
-		}
-	}
-	for _, m := range []ft.FaultModel{{MTBF: -1}, {MeanRepair: -2}, {LinkMTBF: 50}, {LinkMTBF: 50, MeanOutage: -1}} {
-		if m.Validate() == nil {
-			t.Errorf("fault model %+v accepted", m)
-		}
-	}
-	g, a, bb, _ := chainGraph(t)
-	partial := sched.New(g, 2)
-	partial.MustPlace(a, 0, 0)
-	partial.MustPlace(bb, 1, 0)
-	if _, err := ft.Compile(partial); err == nil {
-		t.Error("compiling a partial schedule succeeded")
 	}
 }
 

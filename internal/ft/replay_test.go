@@ -1,6 +1,7 @@
 package ft_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dag"
@@ -164,6 +165,75 @@ func TestZeroSpreadIsExact(t *testing.T) {
 	for _, d := range []ft.Distribution{ft.DistNone, ft.DistUniform, ft.DistLognormal} {
 		if mk := makespan(t, x, ft.SimOptions{Perturb: ft.Perturbation{Dist: d}, Seed: 3}); mk != 25 {
 			t.Errorf("%v with zero spread: makespan = %d, want 25", d, mk)
+		}
+	}
+}
+
+// TestOptionsValidation exercises the rejection paths of Compile,
+// Makespan and the fault-free study.
+func TestOptionsValidation(t *testing.T) {
+	g, a, bb, c := chainGraph(t)
+	s := sched.New(g, 2)
+	s.MustPlace(a, 0, 0)
+	s.MustPlace(bb, 1, 0)
+	// Partial schedule is rejected at compile time.
+	if _, err := ft.Compile(s); err == nil {
+		t.Error("compiling a partial schedule succeeded")
+	}
+	s.MustPlace(c, 1, 20)
+	x := mustCompile(t, s)
+	bad := []ft.SimOptions{
+		{Perturb: ft.Perturbation{Dist: ft.Distribution(9)}},
+		{Perturb: ft.Perturbation{Dist: ft.DistUniform, TaskSpread: 1.5}},
+		{Perturb: ft.Perturbation{Dist: ft.DistLognormal, CommSpread: -0.1}},
+		{Perturb: ft.Perturbation{Dist: ft.DistLognormal, TaskSpread: math.NaN()}},
+		{Perturb: ft.Perturbation{Dist: ft.DistLognormal, TaskSpread: math.Inf(1)}},
+		{Perturb: ft.Perturbation{Dist: ft.DistLognormal, CommSpread: math.Inf(-1)}},
+		{Perturb: ft.Perturbation{Dist: ft.DistNone, CommSpread: math.NaN()}},
+		{Policy: ft.Dispatch(7)},
+		{Speed: []float64{1}},               // wrong length
+		{Speed: []float64{1, 0}},            // non-positive factor
+		{Speed: []float64{1, 1, 1, 1}},      // wrong length
+		{Speed: []float64{math.NaN(), 1}},   // NaN factor
+		{Speed: []float64{1, math.Inf(1)}},  // infinite factor
+		{Speed: []float64{math.Inf(-1), 1}}, // negative infinite factor
+	}
+	for i, opts := range bad {
+		if _, err := x.Makespan(opts, 0); err == nil {
+			t.Errorf("bad options %d accepted by Makespan: %+v", i, opts)
+		}
+		if _, err := ft.SimMonteCarlo(x, opts, 1); err == nil {
+			t.Errorf("bad options %d accepted by SimMonteCarlo: %+v", i, opts)
+		}
+	}
+	if _, err := ft.SimMonteCarlo(x, ft.SimOptions{}, 0); err == nil {
+		t.Error("SimMonteCarlo with 0 trials succeeded")
+	}
+}
+
+// TestFaultModelValidate pins which fault models Validate accepts.
+func TestFaultModelValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		m    ft.FaultModel
+		ok   bool
+	}{
+		{"zero", ft.FaultModel{}, true},
+		{"crash only", ft.FaultModel{MTBF: 100}, true},
+		{"crash and repair", ft.FaultModel{MTBF: 100, MeanRepair: 10}, true},
+		{"links", ft.FaultModel{LinkMTBF: 50, MeanOutage: 5}, true},
+		{"negative mtbf", ft.FaultModel{MTBF: -1}, false},
+		{"negative repair", ft.FaultModel{MeanRepair: -2}, false},
+		{"outage without mean", ft.FaultModel{LinkMTBF: 50}, false},
+		{"negative outage", ft.FaultModel{LinkMTBF: 50, MeanOutage: -1}, false},
+	}
+	for _, tc := range cases {
+		err := tc.m.Validate()
+		if tc.ok && err != nil {
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: error expected", tc.name)
 		}
 	}
 }
